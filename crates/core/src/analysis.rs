@@ -16,10 +16,10 @@
 //!   ([`shadowreal::Real::apply_ref`]) and trace/influence data is read in
 //!   place via split field borrows. Only the destination shadow is written.
 //! * **Records** live in pc-indexed `Vec<Option<OpRecord>>` /
-//!   `Vec<Option<SpotRecord>>` slot tables sized once per program. They are
-//!   folded into ordered form only at [`Herbgrind::report`] /
-//!   [`Herbgrind::merge`] time; since slot index order *is* ascending pc
-//!   order (the order the old `BTreeMap`s iterated in), merged reports stay
+//!   `Vec<Option<SpotRecord>>` slot tables sized once per program, held in
+//!   the analysis's [`AnalysisState`]. They are folded into ordered form
+//!   only at [`AnalysisState::report`] / [`AnalysisState::merge`] time; since
+//!   slot index order *is* ascending pc order, merged reports stay
 //!   bit-identical to the serial ones.
 //!
 //! The retained map-based implementation lives in [`crate::reference`] and
@@ -32,11 +32,12 @@
 
 use crate::config::AnalysisConfig;
 use crate::localerr::{local_error_ref, total_error};
+use crate::quarantine::{fail_fast, serial_family, SweepStage};
 use crate::records::{InfluenceSet, OpRecord, SpotKind, SpotRecord};
 use crate::report::Report;
 use crate::trace::{ConcreteExpr, ExprInterner, TraceChildren};
 use fpcore::CmpOp;
-use fpvm::{Addr, Machine, MachineError, Program, SourceLoc, Tracer, Value, MAX_ARITY};
+use fpvm::{Addr, MachineError, Program, SourceLoc, Tracer, Value, MAX_ARITY};
 use shadowreal::{BigFloat, Real, RealOp, MAX_ERROR_BITS};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -296,7 +297,10 @@ fn detect_compensation<R: Real>(
 /// does O(program) setup rather than O(N × program).
 #[derive(Debug)]
 pub struct Herbgrind<R: Real> {
-    config: AnalysisConfig,
+    /// The configuration, the per-statement records and the run counters:
+    /// everything that outlives shadow memory. Merging and reporting go
+    /// through it, so one implementation serves every driver.
+    state: AnalysisState,
     shadow_slots: Vec<ShadowSlot<R>>,
     shadow_gen: u64,
     /// Per-shard hash-consing table for trace nodes: repeated subtraces
@@ -304,15 +308,6 @@ pub struct Herbgrind<R: Real> {
     /// fast paths. Per-run state like the shadow slots (cleared by
     /// `on_start`).
     interner: ExprInterner,
-    op_slots: Vec<Option<OpRecord>>,
-    spot_slots: Vec<Option<SpotRecord>>,
-    /// Interned per-statement locations: every trace node built for a
-    /// statement shares its `Arc` instead of cloning the location's strings.
-    locations: Vec<Arc<SourceLoc>>,
-    program_name: String,
-    runs: u64,
-    compensations_detected: u64,
-    branch_divergences: u64,
     /// An analysis-side fault (trace-budget exhaustion, injected failure)
     /// awaiting delivery through the interpreter's per-step
     /// [`Tracer::fault`] poll, which aborts the run with it.
@@ -338,17 +333,10 @@ impl<R: Real> Herbgrind<R> {
     pub fn new(config: AnalysisConfig) -> Herbgrind<R> {
         telemetry::INTERNER_NODE_BUDGET.record(config.trace_node_budget as u64);
         Herbgrind {
-            config: config.normalize(),
+            state: AnalysisState::empty(config.normalize()),
             shadow_slots: Vec::new(),
             shadow_gen: 0,
             interner: ExprInterner::new(),
-            op_slots: Vec::new(),
-            spot_slots: Vec::new(),
-            locations: Vec::new(),
-            program_name: String::new(),
-            runs: 0,
-            compensations_detected: 0,
-            branch_divergences: 0,
             pending_fault: None,
             #[cfg(feature = "fault-injection")]
             inject: None,
@@ -408,19 +396,19 @@ impl<R: Real> Herbgrind<R> {
             }
             Some(InjectKind::StepBudget) => {
                 self.pending_fault = Some(MachineError::StepBudgetExceeded {
-                    limit: self.config.step_limit,
+                    limit: self.state.config.step_limit,
                 });
                 false
             }
             Some(InjectKind::Deadline) => {
                 self.pending_fault = Some(MachineError::DeadlineExceeded {
-                    millis: self.config.deadline_millis.max(1),
+                    millis: self.state.config.deadline_millis.max(1),
                 });
                 false
             }
             Some(InjectKind::TraceBudget) => {
                 self.pending_fault = Some(MachineError::TraceBudgetExceeded {
-                    limit: self.config.trace_node_budget.max(1),
+                    limit: self.state.config.trace_node_budget.max(1),
                 });
                 false
             }
@@ -444,36 +432,37 @@ impl<R: Real> Herbgrind<R> {
     /// different [`AnalysisConfig::shadow_precision`] values cannot corrupt
     /// each other.
     fn shadow_leaf(&self, value: f64) -> R {
-        R::from_f64_prec(value, self.config.shadow_precision)
+        R::from_f64_prec(value, self.state.config.shadow_precision)
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &AnalysisConfig {
-        &self.config
+        &self.state.config
     }
 
     /// The number of runs observed so far.
     pub fn runs(&self) -> u64 {
-        self.runs
+        self.state.runs
     }
 
     /// The number of compensating operations whose influence was suppressed
     /// (§5.3 / §8.3).
     pub fn compensations_detected(&self) -> u64 {
-        self.compensations_detected
+        self.state.compensations_detected
     }
 
     /// The number of control-flow divergences between the float and shadow
     /// executions.
     pub fn branch_divergences(&self) -> u64 {
-        self.branch_divergences
+        self.state.branch_divergences
     }
 
     /// Per-statement operation records (candidate root causes and their
     /// symbolic expressions), assembled on demand from the pc-indexed slot
     /// table.
     pub fn op_records(&self) -> BTreeMap<usize, &OpRecord> {
-        self.op_slots
+        self.state
+            .op_slots
             .iter()
             .enumerate()
             .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record)))
@@ -483,7 +472,8 @@ impl<R: Real> Herbgrind<R> {
     /// Per-statement spot records, assembled on demand from the pc-indexed
     /// slot table.
     pub fn spot_records(&self) -> BTreeMap<usize, &SpotRecord> {
-        self.spot_slots
+        self.state
+            .spot_slots
             .iter()
             .enumerate()
             .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record)))
@@ -497,7 +487,7 @@ impl<R: Real> Herbgrind<R> {
     /// read the populated slot by reference afterwards.
     pub(crate) fn ensure_shadow(&mut self, addr: Addr, client_value: f64) {
         let Herbgrind {
-            config,
+            state,
             shadow_slots,
             shadow_gen,
             interner,
@@ -507,7 +497,7 @@ impl<R: Real> Herbgrind<R> {
             shadow_slots,
             *shadow_gen,
             interner,
-            config,
+            &state.config,
             addr,
             client_value,
         );
@@ -526,7 +516,7 @@ impl<R: Real> Herbgrind<R> {
         client_value: f64,
     ) {
         let Herbgrind {
-            config,
+            state,
             shadow_slots,
             shadow_gen,
             ..
@@ -535,7 +525,7 @@ impl<R: Real> Herbgrind<R> {
             shadow_slots,
             *shadow_gen,
             interner,
-            config,
+            &state.config,
             addr,
             client_value,
         );
@@ -556,22 +546,14 @@ impl<R: Real> Herbgrind<R> {
     /// The statement's interned source location (for the batched analysis's
     /// group trace construction; identical across lane shards).
     pub(crate) fn location(&self, pc: usize) -> &Arc<SourceLoc> {
-        location_of(&self.locations, pc)
+        location_of(&self.state.locations, pc)
     }
 
     /// The operation record slot for `pc`, created on first use — the
     /// batched record layer borrows per-lane records through this when
     /// folding a lane group's observations.
     pub(crate) fn op_record_entry(&mut self, pc: usize, op: RealOp) -> &mut OpRecord {
-        let Herbgrind {
-            config,
-            op_slots,
-            locations,
-            ..
-        } = self;
-        record_slot(op_slots, pc).get_or_insert_with(|| {
-            OpRecord::new(op, location_of(locations, pc).as_ref().clone(), config)
-        })
+        self.state.op_record(pc, op).0
     }
 
     /// The exact value and the trace of `addr`'s shadow together — one slot
@@ -618,19 +600,18 @@ impl<R: Real> Herbgrind<R> {
         // observed in the report.
         let node = {
             let Herbgrind {
-                config,
+                state,
                 shadow_slots,
                 shadow_gen,
                 interner,
-                locations,
                 ..
             } = &mut *self;
             build_compute_trace(
-                config,
+                &state.config,
                 shadow_slots,
                 *shadow_gen,
                 interner,
-                locations,
+                &state.locations,
                 pc,
                 op,
                 args,
@@ -649,15 +630,7 @@ impl<R: Real> Herbgrind<R> {
             Arc::clone(&node),
         );
         if let Some(erroneous) = recorded {
-            let Herbgrind {
-                config,
-                op_slots,
-                locations,
-                ..
-            } = &mut *self;
-            let record = record_slot(op_slots, pc).get_or_insert_with(|| {
-                OpRecord::new(op, location_of(locations, pc).as_ref().clone(), config)
-            });
+            let (record, config) = self.state.op_record(pc, op);
             record.record_bounded(
                 &node,
                 config.max_expression_depth,
@@ -672,7 +645,7 @@ impl<R: Real> Herbgrind<R> {
         // through the interpreter's per-step poll, aborting the run before
         // the next statement. (The batched engine interns through its
         // group-level table and performs the equivalent check there.)
-        let budget = self.config.trace_node_budget;
+        let budget = self.state.config.trace_node_budget;
         if budget != 0 && self.interner.len() >= budget && self.pending_fault.is_none() {
             self.pending_fault = Some(MachineError::TraceBudgetExceeded { limit: budget });
         }
@@ -701,12 +674,16 @@ impl<R: Real> Herbgrind<R> {
         // Split field borrows: operand shadows stay borrowed from the slot
         // table while influences accumulate; only the destination is written.
         let Herbgrind {
-            config,
+            state,
             shadow_slots,
             shadow_gen,
-            compensations_detected,
             ..
         } = self;
+        let AnalysisState {
+            config,
+            compensations_detected,
+            ..
+        } = state;
         let config: &AnalysisConfig = config;
         let gen = *shadow_gen;
         let n = args.len();
@@ -765,67 +742,22 @@ impl<R: Real> Herbgrind<R> {
     /// Run sharding is clean because shadow memory is per-run state (reset by
     /// [`Tracer::on_start`]) while the per-statement records accumulate with
     /// counts, exact sums, maxima, set unions, and anti-unification — all of
-    /// which combine associatively. The slot tables are merged index-wise,
-    /// which is exactly ascending-pc order, so merging shards in input order
-    /// reproduces, bit for bit, the records a single analysis accumulates
-    /// over the whole sweep; this is the foundation of [`analyze_parallel`]
-    /// and is checked end-to-end by the determinism test suite.
+    /// which combine associatively. Merging the shards of a sweep in input
+    /// order ([`AnalysisState::merge`]) therefore reproduces, bit for bit,
+    /// the records a single analysis accumulates over the whole sweep.
     pub fn merge(&mut self, other: Herbgrind<R>) {
-        if self.locations.is_empty() {
-            self.locations = other.locations;
-            self.program_name = other.program_name;
-        }
-        self.runs += other.runs;
-        self.compensations_detected += other.compensations_detected;
-        self.branch_divergences += other.branch_divergences;
         // Interners are consulted only mid-run — at merge time both tables
         // are dead weight, so release them instead of unioning shard trace
         // nodes into memory nothing will read. (Interning never affects
         // analysis output, so this cannot perturb the bit-identical merge
         // contract.)
         self.interner.clear();
-        drop(other.interner);
-        if self.op_slots.len() < other.op_slots.len() {
-            self.op_slots.resize_with(other.op_slots.len(), || None);
-        }
-        for (pc, record) in other.op_slots.into_iter().enumerate() {
-            let Some(record) = record else { continue };
-            match &mut self.op_slots[pc] {
-                Some(existing) => existing.merge(&record, &self.config),
-                slot @ None => *slot = Some(record),
-            }
-        }
-        if self.spot_slots.len() < other.spot_slots.len() {
-            self.spot_slots.resize_with(other.spot_slots.len(), || None);
-        }
-        for (pc, record) in other.spot_slots.into_iter().enumerate() {
-            let Some(record) = record else { continue };
-            match &mut self.spot_slots[pc] {
-                Some(existing) => existing.merge(&record),
-                slot @ None => *slot = Some(record),
-            }
-        }
+        self.state.merge(other.state);
     }
 
-    /// Produces the final report. The slot tables are folded into ordered
-    /// form here — the only place order matters — rather than on every
-    /// operation.
+    /// Produces the final report ([`AnalysisState::report`]).
     pub fn report(&self) -> Report {
-        Report::build(
-            &self.program_name,
-            &self.config,
-            self.op_slots
-                .iter()
-                .enumerate()
-                .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record))),
-            self.spot_slots
-                .iter()
-                .enumerate()
-                .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record))),
-            self.runs,
-            self.compensations_detected,
-            self.branch_divergences,
-        )
+        self.state.report()
     }
 
     /// Extracts the accumulated analysis results, dropping the shadow-real
@@ -834,16 +766,7 @@ impl<R: Real> Herbgrind<R> {
     /// driver ([`crate::tiered::analyze_tiered`]) fold `DoubleDouble`-tier
     /// and `BigFloat`-tier sweeps into one report.
     pub fn into_state(self) -> AnalysisState {
-        AnalysisState {
-            config: self.config,
-            op_slots: self.op_slots,
-            spot_slots: self.spot_slots,
-            locations: self.locations,
-            program_name: self.program_name,
-            runs: self.runs,
-            compensations_detected: self.compensations_detected,
-            branch_divergences: self.branch_divergences,
-        }
+        self.state
     }
 }
 
@@ -851,17 +774,18 @@ impl<R: Real> Herbgrind<R> {
 /// per-statement record tables and counters of a [`Herbgrind`], without the
 /// shadow memory or the shadow-real type parameter.
 ///
-/// Records combine associatively and index-wise exactly as
-/// [`Herbgrind::merge`] combines them, so states extracted from sweeps over
-/// *different shadow representations* merge cleanly — the foundation of the
-/// tiered analysis, where certified input groups run on the `DoubleDouble`
-/// shadow and the rest on [`BigFloat`], and the groups' states are folded
-/// back in input order.
+/// Records combine associatively and index-wise, so states extracted from
+/// sweeps over *different shadow representations* merge cleanly — the
+/// foundation of the tiered analysis, where certified input groups run on
+/// the `DoubleDouble` shadow and the rest on [`BigFloat`], and the groups'
+/// states are folded back in input order.
 #[derive(Debug)]
 pub struct AnalysisState {
     config: AnalysisConfig,
     op_slots: Vec<Option<OpRecord>>,
     spot_slots: Vec<Option<SpotRecord>>,
+    /// Interned per-statement locations: every trace node built for a
+    /// statement shares its `Arc` instead of cloning the location's strings.
     locations: Vec<Arc<SourceLoc>>,
     program_name: String,
     runs: u64,
@@ -889,10 +813,26 @@ impl AnalysisState {
         self.runs
     }
 
-    /// Merges a later input shard's state into this one — the same
-    /// index-wise, in-input-order fold as [`Herbgrind::merge`], so chaining
-    /// per-group states in input order reproduces the records of one
-    /// continuous sweep bit for bit.
+    /// The operation record slot for `pc`, created on first use, together
+    /// with the configuration records are updated under.
+    fn op_record(&mut self, pc: usize, op: RealOp) -> (&mut OpRecord, &AnalysisConfig) {
+        let AnalysisState {
+            config,
+            op_slots,
+            locations,
+            ..
+        } = self;
+        let record = record_slot(op_slots, pc).get_or_insert_with(|| {
+            OpRecord::new(op, location_of(locations, pc).as_ref().clone(), config)
+        });
+        (record, config)
+    }
+
+    /// Merges a later input shard's state into this one. The slot tables are
+    /// merged index-wise, which is exactly ascending-pc order, so chaining
+    /// per-shard states in input order reproduces the records of one
+    /// continuous sweep bit for bit; the parallel, batched and tiered drivers
+    /// are built on this, and the determinism suites check it end to end.
     pub fn merge(&mut self, other: AnalysisState) {
         if self.locations.is_empty() {
             self.locations = other.locations;
@@ -901,30 +841,18 @@ impl AnalysisState {
         self.runs += other.runs;
         self.compensations_detected += other.compensations_detected;
         self.branch_divergences += other.branch_divergences;
-        if self.op_slots.len() < other.op_slots.len() {
-            self.op_slots.resize_with(other.op_slots.len(), || None);
-        }
-        for (pc, record) in other.op_slots.into_iter().enumerate() {
-            let Some(record) = record else { continue };
-            match &mut self.op_slots[pc] {
-                Some(existing) => existing.merge(&record, &self.config),
-                slot @ None => *slot = Some(record),
-            }
-        }
-        if self.spot_slots.len() < other.spot_slots.len() {
-            self.spot_slots.resize_with(other.spot_slots.len(), || None);
-        }
-        for (pc, record) in other.spot_slots.into_iter().enumerate() {
-            let Some(record) = record else { continue };
-            match &mut self.spot_slots[pc] {
-                Some(existing) => existing.merge(&record),
-                slot @ None => *slot = Some(record),
-            }
-        }
+        let config = &self.config;
+        merge_slots(&mut self.op_slots, other.op_slots, |mine, theirs| {
+            mine.merge(&theirs, config)
+        });
+        merge_slots(&mut self.spot_slots, other.spot_slots, |mine, theirs| {
+            mine.merge(&theirs)
+        });
     }
 
-    /// Builds the report — identical to [`Herbgrind::report`] on the
-    /// analysis this state was extracted (and merged) from.
+    /// Produces the final report. The slot tables are folded into ordered
+    /// form here — the only place order matters — rather than on every
+    /// operation.
     pub fn report(&self) -> Report {
         Report::build(
             &self.program_name,
@@ -944,6 +872,26 @@ impl AnalysisState {
     }
 }
 
+/// Folds a later shard's pc-indexed record slots into `slots`, index by
+/// index. Into an empty table that fold is the later table itself, so it is
+/// adopted without touching its records.
+fn merge_slots<T>(slots: &mut Vec<Option<T>>, other: Vec<Option<T>>, merge: impl Fn(&mut T, T)) {
+    if slots.is_empty() {
+        *slots = other;
+        return;
+    }
+    if slots.len() < other.len() {
+        slots.resize_with(other.len(), || None);
+    }
+    for (slot, record) in slots.iter_mut().zip(other) {
+        match (slot.as_mut(), record) {
+            (Some(mine), Some(theirs)) => merge(mine, theirs),
+            (None, theirs @ Some(_)) => *slot = theirs,
+            (_, None) => {}
+        }
+    }
+}
+
 impl<R: Real> Tracer for Herbgrind<R> {
     fn on_start(&mut self, program: &Program, _args: &[f64]) {
         // Shadow memory and the trace interner are per-run (machine memory
@@ -959,23 +907,24 @@ impl<R: Real> Tracer for Herbgrind<R> {
             self.shadow_slots
                 .resize_with(program.num_addrs, ShadowSlot::default);
         }
-        if self.op_slots.len() < program.len() {
-            self.op_slots.resize_with(program.len(), || None);
-        }
-        if self.spot_slots.len() < program.len() {
-            self.spot_slots.resize_with(program.len(), || None);
-        }
         self.interner.clear();
         self.pending_fault = None;
-        if self.locations.is_empty() {
-            self.locations = program
+        let state = &mut self.state;
+        if state.op_slots.len() < program.len() {
+            state.op_slots.resize_with(program.len(), || None);
+        }
+        if state.spot_slots.len() < program.len() {
+            state.spot_slots.resize_with(program.len(), || None);
+        }
+        if state.locations.is_empty() {
+            state.locations = program
                 .locations
                 .iter()
                 .map(|loc| Arc::new(loc.clone()))
                 .collect();
-            self.program_name = program.name.clone();
+            state.program_name = program.name.clone();
         }
-        self.runs += 1;
+        state.runs += 1;
     }
 
     fn on_const_f(&mut self, _pc: usize, dest: Addr, value: f64) {
@@ -1057,7 +1006,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
         // and surfaces as maximal error, never as a fault.
         #[cfg(feature = "fault-injection")]
         if poison {
-            exact_result = R::from_f64_prec(f64::NAN, self.config.shadow_precision);
+            exact_result = R::from_f64_prec(f64::NAN, self.state.config.shadow_precision);
             local_err = MAX_ERROR_BITS;
         }
         self.finish_compute(
@@ -1075,12 +1024,16 @@ impl<R: Real> Tracer for Herbgrind<R> {
     fn on_cast_to_int(&mut self, pc: usize, dest: Addr, src: Addr, value: f64, result: i64) {
         self.ensure_shadow(src, value);
         let Herbgrind {
+            state,
             shadow_slots,
             shadow_gen,
+            ..
+        } = self;
+        let AnalysisState {
             spot_slots,
             locations,
             ..
-        } = self;
+        } = state;
         let shadow = shadow_at(shadow_slots, *shadow_gen, src).expect("shadow populated");
         let shadow_int = shadow.real.to_f64().trunc();
         let diverged = shadow_int as i64 != result;
@@ -1108,13 +1061,17 @@ impl<R: Real> Tracer for Herbgrind<R> {
         self.ensure_shadow(lhs, lhs_value.as_f64());
         self.ensure_shadow(rhs, rhs_value.as_f64());
         let Herbgrind {
+            state,
             shadow_slots,
             shadow_gen,
+            ..
+        } = self;
+        let AnalysisState {
             spot_slots,
             locations,
             branch_divergences,
             ..
-        } = self;
+        } = state;
         let gen = *shadow_gen;
         let lhs_shadow = shadow_at(shadow_slots, gen, lhs).expect("shadow populated");
         let rhs_shadow = shadow_at(shadow_slots, gen, rhs).expect("shadow populated");
@@ -1141,13 +1098,17 @@ impl<R: Real> Tracer for Herbgrind<R> {
     fn on_output(&mut self, pc: usize, src: Addr, value: f64) {
         self.ensure_shadow(src, value);
         let Herbgrind {
-            config,
+            state,
             shadow_slots,
             shadow_gen,
+            ..
+        } = self;
+        let AnalysisState {
+            config,
             spot_slots,
             locations,
             ..
-        } = self;
+        } = state;
         let shadow = shadow_at(shadow_slots, *shadow_gen, src).expect("shadow populated");
         // A NaN reaching an output is always reported with maximal error,
         // matching the paper's Gram-Schmidt case study (a NaN produced by a
@@ -1188,7 +1149,8 @@ impl<R: Real> Tracer for Herbgrind<R> {
 /// # Errors
 ///
 /// Propagates [`MachineError`] from the underlying interpreter (arity
-/// mismatches or exhausted step budgets).
+/// mismatches or exhausted step budgets): the error of the earliest failing
+/// input.
 pub fn analyze(
     program: &Program,
     inputs: &[Vec<f64>],
@@ -1200,28 +1162,29 @@ pub fn analyze(
 /// Runs a program under the analysis with an explicit shadow-real type
 /// (`BigFloat`, `DoubleDouble`, or `f64` for a no-op shadow).
 ///
-/// The machine (with its pre-decoded execution tape), the machine memory
-/// buffer, and the analysis slot tables are all set up once and reused
-/// across the whole sweep: per-input work is proportional to the
-/// instructions executed, not to sweep-setup.
+/// This is the fail-fast view of the serial fault-isolating engine
+/// ([`analyze_isolated_with_shadow`](crate::quarantine::analyze_isolated_with_shadow)),
+/// run without fault injection: the machine (with its pre-decoded execution
+/// tape), the machine memory buffer, and the analysis slot tables are set up
+/// once and reused across the whole sweep, so per-input work is proportional
+/// to the instructions executed, not to sweep setup.
 ///
 /// # Errors
 ///
-/// Propagates [`MachineError`] from the underlying interpreter.
+/// Propagates [`MachineError`] from the underlying interpreter: the error of
+/// the earliest failing input. A panicking analysis observer is re-raised.
 pub fn analyze_with_shadow<R: Real>(
     program: &Program,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Result<Report, MachineError> {
-    let mut analysis = Herbgrind::<R>::new(config.clone());
-    let machine = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let mut memory = Vec::new();
-    for input in inputs {
-        machine.run_traced_reusing(input, &mut analysis, &mut memory)?;
-    }
-    Ok(analysis.report())
+    fail_fast(serial_family::<R>(
+        program,
+        inputs,
+        config,
+        SweepStage::Serial,
+        false,
+    ))
 }
 
 /// Runs a program under the analysis with the input sweep sharded across
@@ -1230,8 +1193,11 @@ pub fn analyze_with_shadow<R: Real>(
 ///
 /// Inputs are split into contiguous chunks, each chunk is analyzed on its own
 /// thread, and the per-shard records are merged in input order
-/// ([`Herbgrind::merge`]). The resulting [`Report`] is bit-identical to the
-/// serial [`analyze`] for every thread count.
+/// ([`AnalysisState::merge`]). The resulting [`Report`] is bit-identical to
+/// the serial [`analyze`] for every thread count, with one known exception:
+/// a shard whose loop runs are shorter than
+/// [`AnalysisConfig::max_expression_depth`] can lose input-range
+/// contributions in the merge (DESIGN.md, "Parallel engine").
 ///
 /// # Errors
 ///
@@ -1247,7 +1213,8 @@ pub fn analyze_parallel(
 }
 
 /// Runs the sharded analysis with an explicit shadow-real type; see
-/// [`analyze_parallel`].
+/// [`analyze_parallel`]. The fail-fast view of
+/// [`analyze_parallel_isolated`](crate::quarantine::analyze_parallel_isolated).
 ///
 /// # Errors
 ///
@@ -1257,56 +1224,13 @@ pub fn analyze_parallel_with_shadow<R: Real + Send>(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Result<Report, MachineError> {
-    let threads = config.effective_threads(inputs.len());
-    if threads <= 1 || inputs.len() <= 1 {
-        return analyze_with_shadow::<R>(program, inputs, config);
-    }
-    // Decode the execution tape once; shard machines are clones that share
-    // it (`Machine` holds the tape behind an `Arc`), so an N-thread sweep
-    // pays O(program) decode instead of O(N × program). The balanced
-    // partition hands every thread a shard (chunk lengths differ by at most
-    // one), where ceil-division chunking used to leave threads idle whenever
-    // the sweep length was not a near-multiple of the thread count.
-    let shared = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let shards: Vec<Result<Herbgrind<R>, MachineError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = balanced_chunks(inputs, threads)
-            .into_iter()
-            .map(|chunk| {
-                let machine = shared.clone();
-                scope.spawn(move || {
-                    let mut analysis = Herbgrind::<R>::new(config.clone());
-                    let mut memory = Vec::new();
-                    for input in chunk {
-                        machine.run_traced_reusing(input, &mut analysis, &mut memory)?;
-                    }
-                    Ok(analysis)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("analysis shard panicked"))
-            .collect()
-    });
-    // Merge in shard (= input) order; the earliest shard error is the error
-    // the serial sweep would have stopped with, since chunks are contiguous
-    // and each shard processes its inputs in order. When several shards
-    // fail, this `?`-in-shard-order fold deterministically selects the
-    // failing shard holding the lowest input index — the thread-level mirror
-    // of `probe_local_error`'s lowest-failed-lane rule — regardless of which
-    // thread finished (or failed) first.
-    let mut merged: Option<Herbgrind<R>> = None;
-    for shard in shards {
-        let shard = shard?;
-        match &mut merged {
-            Some(accumulated) => accumulated.merge(shard),
-            None => merged = Some(shard),
-        }
-    }
-    let merged = merged.unwrap_or_else(|| Herbgrind::<R>::new(config.clone()));
-    Ok(merged.report())
+    fail_fast(serial_family::<R>(
+        program,
+        inputs,
+        config,
+        SweepStage::ParallelShard,
+        false,
+    ))
 }
 
 #[cfg(test)]
@@ -1315,7 +1239,7 @@ mod tests {
 
     use super::*;
     use fpcore::parse_core;
-    use fpvm::compile_core;
+    use fpvm::{compile_core, Machine};
 
     fn run_analysis(src: &str, inputs: &[Vec<f64>]) -> Report {
         let core = parse_core(src).expect("parse");

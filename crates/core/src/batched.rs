@@ -36,17 +36,20 @@
 //! bookkeeping stripped to FpDebug-style per-statement error counters.
 //!
 //! Threads compose with lanes: `config.threads` shards the sweep exactly as
-//! the parallel engine does, every shard runs the batched engine on a
-//! cloned machine sharing one decoded tape, and shard merges happen in
-//! input order.
+//! the parallel engine does, every shard runs the batched engine on the one
+//! decoded tape, and shard merges happen in input order. The sweep itself —
+//! lane passes, fault collection, the serial retry of lanes that fault —
+//! runs on the batched fault-isolating engine in [`crate::quarantine`];
+//! [`analyze_batched`] is its fail-fast view.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{balanced_chunks, Herbgrind};
+use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind};
 use crate::config::AnalysisConfig;
+use crate::quarantine::{batched_family, fail_fast};
 use crate::records::{GroupObservation, OpRecord};
 use crate::report::Report;
 use crate::trace::{ConcreteExpr, ExprInterner, LaneNode, TraceChildren};
@@ -425,7 +428,7 @@ impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
         // Trace-memory budget on the group interner — the batched
         // counterpart of the serial per-run check. The table is shared by
         // every lane, so attribution is collective: all active lanes fault,
-        // and the isolated driver's serial retry (per-input interner)
+        // and the batched engine's serial retry (per-input interner)
         // decides which inputs genuinely exceed the budget alone.
         let budget = config.trace_node_budget;
         if budget != 0 && interner.len() >= budget {
@@ -514,78 +517,32 @@ impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
     }
 }
 
-/// Runs one batched sweep at compile-time width `W`: contiguous lane
-/// chunks, one batch pass per chunk position, per-lane failure isolation
-/// with the earliest-input error surfaced — the lane-level mirror of the
-/// thread-sharded driver.
-pub(crate) fn batched_sweep<R: BatchReal, const W: usize>(
-    machine: &Machine<'_>,
-    inputs: &[Vec<f64>],
-    config: &AnalysisConfig,
-    prune: Option<&Arc<staticerr::PruneMask>>,
-) -> Result<Herbgrind<R>, MachineError> {
-    let lane_count = W.min(inputs.len()).max(1);
-    // Balanced contiguous partition: chunk lengths differ by at most one, so
-    // a sweep of at least W inputs keeps every lane busy (ceil-division
-    // chunking used to produce fewer chunks than lanes — 9 inputs at W=8 ran
-    // only 5 lanes). Chunks are contiguous in input order, so the lane-order
-    // merge below is unchanged and reports stay bit-identical.
-    let chunks = balanced_chunks(inputs, lane_count);
-    let positions = chunks.first().map_or(0, |chunk| chunk.len());
-    let batch = machine.batched::<W>();
-    let mut tracer = BatchHerbgrind::<R, W>::new(config);
-    tracer.set_prune_mask(prune.map(Arc::clone));
-    let mut memory = BatchMemory::new();
-    let mut failures: [Option<MachineError>; W] = std::array::from_fn(|_| None);
-    for position in 0..positions {
-        let mut lane_inputs: [Option<&[f64]>; W] = [None; W];
-        let mut any = false;
-        for (l, chunk) in chunks.iter().enumerate() {
-            if failures[l].is_none() {
-                if let Some(input) = chunk.get(position) {
-                    lane_inputs[l] = Some(input.as_slice());
-                    any = true;
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-        let outcome = batch.run_batch(&lane_inputs, &mut tracer, &mut memory);
-        for (failure, error) in failures.iter_mut().zip(&outcome.errors) {
-            if failure.is_none() {
-                if let Some(error) = error {
-                    // A failed lane stops consuming its chunk — the serial
-                    // sweep would have stopped at this input; later chunks
-                    // (like later parallel shards) still run.
-                    *failure = Some(error.clone());
-                }
-            }
-        }
-    }
-    if let Some(error) = failures.iter().flatten().next() {
-        return Err(error.clone());
-    }
-    Ok(tracer.into_merged())
-}
-
-/// [`batched_sweep`] in fault-collecting form, for the fault-isolated
-/// drivers: instead of surfacing one error, every failed run is reported as
-/// `(sweep-global input index, error)` — `index_base` is the global index of
-/// `inputs[0]` — and the analysis state is returned only when the sweep was
-/// fault-free (a faulted lane's partial records make the accumulated state
-/// unusable; the isolated engine rebuilds without the faulted inputs). A
-/// failed lane stops consuming its chunk, so its tail is reported to the
-/// caller as unprocessed rather than failed; panics unwind to the caller.
-#[allow(clippy::type_complexity)]
+/// Runs one batched sweep at compile-time width `W` over contiguous lane
+/// chunks, one batch pass per chunk position, collecting faults: every
+/// failed run is reported as `(sweep-global input index, error)` —
+/// `index_base` is the global index of `inputs[0]` — and the analysis state
+/// is returned only when the sweep was fault-free (a faulted lane's partial
+/// records make the accumulated state unusable; the isolating engine
+/// rebuilds without the faulted inputs). A failed lane stops consuming its
+/// chunk, so its tail is left to the caller as unprocessed rather than
+/// failed; panics unwind to the caller.
+///
+/// `prune` is the tier-0 static prune mask — `None` everywhere except the
+/// tiered driver's in-region groups — and `inject` (fault-injection builds
+/// only) the stage the lanes are armed with, or `None` for unarmed sweeps.
 pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     index_base: usize,
     config: &AnalysisConfig,
-    #[cfg(feature = "fault-injection")] stage: crate::faultinject::InjectStage,
-) -> (Option<Herbgrind<R>>, Vec<(usize, MachineError)>) {
+    prune: Option<&Arc<staticerr::PruneMask>>,
+    #[cfg(feature = "fault-injection")] inject: Option<crate::faultinject::InjectStage>,
+) -> Result<AnalysisState, Vec<(usize, MachineError)>> {
     let lane_count = W.min(inputs.len()).max(1);
+    // Balanced contiguous partition: chunk lengths differ by at most one, so
+    // a sweep of at least W inputs keeps every lane busy, and chunks are
+    // contiguous in input order, so the lane-order merge is the in-order
+    // merge.
     let chunks = balanced_chunks(inputs, lane_count);
     let positions = chunks.first().map_or(0, |chunk| chunk.len());
     let mut offsets = Vec::with_capacity(chunks.len());
@@ -596,6 +553,7 @@ pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
     }
     let batch = machine.batched::<W>();
     let mut tracer = BatchHerbgrind::<R, W>::new(config);
+    tracer.set_prune_mask(prune.map(Arc::clone));
     let mut memory = BatchMemory::new();
     let mut failed = [false; W];
     let mut faults: Vec<(usize, MachineError)> = Vec::new();
@@ -620,7 +578,9 @@ pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
             break;
         }
         #[cfg(feature = "fault-injection")]
-        tracer.arm_lane_injection(lane_indices_global, stage);
+        if let Some(stage) = inject {
+            tracer.arm_lane_injection(lane_indices_global, stage);
+        }
         let outcome = batch.run_batch(&lane_inputs, &mut tracer, &mut memory);
         for (l, error) in outcome.errors.iter().enumerate() {
             if !failed[l] {
@@ -632,23 +592,23 @@ pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
         }
     }
     if faults.is_empty() {
-        (Some(tracer.into_merged()), faults)
+        Ok(tracer.into_merged().into_state())
     } else {
         faults.sort_by_key(|(index, _)| *index);
-        (None, faults)
+        Err(faults)
     }
 }
 
 /// [`batched_sweep_collect`] dispatched to the compiled batch width.
-#[allow(clippy::type_complexity)]
 pub(crate) fn dispatch_sweep_collect<R: BatchReal>(
     machine: &Machine<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
     config: &AnalysisConfig,
-    #[cfg(feature = "fault-injection")] stage: crate::faultinject::InjectStage,
-) -> (Option<Herbgrind<R>>, Vec<(usize, MachineError)>) {
+    prune: Option<&Arc<staticerr::PruneMask>>,
+    #[cfg(feature = "fault-injection")] inject: Option<crate::faultinject::InjectStage>,
+) -> Result<AnalysisState, Vec<(usize, MachineError)>> {
     macro_rules! go {
         ($w:literal) => {
             batched_sweep_collect::<R, $w>(
@@ -656,8 +616,9 @@ pub(crate) fn dispatch_sweep_collect<R: BatchReal>(
                 inputs,
                 index_base,
                 config,
+                prune,
                 #[cfg(feature = "fault-injection")]
-                stage,
+                inject,
             )
         };
     }
@@ -671,33 +632,16 @@ pub(crate) fn dispatch_sweep_collect<R: BatchReal>(
     }
 }
 
-/// Dispatches a sweep to the compiled batch width. `prune` is the tier-0
-/// static prune mask — `None` everywhere except the tiered driver's
-/// in-region certified groups.
-pub(crate) fn dispatch_sweep<R: BatchReal>(
-    machine: &Machine<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    config: &AnalysisConfig,
-    prune: Option<&Arc<staticerr::PruneMask>>,
-) -> Result<Herbgrind<R>, MachineError> {
-    match width {
-        2 => batched_sweep::<R, 2>(machine, inputs, config, prune),
-        4 => batched_sweep::<R, 4>(machine, inputs, config, prune),
-        8 => batched_sweep::<R, 8>(machine, inputs, config, prune),
-        13 => batched_sweep::<R, 13>(machine, inputs, config, prune),
-        16 => batched_sweep::<R, 16>(machine, inputs, config, prune),
-        _ => batched_sweep::<R, 1>(machine, inputs, config, prune),
-    }
-}
-
 /// Runs a program under the batched analysis for every input vector, using
 /// the default [`BigFloat`] shadow reals.
 ///
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and
 /// [`analyze_parallel`](crate::analysis::analyze_parallel): the report is
 /// bit-identical for every batch width and thread count, enforced by the
-/// batch-equivalence test suite.
+/// batch-equivalence test suite — except that, as for the parallel driver,
+/// lane or thread shards holding loop runs shorter than
+/// [`AnalysisConfig::max_expression_depth`] can lose input-range
+/// contributions in the merge (DESIGN.md, "Parallel engine").
 ///
 /// # Errors
 ///
@@ -717,6 +661,13 @@ pub fn analyze_batched(
 /// [`BigFloat`] falls back to scalar kernels per lane while still amortizing
 /// decode and dispatch.
 ///
+/// The fail-fast view of the batched fault-isolating engine
+/// ([`analyze_batched_isolated`](crate::quarantine::analyze_batched_isolated)),
+/// run without fault injection. A lane group shares one trace interner, so
+/// a trace-budget fault is attributed to every active lane; like the
+/// isolated driver, this one re-runs such lanes serially and fails only on
+/// an input that faults on its own.
+///
 /// # Errors
 ///
 /// Propagates [`MachineError`] from the underlying interpreter; when several
@@ -726,43 +677,7 @@ pub fn analyze_batched_with_shadow<R: BatchReal + Send>(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Result<Report, MachineError> {
-    let width = effective_batch_width(config.batch_width);
-    let threads = config.effective_threads(inputs.len());
-    // One decode for the whole sweep: thread shards clone the machine and
-    // share its tape.
-    let shared = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    if threads <= 1 || inputs.len() <= 1 {
-        return dispatch_sweep::<R>(&shared, width, inputs, config, None).map(|a| a.report());
-    }
-    // Balanced thread shards, like `analyze_parallel`: every thread gets a
-    // chunk whenever there are at least `threads` inputs.
-    let shards: Vec<Result<Herbgrind<R>, MachineError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = balanced_chunks(inputs, threads)
-            .into_iter()
-            .map(|chunk| {
-                let machine = shared.clone();
-                scope.spawn(move || dispatch_sweep::<R>(&machine, width, chunk, config, None))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("batched analysis shard panicked"))
-            .collect()
-    });
-    // Merge thread shards in shard (= input) order, exactly as the parallel
-    // engine does; the earliest shard's error is the serial sweep's error.
-    let mut merged: Option<Herbgrind<R>> = None;
-    for shard in shards {
-        let shard = shard?;
-        match &mut merged {
-            Some(accumulated) => accumulated.merge(shard),
-            None => merged = Some(shard),
-        }
-    }
-    let merged = merged.unwrap_or_else(|| Herbgrind::<R>::new(config.clone()));
-    Ok(merged.report())
+    fail_fast(batched_family::<R>(program, inputs, config, false))
 }
 
 /// [`shadowreal::ordinal`] without the NaN branch: identical for every

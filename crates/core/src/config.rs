@@ -61,14 +61,16 @@ pub struct AnalysisConfig {
     /// sweep is split into this many contiguous shards, analyzed
     /// independently, and merged deterministically. `0` means one thread per
     /// available core; `1` forces the serial path. The report is bit-identical
-    /// for every setting.
+    /// for every setting, up to the shard-merge exception documented at
+    /// [`analyze_parallel`](crate::analysis::analyze_parallel).
     pub threads: usize,
     /// Lane width used by
     /// [`analyze_batched`](crate::batched::analyze_batched): how many inputs
     /// one batched tape pass executes in lockstep. Widths outside the
     /// engine's supported menu fall back to the nearest smaller supported
     /// width ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and `1` run
-    /// single-lane batches. The report is bit-identical for every setting.
+    /// single-lane batches. The report is bit-identical for every setting,
+    /// up to the same shard-merge exception as [`AnalysisConfig::threads`].
     pub batch_width: usize,
     /// Declared input region for tier 0 of the tiered analysis
     /// ([`analyze_tiered`](crate::tiered::analyze_tiered)): one `(lo, hi)`
@@ -82,13 +84,6 @@ pub struct AnalysisConfig {
     /// out-of-region inputs). `None` (the default) disables tier 0
     /// everywhere; the serial and reference analyses never consult it.
     pub input_ranges: Option<Vec<(f64, f64)>>,
-    /// Whether the `*_telemetry` driver entry points capture a
-    /// [`telemetry::SweepTelemetry`] snapshot for the sweep. The default is
-    /// [`telemetry::TelemetryMode::Off`], under which every recording site in
-    /// the pipeline reduces to one relaxed atomic load and a predictable
-    /// branch, and the `*_telemetry` drivers return a disabled snapshot. The
-    /// report is bit-identical for every setting.
-    pub telemetry: telemetry::TelemetryMode,
 }
 
 impl Default for AnalysisConfig {
@@ -107,7 +102,6 @@ impl Default for AnalysisConfig {
             threads: 0,
             batch_width: 8,
             input_ranges: None,
-            telemetry: telemetry::TelemetryMode::Off,
         }
     }
 }
@@ -192,13 +186,6 @@ impl AnalysisConfig {
     /// style); see [`AnalysisConfig::input_ranges`].
     pub fn with_input_ranges(mut self, ranges: Vec<(f64, f64)>) -> Self {
         self.input_ranges = Some(ranges);
-        self
-    }
-
-    /// Sets the telemetry capture mode (builder style); see
-    /// [`AnalysisConfig::telemetry`].
-    pub fn with_telemetry(mut self, mode: telemetry::TelemetryMode) -> Self {
-        self.telemetry = mode;
         self
     }
 

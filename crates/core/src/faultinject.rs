@@ -12,9 +12,9 @@
 //! guard serializing injection tests against each other; the isolated
 //! drivers arm each run with its input index and stage, and every compute
 //! observation consults the plan through [`query`]. Only the fault-isolated
-//! drivers arm injection — the plain drivers never consult the plan, so the
-//! oracle sweeps the suites compare against stay uninjected even while a
-//! plan is installed.
+//! drivers arm injection — the plain drivers run the same engines unarmed
+//! and never consult the plan, so the oracle sweeps the suites compare
+//! against stay uninjected even while a plan is installed.
 
 use std::collections::BTreeSet;
 use std::sync::{Mutex, MutexGuard, RwLock};

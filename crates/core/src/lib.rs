@@ -56,7 +56,6 @@ pub mod errsum;
 pub mod faultinject;
 pub mod inputs;
 pub mod localerr;
-pub mod observe;
 pub mod quarantine;
 pub mod records;
 #[cfg(feature = "reference-analysis")]
@@ -76,11 +75,6 @@ pub use batched::{
 };
 pub use config::{AnalysisConfig, RangeKind};
 pub use errsum::ErrorBitsSum;
-pub use observe::{
-    analyze_batched_isolated_telemetry, analyze_batched_telemetry, analyze_isolated_telemetry,
-    analyze_parallel_isolated_telemetry, analyze_parallel_telemetry, analyze_telemetry,
-    analyze_tiered_isolated_telemetry, analyze_tiered_telemetry,
-};
 pub use quarantine::{
     analyze_batched_isolated, analyze_isolated, analyze_isolated_with_shadow,
     analyze_parallel_isolated, analyze_tiered_isolated, analyze_tiered_isolated_with_stats,

@@ -1,26 +1,31 @@
-//! Fault-isolated sweep drivers: per-input quarantine, budgets, and
-//! degraded partial reports.
+//! The sweep engines — one per driver family (serial and thread-sharded,
+//! batched, tiered) — with per-input quarantine, budgets, and degraded
+//! partial reports.
 //!
-//! The plain drivers ([`analyze`](crate::analysis::analyze),
+//! Every driver runs its family's engine from this module. The `*_isolated`
+//! drivers return what the engine produces: one pathological input (a
+//! runaway loop hitting the step budget, a trace that outgrows memory, a
+//! crashing shadow op) should not cost the results of the other ten
+//! thousand, so the engine *quarantines* the offending input and finishes
+//! the sweep. The plain drivers ([`analyze`](crate::analysis::analyze),
 //! [`analyze_parallel`](crate::analysis::analyze_parallel),
 //! [`analyze_batched`](crate::batched::analyze_batched),
-//! [`analyze_tiered`](crate::tiered::analyze_tiered)) abort the whole sweep
-//! on the first [`MachineError`] — correct for small curated suites, but one
-//! pathological input (a runaway loop hitting the step budget, a trace that
-//! outgrows memory, a crashing shadow op) should not cost the results of
-//! the other ten thousand. The `*_isolated` drivers in this module instead
-//! *quarantine* the offending input and finish the sweep:
+//! [`analyze_tiered`](crate::tiered::analyze_tiered)) run the same engine
+//! without fault injection and turn the lowest-index quarantined input into
+//! their `Err` — the error a serial sweep stops at — or re-raise it when it
+//! was a panic. So one engine decides, for both views, which inputs fail and
+//! what the survivors' report is:
 //!
-//! * Every driver always returns a [`Report`]. Failed inputs appear in
-//!   [`Report::quarantined`], in input order, each carrying the input's
+//! * Every isolated driver always returns a [`Report`]. Failed inputs appear
+//!   in [`Report::quarantined`], in input order, each carrying the input's
 //!   sweep-global index, the deciding fault, and the pipeline stage that
 //!   decided it.
 //! * The degraded report is **bit-identical** to analyzing the surviving
 //!   inputs alone: a faulted run's partial records never leak into the
-//!   report. This falls out of the merge laws the parallel/batched drivers
-//!   are built on — contiguous chunks of a sweep merge to the same result
-//!   as one continuous sweep — so the engine can discard fault-contaminated
-//!   state and rebuild from clean per-chunk states.
+//!   report. This falls out of the merge laws the sharded engines are built
+//!   on — contiguous chunks of a sweep merge to the same result as one
+//!   continuous sweep — so the engine can discard fault-contaminated state
+//!   and rebuild from clean per-chunk states.
 //! * Quarantine lists are deterministic across thread counts and batch
 //!   widths for every per-input-deterministic fault (step budgets,
 //!   trace-memory budgets, injected faults). Wall-clock deadlines
@@ -29,6 +34,10 @@
 //!   but reproducible sweeps should express budgets in steps or nodes.
 //!
 //! # How isolation works
+//!
+//! One private helper splits a sweep into balanced contiguous chunks, runs
+//! each on its own thread, and folds the chunk outcomes in input order; it
+//! is the only place any driver spawns threads.
 //!
 //! Machine faults are *per-input deterministic* here: the serial analysis
 //! clears its expression interner per run, so step budgets, trace budgets
@@ -50,8 +59,14 @@
 //! its probe state is cached and merged back in input order, and the input
 //! is demoted out of batched execution so the group fault cannot recur. A
 //! candidate that fails every rung is quarantined with the last rung's
-//! fault and stage. Probing is what makes quarantine lists independent of
-//! the batch width the group fault happened to occur at.
+//! fault and stage. Probing is what makes quarantine lists — and the plain
+//! drivers' errors — independent of the batch width the group fault
+//! happened to occur at.
+//!
+//! The tiered engine certifies each shard's inputs, splits them into
+//! contiguous groups of equal verdict (and, with tier 0 armed, equal
+//! declared-region membership), and runs every group through the batched
+//! engine on its tier's shadow.
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engines catch them per input, the
@@ -65,13 +80,14 @@
 #![deny(clippy::unwrap_used)]
 
 use std::any::Any;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind};
 use crate::batched::{dispatch_sweep_collect, effective_batch_width};
 use crate::config::AnalysisConfig;
 use crate::report::Report;
-use crate::tiered::{certify_dispatch, TierStats};
+use crate::tiered::{arm_tier0, certify_dispatch, input_in_region, Tier0, TierStats};
 use fpvm::{Machine, MachineError, Program};
 use shadowreal::cert::CertParams;
 use shadowreal::{BatchReal, BigFloat, DoubleDouble, Real};
@@ -150,6 +166,20 @@ impl std::fmt::Display for QuarantinedInput {
     }
 }
 
+#[cfg(feature = "fault-injection")]
+impl SweepStage {
+    /// The fault-injection stage a run at this pipeline stage is armed with.
+    fn inject(self) -> InjectStage {
+        match self {
+            SweepStage::Serial => InjectStage::Serial,
+            SweepStage::ParallelShard => InjectStage::Parallel,
+            SweepStage::BatchedLane => InjectStage::Batched,
+            SweepStage::TieredDoubleDouble => InjectStage::TieredDoubleDouble,
+            SweepStage::TieredBigFloat => InjectStage::TieredBigFloat,
+        }
+    }
+}
+
 /// Renders a panic payload's message, when it carried one.
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(message) = payload.downcast_ref::<&str>() {
@@ -161,14 +191,91 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// A contiguous chunk's survivor state plus its quarantine records.
+/// What every engine of one sweep reads: the machine, decoded once and
+/// shared by every shard, the normalized configuration, and whether runs
+/// consult the installed fault plan.
+struct Sweep<'p> {
+    machine: Machine<'p>,
+    config: AnalysisConfig,
+    /// Set only by the `*_isolated` drivers. The plain drivers never consult
+    /// an installed fault plan, so they stay the uninjected oracle the
+    /// fault-injection suite compares against.
+    #[cfg_attr(not(feature = "fault-injection"), allow(dead_code))]
+    armed: bool,
+}
+
+impl<'p> Sweep<'p> {
+    fn new(program: &'p Program, config: &AnalysisConfig, armed: bool) -> Sweep<'p> {
+        let config = config.normalize();
+        let machine = Machine::new(program)
+            .with_step_limit(config.step_limit)
+            .with_deadline_millis(config.deadline_millis);
+        Sweep {
+            machine,
+            config,
+            armed,
+        }
+    }
+
+    /// The stage an armed sweep injects faults at, `None` when unarmed.
+    #[cfg(feature = "fault-injection")]
+    fn inject(&self, stage: SweepStage) -> Option<InjectStage> {
+        self.armed.then(|| stage.inject())
+    }
+
+    /// One run of `input` (sweep-global index `global`) under `analysis`,
+    /// with observer panics caught and typed.
+    fn run<R: Real>(
+        &self,
+        analysis: &mut Herbgrind<R>,
+        memory: &mut Vec<fpvm::Value>,
+        input: &[f64],
+        global: usize,
+        stage: SweepStage,
+    ) -> Result<(), SweepFault> {
+        #[cfg(feature = "fault-injection")]
+        if let Some(inject) = self.inject(stage) {
+            analysis.arm_injection(global, inject);
+        }
+        #[cfg(not(feature = "fault-injection"))]
+        let _ = (global, stage);
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.machine.run_traced_reusing(input, analysis, memory)
+        })) {
+            Ok(Ok(_)) => Ok(()),
+            Ok(Err(error)) => Err(SweepFault::Machine(error)),
+            Err(payload) => Err(SweepFault::Panic(panic_message(payload))),
+        }
+    }
+}
+
+/// A contiguous chunk's survivor state plus its quarantine records (and,
+/// for tiered chunks, the tier split).
 struct ChunkOutcome {
     state: AnalysisState,
     quarantined: Vec<QuarantinedInput>,
+    tiers: TierStats,
 }
 
-/// Runs the serial fault-isolated engine over one contiguous input chunk
-/// whose first input has sweep-global index `index_base`.
+impl ChunkOutcome {
+    fn new(state: AnalysisState, quarantined: Vec<QuarantinedInput>) -> ChunkOutcome {
+        ChunkOutcome {
+            state,
+            quarantined,
+            tiers: TierStats::default(),
+        }
+    }
+
+    /// Folds the outcome of the next chunk (in input order) into this one.
+    fn absorb(&mut self, next: ChunkOutcome) {
+        self.state.merge(next.state);
+        self.quarantined.extend(next.quarantined);
+        self.tiers.absorb(next.tiers);
+    }
+}
+
+/// Runs the serial isolating engine over one contiguous input chunk whose
+/// first input has sweep-global index `index_base`.
 ///
 /// Optimistic collect: one accumulating pass over the live inputs records
 /// every machine fault as a final verdict (faults are per-input
@@ -179,16 +286,14 @@ struct ChunkOutcome {
 /// loop runs at most `inputs.len() + 1` passes and exactly one pass when
 /// nothing faults.
 fn serial_engine<R: Real>(
-    machine: &Machine<'_>,
+    sweep: &Sweep<'_>,
     inputs: &[Vec<f64>],
     index_base: usize,
-    config: &AnalysisConfig,
     stage: SweepStage,
-    #[cfg(feature = "fault-injection")] inject_stage: InjectStage,
 ) -> ChunkOutcome {
     let mut quarantined: Vec<QuarantinedInput> = Vec::new();
     loop {
-        let mut analysis = Herbgrind::<R>::new(config.clone());
+        let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
         let mut memory = Vec::new();
         let mut faults: Vec<QuarantinedInput> = Vec::new();
         for (offset, input) in inputs.iter().enumerate() {
@@ -196,79 +301,56 @@ fn serial_engine<R: Real>(
             if quarantined.iter().any(|q| q.input_index == global) {
                 continue;
             }
-            #[cfg(feature = "fault-injection")]
-            analysis.arm_injection(global, inject_stage);
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                machine.run_traced_reusing(input, &mut analysis, &mut memory)
-            }));
-            match run {
-                Ok(Ok(_)) => {}
-                Ok(Err(error)) => faults.push(QuarantinedInput {
+            if let Err(error) = sweep.run(&mut analysis, &mut memory, input, global, stage) {
+                let panicked = matches!(error, SweepFault::Panic(_));
+                faults.push(QuarantinedInput {
                     input_index: global,
                     stage,
-                    error: SweepFault::Machine(error),
-                }),
-                Err(payload) => {
-                    faults.push(QuarantinedInput {
-                        input_index: global,
-                        stage,
-                        error: SweepFault::Panic(panic_message(payload)),
-                    });
+                    error,
+                });
+                if panicked {
                     break;
                 }
             }
         }
         if faults.is_empty() {
             quarantined.sort_by_key(|q| q.input_index);
-            return ChunkOutcome {
-                state: analysis.into_state(),
-                quarantined,
-            };
+            return ChunkOutcome::new(analysis.into_state(), quarantined);
         }
         quarantined.extend(faults);
     }
 }
 
-/// Which scalar shadow a retry-ladder probe runs with.
-#[derive(Clone, Copy)]
-enum ProbeShadow {
-    /// The [`DoubleDouble`] shadow (tiered certified tier).
-    DoubleDouble,
-    /// The [`BigFloat`] shadow.
-    BigFloat,
-}
-
-/// One rung of the batched engine's serial retry ladder.
+/// One rung of the batched engine's serial retry ladder: a fresh
+/// single-input serial run on one shadow type, at one pipeline stage.
 #[derive(Clone, Copy)]
 struct LadderRung {
-    shadow: ProbeShadow,
+    probe: fn(&Sweep<'_>, &[f64], usize, SweepStage) -> Result<AnalysisState, SweepFault>,
     stage: SweepStage,
-    #[cfg(feature = "fault-injection")]
-    inject: InjectStage,
+}
+
+impl LadderRung {
+    /// The rung probing with the `R` shadow.
+    fn on<R: Real>(stage: SweepStage) -> LadderRung {
+        LadderRung {
+            probe: probe_with::<R>,
+            stage,
+        }
+    }
 }
 
 /// A fresh single-input serial run: the canonical per-input verdict for a
 /// batched fault candidate, and (on success) the cached state that replaces
 /// the input's batched execution.
 fn probe_with<R: Real>(
-    machine: &Machine<'_>,
+    sweep: &Sweep<'_>,
     input: &[f64],
-    #[cfg(feature = "fault-injection")] global: usize,
-    #[cfg(feature = "fault-injection")] inject_stage: InjectStage,
-    config: &AnalysisConfig,
+    global: usize,
+    stage: SweepStage,
 ) -> Result<AnalysisState, SweepFault> {
-    let mut analysis = Herbgrind::<R>::new(config.clone());
-    #[cfg(feature = "fault-injection")]
-    analysis.arm_injection(global, inject_stage);
-    let mut memory = Vec::new();
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        machine.run_traced_reusing(input, &mut analysis, &mut memory)
-    }));
-    match run {
-        Ok(Ok(_)) => Ok(analysis.into_state()),
-        Ok(Err(error)) => Err(SweepFault::Machine(error)),
-        Err(payload) => Err(SweepFault::Panic(panic_message(payload))),
-    }
+    let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
+    sweep.run(&mut analysis, &mut Vec::new(), input, global, stage)?;
+    Ok(analysis.into_state())
 }
 
 /// Walks a fault candidate down the serial retry ladder. The first rung
@@ -278,37 +360,16 @@ fn probe_with<R: Real>(
 /// independent of the batch width or thread count the original fault
 /// surfaced at.
 fn run_ladder(
-    machine: &Machine<'_>,
+    sweep: &Sweep<'_>,
     input: &[f64],
     global: usize,
-    config: &AnalysisConfig,
     rungs: &[LadderRung],
 ) -> Result<AnalysisState, QuarantinedInput> {
     let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
     let mut last: Option<QuarantinedInput> = None;
     for rung in rungs {
         telemetry::QUARANTINE_LADDER_ATTEMPTS.incr();
-        let probed = match rung.shadow {
-            ProbeShadow::DoubleDouble => probe_with::<DoubleDouble>(
-                machine,
-                input,
-                #[cfg(feature = "fault-injection")]
-                global,
-                #[cfg(feature = "fault-injection")]
-                rung.inject,
-                config,
-            ),
-            ProbeShadow::BigFloat => probe_with::<BigFloat>(
-                machine,
-                input,
-                #[cfg(feature = "fault-injection")]
-                global,
-                #[cfg(feature = "fault-injection")]
-                rung.inject,
-                config,
-            ),
-        };
-        match probed {
+        match (rung.probe)(sweep, input, global, rung.stage) {
             Ok(state) => {
                 telemetry::QUARANTINE_LADDER_HEALS.incr();
                 return Ok(state);
@@ -340,8 +401,10 @@ enum Mode {
     Quarantined(Option<QuarantinedInput>),
 }
 
-/// Runs the batched fault-isolated engine over one contiguous input chunk
-/// whose first input has sweep-global index `index_base`.
+/// Runs the batched isolating engine over one contiguous input chunk whose
+/// first input has sweep-global index `index_base`, its passes at `stage`
+/// and with tier-0 mask `prune` (`None` outside the tiered driver's
+/// in-region groups).
 ///
 /// Each iteration partitions the chunk's live batched-mode inputs into
 /// maximal contiguous runs, executes each run with the fault-collecting
@@ -354,14 +417,16 @@ enum Mode {
 /// resolves at least one input, bounding the loop; a fault-free chunk costs
 /// exactly one batched sweep.
 fn batched_engine<R: BatchReal>(
-    machine: &Machine<'_>,
+    sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
-    config: &AnalysisConfig,
+    stage: SweepStage,
     rungs: &[LadderRung],
-    #[cfg(feature = "fault-injection")] pass_stage: InjectStage,
+    prune: Option<&Arc<staticerr::PruneMask>>,
 ) -> ChunkOutcome {
+    #[cfg(not(feature = "fault-injection"))]
+    let _ = stage;
     let mut modes: Vec<Mode> = (0..inputs.len()).map(|_| Mode::Batched).collect();
     loop {
         // Maximal contiguous runs of batched-mode inputs, by local offset.
@@ -381,21 +446,21 @@ fn batched_engine<R: BatchReal>(
         let mut states: Vec<AnalysisState> = Vec::new();
         let mut candidates: Vec<usize> = Vec::new();
         for &(start, end) in &segments {
-            let segment = &inputs[start..end];
             let swept = catch_unwind(AssertUnwindSafe(|| {
                 dispatch_sweep_collect::<R>(
-                    machine,
+                    &sweep.machine,
                     width,
-                    segment,
+                    &inputs[start..end],
                     index_base + start,
-                    config,
+                    &sweep.config,
+                    prune,
                     #[cfg(feature = "fault-injection")]
-                    pass_stage,
+                    sweep.inject(stage),
                 )
             }));
             match swept {
-                Ok((Some(analysis), _)) => states.push(analysis.into_state()),
-                Ok((None, faults)) => {
+                Ok(Ok(state)) => states.push(state),
+                Ok(Err(faults)) => {
                     candidates.extend(faults.into_iter().map(|(global, _)| global));
                 }
                 // The pass panicked: no lane can be blamed, so every input
@@ -408,7 +473,7 @@ fn batched_engine<R: BatchReal>(
             // input order — contiguous chunks, so the merge laws make the
             // result bit-identical to one continuous sweep of the
             // survivors.
-            let mut state = AnalysisState::empty(config.clone());
+            let mut state = AnalysisState::empty(sweep.config.clone());
             let mut quarantined = Vec::new();
             let mut next_segment = states.into_iter();
             let mut position = 0;
@@ -436,19 +501,170 @@ fn batched_engine<R: BatchReal>(
                     }
                 }
             }
-            quarantined.sort_by_key(|q| q.input_index);
-            return ChunkOutcome { state, quarantined };
+            return ChunkOutcome::new(state, quarantined);
         }
         candidates.sort_unstable();
         candidates.dedup();
         for global in candidates {
             let offset = global - index_base;
-            match run_ladder(machine, &inputs[offset], global, config, rungs) {
+            match run_ladder(sweep, &inputs[offset], global, rungs) {
                 Ok(state) => modes[offset] = Mode::Probed(Some(state)),
                 Err(record) => modes[offset] = Mode::Quarantined(Some(record)),
             }
         }
     }
+}
+
+/// Runs the tiered isolating engine over one contiguous input chunk whose
+/// first input has sweep-global index `index_base`: certify, partition into
+/// contiguous groups of equal verdict and tier-0 region membership, run
+/// each group through the batched engine on its tier's shadow.
+///
+/// The certification probe is already fault-tolerant (a failed or injected
+/// run is simply uncertified); a *panicking* certify pass fails closed by
+/// escalating every input to the `BigFloat` tier. Certified groups retry
+/// faulting inputs on two rungs — a serial `DoubleDouble` probe, then a
+/// serial `BigFloat` probe (sound for certified inputs, whose `DoubleDouble`
+/// and `BigFloat` records agree by construction) — so an input is
+/// quarantined only when even the reference tier fails it. Uncertified
+/// groups run on the `BigFloat` shadow directly.
+fn tiered_engine(
+    sweep: &Sweep<'_>,
+    width: usize,
+    inputs: &[Vec<f64>],
+    index_base: usize,
+    params: Option<&CertParams>,
+    tier0: Option<&Tier0>,
+) -> ChunkOutcome {
+    let certified: Vec<bool> = match params {
+        Some(params) => {
+            let _certify_span = telemetry::span(telemetry::Phase::Certify);
+            catch_unwind(AssertUnwindSafe(|| {
+                certify_dispatch(
+                    &sweep.machine,
+                    width,
+                    inputs,
+                    params,
+                    sweep.config.detect_compensation,
+                    #[cfg(feature = "fault-injection")]
+                    sweep.armed.then_some(index_base),
+                )
+            }))
+            .unwrap_or_else(|_| vec![false; inputs.len()])
+        }
+        // Precision gate: below the tier threshold everything escalates.
+        None => {
+            telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
+            vec![false; inputs.len()]
+        }
+    };
+    let tiers = TierStats {
+        total_inputs: inputs.len(),
+        certified_inputs: certified.iter().filter(|&&c| c).count(),
+    };
+    telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
+    telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
+    // Tier 0 applies per input: only inputs inside the statically declared
+    // region may use the prune mask. Out-of-region inputs sweep unpruned,
+    // so a wrong `input_ranges` declaration costs throughput, never report
+    // fidelity.
+    let in_region: Vec<bool> = match tier0 {
+        Some(t) => inputs
+            .iter()
+            .map(|input| input_in_region(input, &t.ranges))
+            .collect(),
+        None => vec![false; inputs.len()],
+    };
+    let dd_rungs = [
+        LadderRung::on::<DoubleDouble>(SweepStage::TieredDoubleDouble),
+        LadderRung::on::<BigFloat>(SweepStage::TieredBigFloat),
+    ];
+    let big_rungs = [LadderRung::on::<BigFloat>(SweepStage::TieredBigFloat)];
+    let mut outcome = ChunkOutcome {
+        tiers,
+        ..ChunkOutcome::new(AnalysisState::empty(sweep.config.clone()), Vec::new())
+    };
+    let mut start = 0;
+    while start < inputs.len() {
+        let (verdict, region) = (certified[start], in_region[start]);
+        let mut end = start + 1;
+        while end < inputs.len() && certified[end] == verdict && in_region[end] == region {
+            end += 1;
+        }
+        let (group, base) = (&inputs[start..end], index_base + start);
+        let prune = tier0.filter(|_| region).map(|t| &t.mask);
+        let group_outcome = if verdict {
+            let _tier_span = telemetry::span(telemetry::Phase::TierDoubleDouble);
+            let stage = SweepStage::TieredDoubleDouble;
+            batched_engine::<DoubleDouble>(sweep, width, group, base, stage, &dd_rungs, prune)
+        } else {
+            let _tier_span = telemetry::span(telemetry::Phase::TierBigFloat);
+            let stage = SweepStage::TieredBigFloat;
+            batched_engine::<BigFloat>(sweep, width, group, base, stage, &big_rungs, prune)
+        };
+        outcome.absorb(group_outcome);
+        start = end;
+    }
+    outcome
+}
+
+/// Runs `engine` over at most `threads` balanced contiguous chunks of
+/// `inputs`, one thread per chunk, and folds the chunk outcomes in input
+/// order — by the merge laws, the outcome of one continuous sweep. This is
+/// the only place a sweep spawns threads; each shard thread records
+/// telemetry exactly when the calling thread does. The engines catch panics
+/// per input, so a shard thread dying is out of model (a panic while
+/// panicking, say); it fails closed by quarantining its whole chunk at
+/// `stage`.
+fn sharded(
+    inputs: &[Vec<f64>],
+    threads: usize,
+    config: &AnalysisConfig,
+    stage: SweepStage,
+    engine: impl Fn(usize, &[Vec<f64>]) -> ChunkOutcome + Sync,
+) -> ChunkOutcome {
+    let chunks = balanced_chunks(inputs, threads);
+    if chunks.len() == 1 {
+        return engine(0, inputs);
+    }
+    let recording = telemetry::enabled();
+    let engine = &engine;
+    let outcomes: Vec<ChunkOutcome> = std::thread::scope(|scope| {
+        let mut start = 0;
+        let handles: Vec<_> = chunks
+            .into_iter()
+            .map(|chunk| {
+                let first = start;
+                start += chunk.len();
+                let handle = scope.spawn(move || {
+                    telemetry::set_thread_enabled(recording);
+                    engine(first, chunk)
+                });
+                (first..start, handle)
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(indices, handle)| {
+                handle.join().unwrap_or_else(|payload| {
+                    let message = panic_message(payload);
+                    let lost = indices
+                        .map(|input_index| QuarantinedInput {
+                            input_index,
+                            stage,
+                            error: SweepFault::Panic(message.clone()),
+                        })
+                        .collect();
+                    ChunkOutcome::new(AnalysisState::empty(config.clone()), lost)
+                })
+            })
+            .collect()
+    });
+    let mut folded = ChunkOutcome::new(AnalysisState::empty(config.clone()), Vec::new());
+    for outcome in outcomes {
+        folded.absorb(outcome);
+    }
+    folded
 }
 
 /// The telemetry fault-table cell for one quarantine record: the final
@@ -479,16 +695,14 @@ fn record_quarantine_telemetry(record: &QuarantinedInput) {
     telemetry::record_fault(stage, kind);
 }
 
-/// Folds per-chunk outcomes (in input order) into the final degraded
-/// report.
-fn assemble(config: &AnalysisConfig, outcomes: Vec<ChunkOutcome>) -> Report {
+/// Turns a sweep's folded outcome into its degraded report.
+fn assemble(outcome: ChunkOutcome) -> Report {
     let _report_span = telemetry::span(telemetry::Phase::Report);
-    let mut state = AnalysisState::empty(config.clone());
-    let mut quarantined = Vec::new();
-    for outcome in outcomes {
-        state.merge(outcome.state);
-        quarantined.extend(outcome.quarantined);
-    }
+    let ChunkOutcome {
+        state,
+        mut quarantined,
+        ..
+    } = outcome;
     quarantined.sort_by_key(|q| q.input_index);
     if telemetry::enabled() {
         telemetry::QUARANTINE_INPUTS.add(quarantined.len() as u64);
@@ -501,16 +715,86 @@ fn assemble(config: &AnalysisConfig, outcomes: Vec<ChunkOutcome>) -> Report {
     report
 }
 
-/// Contiguous balanced chunks plus each chunk's starting global index.
-fn chunks_with_offsets(inputs: &[Vec<f64>], parts: usize) -> Vec<(usize, &[Vec<f64>])> {
-    let chunks = balanced_chunks(inputs, parts);
-    let mut out = Vec::with_capacity(chunks.len());
-    let mut start = 0;
-    for chunk in chunks {
-        out.push((start, chunk));
-        start += chunk.len();
+/// The fail-fast view of an isolating sweep: the report when nothing was
+/// quarantined, otherwise the fault of the lowest-index quarantined input —
+/// the error a serial sweep stops at, or its panic re-raised.
+pub(crate) fn fail_fast(report: Report) -> Result<Report, MachineError> {
+    match report.quarantined.first().map(|q| &q.error) {
+        None => Ok(report),
+        Some(SweepFault::Machine(error)) => Err(error.clone()),
+        Some(SweepFault::Panic(message)) => resume_unwind(Box::new(message.clone())),
     }
-    out
+}
+
+/// The serial family's sweep: one chunk at [`SweepStage::Serial`], or
+/// [`AnalysisConfig::effective_threads`] shards at
+/// [`SweepStage::ParallelShard`].
+pub(crate) fn serial_family<R: Real>(
+    program: &Program,
+    inputs: &[Vec<f64>],
+    config: &AnalysisConfig,
+    stage: SweepStage,
+    armed: bool,
+) -> Report {
+    let sweep = Sweep::new(program, config, armed);
+    let threads = match stage {
+        SweepStage::ParallelShard => sweep.config.effective_threads(inputs.len()),
+        _ => 1,
+    };
+    assemble(sharded(
+        inputs,
+        threads,
+        &sweep.config,
+        stage,
+        |start, chunk| serial_engine::<R>(&sweep, chunk, start, stage),
+    ))
+}
+
+/// The batched family's sweep on the `R` shadow, threads composed with
+/// lanes.
+pub(crate) fn batched_family<R: BatchReal>(
+    program: &Program,
+    inputs: &[Vec<f64>],
+    config: &AnalysisConfig,
+    armed: bool,
+) -> Report {
+    let sweep = Sweep::new(program, config, armed);
+    let width = effective_batch_width(sweep.config.batch_width);
+    let threads = sweep.config.effective_threads(inputs.len());
+    let stage = SweepStage::BatchedLane;
+    let rungs = [LadderRung::on::<R>(stage)];
+    assemble(sharded(
+        inputs,
+        threads,
+        &sweep.config,
+        stage,
+        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start, stage, &rungs, None),
+    ))
+}
+
+/// The tiered family's sweep: tier 0 once per sweep (when
+/// [`AnalysisConfig::input_ranges`] is declared), then the tiered engine per
+/// thread shard.
+pub(crate) fn tiered_family(
+    program: &Program,
+    inputs: &[Vec<f64>],
+    config: &AnalysisConfig,
+    armed: bool,
+) -> (Report, TierStats) {
+    let sweep = Sweep::new(program, config, armed);
+    let width = effective_batch_width(sweep.config.batch_width);
+    let threads = sweep.config.effective_threads(inputs.len());
+    let params = CertParams::new(sweep.config.shadow_precision);
+    let tier0 = arm_tier0(program, &sweep.config);
+    let outcome = sharded(
+        inputs,
+        threads,
+        &sweep.config,
+        SweepStage::TieredBigFloat,
+        |start, chunk| tiered_engine(&sweep, width, chunk, start, params.as_ref(), tier0.as_ref()),
+    );
+    let tiers = outcome.tiers;
+    (assemble(outcome), tiers)
 }
 
 /// Fault-isolated serial sweep with the default [`BigFloat`] shadow: the
@@ -528,19 +812,7 @@ pub fn analyze_isolated_with_shadow<R: Real>(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Report {
-    let machine = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let outcome = serial_engine::<R>(
-        &machine,
-        inputs,
-        0,
-        config,
-        SweepStage::Serial,
-        #[cfg(feature = "fault-injection")]
-        InjectStage::Serial,
-    );
-    assemble(config, vec![outcome])
+    serial_family::<R>(program, inputs, config, SweepStage::Serial, true)
 }
 
 /// Fault-isolated thread-sharded sweep: the isolating counterpart of
@@ -548,62 +820,15 @@ pub fn analyze_isolated_with_shadow<R: Real>(
 /// the serial isolation engine over its contiguous chunk, so a fault (or a
 /// panicking shadow op) quarantines only its own input while the shard
 /// rebuilds and finishes; shard states and quarantine lists merge in input
-/// order. Quarantine lists and the report are bit-identical for every
-/// thread count.
+/// order. Quarantine lists are identical for every thread count, and so is
+/// the report, with the shard-merge exception described at
+/// [`analyze_parallel`](crate::analysis::analyze_parallel).
 pub fn analyze_parallel_isolated(
     program: &Program,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Report {
-    let threads = config.effective_threads(inputs.len());
-    let shared = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let run_shard = |(start, chunk): (usize, &[Vec<f64>])| {
-        serial_engine::<BigFloat>(
-            &shared,
-            chunk,
-            start,
-            config,
-            SweepStage::ParallelShard,
-            #[cfg(feature = "fault-injection")]
-            InjectStage::Parallel,
-        )
-    };
-    if threads <= 1 || inputs.len() <= 1 {
-        let outcome = run_shard((0, inputs));
-        return assemble(config, vec![outcome]);
-    }
-    let outcomes: Vec<ChunkOutcome> = std::thread::scope(|scope| {
-        let run = &run_shard;
-        let handles: Vec<_> = chunks_with_offsets(inputs, threads)
-            .into_iter()
-            .map(|(start, chunk)| (start, chunk.len(), scope.spawn(move || run((start, chunk)))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(start, len, handle)| {
-                handle.join().unwrap_or_else(|payload| {
-                    // The engine catches panics per input, so a shard thread
-                    // dying is out-of-model (e.g. a panic while panicking).
-                    // Fail closed: quarantine the whole chunk rather than
-                    // lose the sweep.
-                    let message = panic_message(payload);
-                    ChunkOutcome {
-                        state: AnalysisState::empty(config.clone()),
-                        quarantined: (start..start + len)
-                            .map(|input_index| QuarantinedInput {
-                                input_index,
-                                stage: SweepStage::ParallelShard,
-                                error: SweepFault::Panic(message.clone()),
-                            })
-                            .collect(),
-                    }
-                })
-            })
-            .collect()
-    });
-    assemble(config, outcomes)
+    serial_family::<BigFloat>(program, inputs, config, SweepStage::ParallelShard, true)
 }
 
 /// Fault-isolated batched sweep: the isolating counterpart of
@@ -616,73 +841,12 @@ pub fn analyze_batched_isolated(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Report {
-    let width = effective_batch_width(config.batch_width);
-    let threads = config.effective_threads(inputs.len());
-    let shared = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let rungs = [LadderRung {
-        shadow: ProbeShadow::BigFloat,
-        stage: SweepStage::BatchedLane,
-        #[cfg(feature = "fault-injection")]
-        inject: InjectStage::Batched,
-    }];
-    let run_shard = |(start, chunk): (usize, &[Vec<f64>])| {
-        batched_engine::<BigFloat>(
-            &shared,
-            width,
-            chunk,
-            start,
-            config,
-            &rungs,
-            #[cfg(feature = "fault-injection")]
-            InjectStage::Batched,
-        )
-    };
-    if threads <= 1 || inputs.len() <= 1 {
-        let outcome = run_shard((0, inputs));
-        return assemble(config, vec![outcome]);
-    }
-    let outcomes: Vec<ChunkOutcome> = std::thread::scope(|scope| {
-        let run = &run_shard;
-        let handles: Vec<_> = chunks_with_offsets(inputs, threads)
-            .into_iter()
-            .map(|(start, chunk)| (start, chunk.len(), scope.spawn(move || run((start, chunk)))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(start, len, handle)| {
-                handle.join().unwrap_or_else(|payload| {
-                    let message = panic_message(payload);
-                    ChunkOutcome {
-                        state: AnalysisState::empty(config.clone()),
-                        quarantined: (start..start + len)
-                            .map(|input_index| QuarantinedInput {
-                                input_index,
-                                stage: SweepStage::BatchedLane,
-                                error: SweepFault::Panic(message.clone()),
-                            })
-                            .collect(),
-                    }
-                })
-            })
-            .collect()
-    });
-    assemble(config, outcomes)
+    batched_family::<BigFloat>(program, inputs, config, true)
 }
 
 /// Fault-isolated tiered adaptive-precision sweep: the isolating
-/// counterpart of [`analyze_tiered`](crate::tiered::analyze_tiered).
-///
-/// The certification probe is already fault-tolerant (a failed or injected
-/// run is simply uncertified); a *panicking* certify pass fails closed by
-/// escalating every input to the `BigFloat` tier. Certified groups run the
-/// batched isolation engine on the `DoubleDouble` shadow with a two-rung
-/// retry ladder — a serial `DoubleDouble` probe, then a serial `BigFloat`
-/// probe (sound for certified inputs, whose `DoubleDouble` and `BigFloat`
-/// records agree by construction) — so an input is quarantined only when
-/// even the reference tier fails it. Uncertified groups run the engine on
-/// the `BigFloat` shadow directly.
+/// counterpart of [`analyze_tiered`](crate::tiered::analyze_tiered); see
+/// the tiered engine's retry ladder in the module documentation.
 pub fn analyze_tiered_isolated(
     program: &Program,
     inputs: &[Vec<f64>],
@@ -700,96 +864,5 @@ pub fn analyze_tiered_isolated_with_stats(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> (Report, TierStats) {
-    let config = config.normalize();
-    let width = effective_batch_width(config.batch_width);
-    let machine = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    let params = CertParams::new(config.shadow_precision);
-    let certified: Vec<bool> = match params {
-        Some(params) => {
-            let _certify_span = telemetry::span(telemetry::Phase::Certify);
-            catch_unwind(AssertUnwindSafe(|| {
-                certify_dispatch(
-                    &machine,
-                    width,
-                    inputs,
-                    &params,
-                    config.detect_compensation,
-                    #[cfg(feature = "fault-injection")]
-                    Some(0),
-                )
-            }))
-            .unwrap_or_else(|_| vec![false; inputs.len()])
-        }
-        // Precision gate: below the tier threshold everything escalates.
-        None => {
-            telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
-            vec![false; inputs.len()]
-        }
-    };
-    let stats = TierStats {
-        total_inputs: inputs.len(),
-        certified_inputs: certified.iter().filter(|&&c| c).count(),
-    };
-    telemetry::TIERED_INPUTS_CERTIFIED.add(stats.certified_inputs as u64);
-    telemetry::TIERED_INPUTS_ESCALATED.add(stats.escalated_inputs() as u64);
-    let dd_rungs = [
-        LadderRung {
-            shadow: ProbeShadow::DoubleDouble,
-            stage: SweepStage::TieredDoubleDouble,
-            #[cfg(feature = "fault-injection")]
-            inject: InjectStage::TieredDoubleDouble,
-        },
-        LadderRung {
-            shadow: ProbeShadow::BigFloat,
-            stage: SweepStage::TieredBigFloat,
-            #[cfg(feature = "fault-injection")]
-            inject: InjectStage::TieredBigFloat,
-        },
-    ];
-    let big_rungs = [LadderRung {
-        shadow: ProbeShadow::BigFloat,
-        stage: SweepStage::TieredBigFloat,
-        #[cfg(feature = "fault-injection")]
-        inject: InjectStage::TieredBigFloat,
-    }];
-    let mut outcomes = Vec::new();
-    let mut start = 0;
-    while start < inputs.len() {
-        let verdict = certified[start];
-        let mut end = start + 1;
-        while end < inputs.len() && certified[end] == verdict {
-            end += 1;
-        }
-        let group = &inputs[start..end];
-        let outcome = if verdict {
-            let _tier_span = telemetry::span(telemetry::Phase::TierDoubleDouble);
-            batched_engine::<DoubleDouble>(
-                &machine,
-                width,
-                group,
-                start,
-                &config,
-                &dd_rungs,
-                #[cfg(feature = "fault-injection")]
-                InjectStage::TieredDoubleDouble,
-            )
-        } else {
-            let _tier_span = telemetry::span(telemetry::Phase::TierBigFloat);
-            batched_engine::<BigFloat>(
-                &machine,
-                width,
-                group,
-                start,
-                &config,
-                &big_rungs,
-                #[cfg(feature = "fault-injection")]
-                InjectStage::TieredBigFloat,
-            )
-        };
-        outcomes.push(outcome);
-        start = end;
-    }
-    (assemble(&config, outcomes), stats)
+    tiered_family(program, inputs, config, true)
 }

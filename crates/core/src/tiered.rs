@@ -18,8 +18,13 @@
 //!    maximal contiguous groups of equal certification. Certified groups run
 //!    the full record-keeping analysis with the `DoubleDouble` shadow;
 //!    uncertified groups escalate to the `BigFloat` shadow. The per-group
-//!    [`AnalysisState`]s are folded in input order — the same contiguous
-//!    in-order merge the parallel and batched drivers use.
+//!    [`AnalysisState`](crate::AnalysisState)s are folded in input order —
+//!    the same contiguous in-order merge the parallel and batched drivers
+//!    use.
+//!
+//! Both passes run per thread shard on the tiered fault-isolating engine in
+//! [`crate::quarantine`], every group through the batched engine;
+//! [`analyze_tiered`] is its fail-fast view.
 //!
 //! # Why the report is bit-identical to the all-`BigFloat` analysis
 //!
@@ -61,15 +66,15 @@
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{balanced_chunks, AnalysisState};
-use crate::batched::{dispatch_sweep, effective_batch_width};
+use crate::analysis::balanced_chunks;
 use crate::config::AnalysisConfig;
+use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
 use fpcore::CmpOp;
 use fpvm::batch::{lane_active, lane_indices, BatchMemory, BatchTracer, LaneMask};
 use fpvm::{Addr, Machine, MachineError, Program, Value, MAX_ARITY};
 use shadowreal::cert::{self, CertParams};
-use shadowreal::{dd_batch, BigFloat, DdLanes, DoubleDouble, RealOp};
+use shadowreal::{dd_batch, DdLanes, DoubleDouble, RealOp};
 use std::sync::Arc;
 
 /// How a tiered sweep split its inputs between the shadow tiers.
@@ -87,7 +92,7 @@ impl TierStats {
         self.total_inputs - self.certified_inputs
     }
 
-    fn absorb(&mut self, other: TierStats) {
+    pub(crate) fn absorb(&mut self, other: TierStats) {
         self.total_inputs += other.total_inputs;
         self.certified_inputs += other.certified_inputs;
     }
@@ -394,10 +399,10 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
 /// verdicts, in input order.
 ///
 /// Inputs whose run fails with a [`MachineError`] are marked uncertified —
-/// the escalate pass reruns them in the `BigFloat` tier, which surfaces the
-/// same error at the same (earliest-input) position as a plain sweep. The
-/// failing lane keeps consuming its chunk: unlike the analysis sweeps, the
-/// probe must classify *every* input.
+/// the escalate pass reruns them in the `BigFloat` tier, which quarantines
+/// them with the same error a plain sweep stops at. The failing lane keeps
+/// consuming its chunk: unlike the analysis sweeps, the probe must classify
+/// *every* input.
 fn certify_inputs<const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
@@ -480,7 +485,7 @@ fn certify_inputs<const W: usize>(
 
 /// [`certify_inputs`] dispatched to the compiled batch width. `inject_base`
 /// (fault-injection builds only) arms injected certification verdicts with
-/// the sweep-global index of `inputs[0]`; the plain drivers pass `None`.
+/// the sweep-global index of `inputs[0]`; unarmed sweeps pass `None`.
 pub(crate) fn certify_dispatch(
     machine: &Machine<'_>,
     width: usize,
@@ -525,16 +530,16 @@ pub(crate) fn certify_dispatch(
 /// every input against the declared region and sweeps out-of-region inputs
 /// unpruned, so the bit-identity contract holds unconditionally even when
 /// the declared ranges are wrong.
-struct Tier0 {
-    mask: Arc<staticerr::PruneMask>,
-    ranges: Vec<(f64, f64)>,
+pub(crate) struct Tier0 {
+    pub(crate) mask: Arc<staticerr::PruneMask>,
+    pub(crate) ranges: Vec<(f64, f64)>,
 }
 
 /// Runs the static tier-0 pass when the configuration declares input
 /// ranges. Returns `None` when disarmed (`input_ranges: None`), when the
 /// declared ranges do not match the program's arity (fail closed: no
 /// pruning), or when nothing prunable was certified.
-fn arm_tier0(program: &Program, config: &AnalysisConfig) -> Option<Tier0> {
+pub(crate) fn arm_tier0(program: &Program, config: &AnalysisConfig) -> Option<Tier0> {
     let ranges = config.input_ranges.as_ref()?;
     if ranges.len() != program.arg_addrs.len() {
         return None;
@@ -560,7 +565,7 @@ fn arm_tier0(program: &Program, config: &AnalysisConfig) -> Option<Tier0> {
 
 /// Whether an input vector lies inside the declared tier-0 region (NaN
 /// coordinates are never in range).
-fn input_in_region(input: &[f64], ranges: &[(f64, f64)]) -> bool {
+pub(crate) fn input_in_region(input: &[f64], ranges: &[(f64, f64)]) -> bool {
     input.len() == ranges.len()
         && input
             .iter()
@@ -568,90 +573,18 @@ fn input_in_region(input: &[f64], ranges: &[(f64, f64)]) -> bool {
             .all(|(&x, &(lo, hi))| lo <= x && x <= hi)
 }
 
-/// One thread shard of the tiered sweep: certify, partition into contiguous
-/// same-verdict groups, dispatch each group to its tier, fold the states in
-/// input order.
-fn tiered_sweep(
-    machine: &Machine<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    config: &AnalysisConfig,
-    params: Option<&CertParams>,
-    tier0: Option<&Tier0>,
-) -> Result<(AnalysisState, TierStats), MachineError> {
-    let certified = match params {
-        Some(params) => {
-            let _certify_span = telemetry::span(telemetry::Phase::Certify);
-            certify_dispatch(
-                machine,
-                width,
-                inputs,
-                params,
-                config.detect_compensation,
-                #[cfg(feature = "fault-injection")]
-                None,
-            )
-        }
-        // Precision gate: below the tier threshold everything escalates.
-        None => {
-            telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
-            vec![false; inputs.len()]
-        }
-    };
-    let stats = TierStats {
-        total_inputs: inputs.len(),
-        certified_inputs: certified.iter().filter(|&&c| c).count(),
-    };
-    telemetry::TIERED_INPUTS_CERTIFIED.add(stats.certified_inputs as u64);
-    telemetry::TIERED_INPUTS_ESCALATED.add(stats.escalated_inputs() as u64);
-    // Tier 0 applies per input: only inputs inside the statically declared
-    // region may use the prune mask. Out-of-region inputs sweep unpruned,
-    // so a wrong `input_ranges` declaration costs throughput, never report
-    // fidelity.
-    let in_region: Vec<bool> = match tier0 {
-        Some(t) => inputs
-            .iter()
-            .map(|input| input_in_region(input, &t.ranges))
-            .collect(),
-        None => vec![false; inputs.len()],
-    };
-    let mut state = AnalysisState::empty(config.clone());
-    let mut start = 0;
-    while start < inputs.len() {
-        let verdict = certified[start];
-        let region = in_region[start];
-        let mut end = start + 1;
-        while end < inputs.len() && certified[end] == verdict && in_region[end] == region {
-            end += 1;
-        }
-        let group = &inputs[start..end];
-        let prune = match tier0 {
-            Some(t) if region => Some(&t.mask),
-            _ => None,
-        };
-        // Groups are contiguous in input order and dispatched in order, so
-        // stopping at the first failing group surfaces the earliest failing
-        // input's error — failing inputs are always uncertified (machine
-        // errors are tracer-independent), so the error reruns here.
-        let swept = if verdict {
-            let _tier_span = telemetry::span(telemetry::Phase::TierDoubleDouble);
-            dispatch_sweep::<DoubleDouble>(machine, width, group, config, prune)?.into_state()
-        } else {
-            let _tier_span = telemetry::span(telemetry::Phase::TierBigFloat);
-            dispatch_sweep::<BigFloat>(machine, width, group, config, prune)?.into_state()
-        };
-        state.merge(swept);
-        start = end;
-    }
-    Ok((state, stats))
-}
-
 /// Runs the tiered adaptive-precision analysis and returns the report
 /// together with the tier split.
 ///
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and the other
 /// drivers: the report is bit-identical for every batch width and thread
-/// count — certified inputs merely run in the cheaper `DoubleDouble` tier.
+/// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
+/// with the shard-merge exception the batched and parallel drivers share
+/// (DESIGN.md, "Parallel engine"). With [`AnalysisConfig::input_ranges`]
+/// set, tier 0 runs first and in-region inputs skip shadowing for
+/// statically certified statements. This is the fail-fast view of
+/// [`analyze_tiered_isolated_with_stats`](crate::quarantine::analyze_tiered_isolated_with_stats),
+/// run without fault injection.
 ///
 /// # Errors
 ///
@@ -662,51 +595,8 @@ pub fn analyze_tiered_with_stats(
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
 ) -> Result<(Report, TierStats), MachineError> {
-    let config = config.normalize();
-    let width = effective_batch_width(config.batch_width);
-    let threads = config.effective_threads(inputs.len());
-    let params = CertParams::new(config.shadow_precision);
-    // Tier 0: one static pass over the tape, shared by every thread shard.
-    let tier0 = arm_tier0(program, &config);
-    let shared = Machine::new(program)
-        .with_step_limit(config.step_limit)
-        .with_deadline_millis(config.deadline_millis);
-    if threads <= 1 || inputs.len() <= 1 {
-        let (state, stats) = tiered_sweep(
-            &shared,
-            width,
-            inputs,
-            &config,
-            params.as_ref(),
-            tier0.as_ref(),
-        )?;
-        return Ok((state.report(), stats));
-    }
-    let shards: Vec<Result<(AnalysisState, TierStats), MachineError>> =
-        std::thread::scope(|scope| {
-            let config = &config;
-            let params = params.as_ref();
-            let tier0 = tier0.as_ref();
-            let handles: Vec<_> = balanced_chunks(inputs, threads)
-                .into_iter()
-                .map(|chunk| {
-                    let machine = shared.clone();
-                    scope.spawn(move || tiered_sweep(&machine, width, chunk, config, params, tier0))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("tiered analysis shard panicked"))
-                .collect()
-        });
-    let mut state = AnalysisState::empty(config.clone());
-    let mut stats = TierStats::default();
-    for shard in shards {
-        let (shard_state, shard_stats) = shard?;
-        state.merge(shard_state);
-        stats.absorb(shard_stats);
-    }
-    Ok((state.report(), stats))
+    let (report, stats) = tiered_family(program, inputs, config, false);
+    Ok((fail_fast(report)?, stats))
 }
 
 /// [`analyze_tiered_with_stats`] without the tier split.

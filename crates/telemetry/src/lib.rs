@@ -8,26 +8,28 @@
 //!
 //! # Cost model
 //!
-//! All metrics live in process-global statics. Recording is gated behind a
-//! single `AtomicBool` read with relaxed ordering ([`enabled`]); when telemetry
-//! is off (the default) every recording site is one predictable branch, and the
-//! hot interpreter loops batch their counts into plain locals that are flushed
-//! once per run or per batch pass, so the off-mode overhead is not visible on
-//! the committed `batch_sweep` baseline (CI asserts ≤2%).
+//! All metrics live in process-global statics. Recording is gated behind
+//! [`enabled`]; while no capture is active (the default) every recording
+//! site is one relaxed atomic load and one predictable branch, and the hot
+//! interpreter loops batch their counts into plain locals that are flushed
+//! once per run or per batch pass, so the off-mode overhead is not visible
+//! on the committed `batch_sweep` baseline (CI asserts ≤2%).
 //!
 //! # Capture discipline
 //!
-//! Because the registry is process-global, a capture is exclusive:
+//! A capture records the sweep it wraps and nothing else.
 //! [`SweepCapture::begin`] with [`TelemetryMode::On`] takes a global lock,
-//! zeroes every metric, and sets the enabled flag; [`SweepCapture::finish`]
-//! reads everything into an owned [`SweepTelemetry`] snapshot and clears the
-//! flag. Concurrent captures serialize on the lock. Sweeps running on *other*
-//! threads during a capture will record into the same registry — captures are
-//! meant to wrap one sweep at a time, which is what the `*_telemetry` driver
-//! entry points in `herbgrind` do.
+//! zeroes every metric, starts timing [`Phase::Sweep`], and sets the
+//! recording flag of the *calling thread*; [`SweepCapture::finish`] reads
+//! everything into an owned [`SweepTelemetry`] snapshot and clears the flag.
+//! Concurrent captures serialize on the lock. A driver that shards a sweep
+//! across threads copies the flag into each ([`set_thread_enabled`]), so the
+//! capture sees the whole sweep, while uncaptured sweeps on other threads
+//! record nothing into it.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Whether a sweep records telemetry. The default is [`TelemetryMode::Off`],
@@ -35,22 +37,35 @@ use std::time::Instant;
 /// predictable branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
-    /// No recording; `*_telemetry` drivers return a disabled snapshot.
+    /// No recording; [`SweepCapture::finish`] returns a disabled snapshot.
     #[default]
     Off,
     /// Record all metrics for the duration of the capture.
     On,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+/// True while some thread holds an on-mode [`SweepCapture`].
+static CAPTURING: AtomicBool = AtomicBool::new(false);
 
-/// True while a [`SweepCapture`] with [`TelemetryMode::On`] is active.
+thread_local! {
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True while this thread records: inside a [`SweepCapture`] with
+/// [`TelemetryMode::On`], or on a shard thread of the captured sweep.
 ///
-/// This is the single gate every recording site checks; it is `#[inline]` and
-/// a relaxed load so the off path stays branch-predictable and free of fences.
+/// This is the single gate every recording site checks. Outside captures it
+/// is one relaxed load of a global (the thread's own flag is read only while
+/// a capture is active), so the off path stays branch-predictable.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    CAPTURING.load(Ordering::Relaxed) && RECORDING.with(Cell::get)
+}
+
+/// Sets this thread's recording flag: a sweep driver passes the spawning
+/// thread's [`enabled`] to each shard thread it spawns.
+pub fn set_thread_enabled(on: bool) {
+    RECORDING.with(|flag| flag.set(on));
 }
 
 /// A monotonically increasing `u64` counter (also used as a sum gauge).
@@ -202,11 +217,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// Mean of the observed values, if any were recorded.
     pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum as f64 / self.count as f64)
-        }
+        (self.count != 0).then(|| self.sum as f64 / self.count as f64)
     }
 }
 
@@ -371,7 +382,8 @@ declare_histograms! {
 /// Coarse pipeline phases timed by [`span`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Whole-sweep wall time inside the driver.
+    /// Whole-sweep wall time: one span per [`SweepCapture`], from `begin` to
+    /// `finish`.
     Sweep,
     /// Tiered driver: DoubleDouble certify-probe pass.
     Certify,
@@ -427,12 +439,6 @@ pub struct PhaseSpan {
     start: Option<(Phase, Instant)>,
 }
 
-impl PhaseSpan {
-    fn noop() -> Self {
-        PhaseSpan { start: None }
-    }
-}
-
 impl Drop for PhaseSpan {
     fn drop(&mut self) {
         if let Some((phase, start)) = self.start.take() {
@@ -447,12 +453,8 @@ impl Drop for PhaseSpan {
 /// returns an inert span without touching the clock.
 #[inline]
 pub fn span(phase: Phase) -> PhaseSpan {
-    if enabled() {
-        PhaseSpan {
-            start: Some((phase, Instant::now())),
-        }
-    } else {
-        PhaseSpan::noop()
+    PhaseSpan {
+        start: enabled().then(|| (phase, Instant::now())),
     }
 }
 
@@ -518,10 +520,7 @@ pub fn record_fault(stage: FaultStage, kind: FaultKind) {
 // Capture & snapshot
 // ---------------------------------------------------------------------------
 
-fn capture_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
+static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
 
 fn reset_all() {
     for c in counter_refs() {
@@ -547,50 +546,52 @@ fn reset_all() {
 /// Exclusive telemetry capture around one sweep.
 ///
 /// `begin(TelemetryMode::On)` acquires the process-global capture lock, zeroes
-/// the registry, and enables recording; [`SweepCapture::finish`] snapshots the
-/// registry into a [`SweepTelemetry`] and disables recording. Dropping an
+/// the registry, starts the [`Phase::Sweep`] timer, and enables recording on
+/// the calling thread; [`SweepCapture::finish`] stops the timer, snapshots the
+/// registry into a [`SweepTelemetry`], and disables recording. Dropping an
 /// unfinished capture also disables recording. `begin(TelemetryMode::Off)` is
 /// free: no lock, no reset, and `finish` returns a disabled snapshot.
 pub struct SweepCapture {
-    guard: Option<MutexGuard<'static, ()>>,
+    /// The capture lock and the running sweep timer; `None` when off.
+    active: Option<(MutexGuard<'static, ()>, PhaseSpan)>,
 }
 
 impl SweepCapture {
     /// Start a capture. With [`TelemetryMode::Off`] this is a no-op handle.
     pub fn begin(mode: TelemetryMode) -> Self {
-        match mode {
-            TelemetryMode::Off => SweepCapture { guard: None },
-            TelemetryMode::On => {
-                let guard = match capture_lock().lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                reset_all();
-                ENABLED.store(true, Ordering::SeqCst);
-                SweepCapture { guard: Some(guard) }
-            }
+        if mode == TelemetryMode::Off {
+            return SweepCapture { active: None };
+        }
+        let guard = CAPTURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        reset_all();
+        CAPTURING.store(true, Ordering::SeqCst);
+        set_thread_enabled(true);
+        SweepCapture {
+            active: Some((guard, span(Phase::Sweep))),
         }
     }
 
     /// Stop recording and return the snapshot accumulated since `begin`.
     pub fn finish(mut self) -> SweepTelemetry {
-        match self.guard.take() {
-            None => SweepTelemetry::disabled(),
-            Some(guard) => {
-                ENABLED.store(false, Ordering::SeqCst);
-                let snap = SweepTelemetry::read_registry();
-                drop(guard);
-                snap
-            }
-        }
+        self.stop().unwrap_or_else(SweepTelemetry::disabled)
+    }
+
+    /// Stops the sweep timer and recording, and reads the registry before
+    /// releasing the capture lock; `None` for an off-mode capture.
+    fn stop(&mut self) -> Option<SweepTelemetry> {
+        let (guard, sweep) = self.active.take()?;
+        drop(sweep);
+        set_thread_enabled(false);
+        CAPTURING.store(false, Ordering::SeqCst);
+        let snap = SweepTelemetry::read_registry();
+        drop(guard);
+        Some(snap)
     }
 }
 
 impl Drop for SweepCapture {
     fn drop(&mut self) {
-        if self.guard.take().is_some() {
-            ENABLED.store(false, Ordering::SeqCst);
-        }
+        self.stop();
     }
 }
 
@@ -706,11 +707,7 @@ impl SweepTelemetry {
     pub fn lane_utilization(&self) -> Option<f64> {
         let dispatches = self.counter("fpvm.batch_dispatches");
         let active = self.counter("fpvm.batch_active_lane_slots");
-        if dispatches == 0 {
-            None
-        } else {
-            Some(active as f64 / dispatches as f64)
-        }
+        (dispatches != 0).then(|| active as f64 / dispatches as f64)
     }
 
     /// Render the snapshot as an indented human-readable text section.

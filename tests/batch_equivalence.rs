@@ -145,24 +145,59 @@ fn batched_matches_serial_for_every_shadow_representation() {
 
 #[test]
 fn batched_matches_serial_for_every_configuration_knob() {
-    let program = compile("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))");
-    let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![10f64.powi(i)]).collect();
-    let configs = [
-        AnalysisConfig::fpdebug_like(),
-        AnalysisConfig::default().with_local_error_threshold(1.0),
-        AnalysisConfig::default().with_max_expression_depth(1),
-        AnalysisConfig::default().with_max_expression_depth(3),
-        AnalysisConfig::default().with_range_kind(RangeKind::Single),
-        AnalysisConfig::default().with_range_kind(RangeKind::None),
-        AnalysisConfig::default().with_compensation_detection(false),
-        AnalysisConfig {
-            shadow_precision: 64,
-            ..AnalysisConfig::default()
-        },
+    let powers: (fpvm::Program, Vec<Vec<f64>>) = (
+        compile("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))"),
+        (0..20).map(|i| vec![10f64.powi(i)]).collect(),
+    );
+    // The same kernel as "NMSE example 3.1", on its sampled sweep.
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let sampled = fpbench::prepare(&core, 32, 7).expect("prepare");
+    let sampled = (sampled.program, sampled.inputs);
+    let cases = [
+        (AnalysisConfig::fpdebug_like(), &powers),
+        (
+            AnalysisConfig::default().with_local_error_threshold(1.0),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_max_expression_depth(1),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_max_expression_depth(3),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_range_kind(RangeKind::Single),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_range_kind(RangeKind::None),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_compensation_detection(false),
+            &powers,
+        ),
+        (
+            AnalysisConfig {
+                shadow_precision: 64,
+                ..AnalysisConfig::default()
+            },
+            &powers,
+        ),
+        // Every input fits this trace budget alone, but a lane group shares
+        // one interner and overflows it: the batched driver must re-run the
+        // group's lanes one input at a time and succeed like serial.
+        (
+            AnalysisConfig::default().with_trace_node_budget(16),
+            &sampled,
+        ),
     ];
-    for (i, config) in configs.into_iter().enumerate() {
-        assert_batched_matches_serial(&program, &inputs, &config, &format!("config {i}"));
+    for (i, (config, (program, inputs))) in cases.iter().enumerate() {
+        assert_batched_matches_serial(program, inputs, config, &format!("config {i}"));
     }
+    analyze(&sampled.0, &sampled.1, &cases[cases.len() - 1].0).expect("budget fits every input");
 }
 
 #[test]

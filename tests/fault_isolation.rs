@@ -360,9 +360,10 @@ fn fired_sites_match_the_installed_plan() {
     ]));
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 12, 7).expect("prepare");
-    let config = AnalysisConfig::default().with_telemetry(herbgrind::TelemetryMode::On);
-    let (report, tel) =
-        herbgrind::analyze_isolated_telemetry(&prepared.program, &prepared.inputs, &config);
+    let config = AnalysisConfig::default();
+    let capture = herbgrind::SweepCapture::begin(herbgrind::TelemetryMode::On);
+    let report = analyze_isolated(&prepared.program, &prepared.inputs, &config);
+    let tel = capture.finish();
     let indices: Vec<usize> = report.quarantined.iter().map(|q| q.input_index).collect();
     assert_eq!(indices, vec![3, 5]);
 

@@ -9,16 +9,27 @@
 //!    the stable set.
 //! 2. **Telemetry never feeds back into analysis** — the report is
 //!    bit-identical with telemetry on and off, for all four driver
-//!    families, and the `*_telemetry` wrappers return the same report as
-//!    the plain drivers.
-//! 3. **The JSON rendering is schema-stable** — fixed schema name and
+//!    families, and a driver run inside an off-mode capture returns the
+//!    same report as the bare driver.
+//! 3. **A capture records its own sweep only** — uncaptured sweeps running
+//!    on other threads at the same time do not leak into the snapshot.
+//! 4. **The JSON rendering is schema-stable** — fixed schema name and
 //!    version, every registered metric present.
 
 use herbgrind::{
-    analyze, analyze_batched, analyze_batched_telemetry, analyze_parallel_telemetry,
-    analyze_telemetry, analyze_tiered, analyze_tiered_isolated_telemetry, analyze_tiered_telemetry,
-    telemetry_to_json, AnalysisConfig, Report, SweepTelemetry, TelemetryMode,
+    analyze, analyze_batched, analyze_parallel, analyze_tiered, analyze_tiered_isolated,
+    analyze_tiered_with_stats, telemetry_to_json, AnalysisConfig, Report, SweepCapture,
+    SweepTelemetry, TelemetryMode,
 };
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// Runs `sweep` inside a capture in `mode` and pairs its result with the
+/// snapshot.
+fn captured<T>(mode: TelemetryMode, sweep: impl FnOnce() -> T) -> (T, SweepTelemetry) {
+    let capture = SweepCapture::begin(mode);
+    let out = sweep();
+    (out, capture.finish())
+}
 
 fn assert_reports_identical(a: &Report, b: &Report, context: &str) {
     assert_eq!(
@@ -41,19 +52,18 @@ fn assert_stable_counters_match(a: &SweepTelemetry, b: &SweepTelemetry, context:
 fn stable_counters_are_thread_count_invariant() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
-    let baseline_config = AnalysisConfig::default()
-        .with_threads(1)
-        .with_telemetry(TelemetryMode::On);
-    let (_, baseline) =
-        analyze_parallel_telemetry(&prepared.program, &prepared.inputs, &baseline_config)
-            .expect("threads=1");
+    let sweep = |threads: usize| {
+        let config = AnalysisConfig::default().with_threads(threads);
+        let (report, tel) = captured(TelemetryMode::On, || {
+            analyze_parallel(&prepared.program, &prepared.inputs, &config)
+        });
+        report.unwrap_or_else(|e| panic!("threads={threads}: {e:?}"));
+        tel
+    };
+    let baseline = sweep(1);
     assert!(baseline.counter("fpvm.steps") > 0);
     for threads in [2usize, 4] {
-        let config = AnalysisConfig::default()
-            .with_threads(threads)
-            .with_telemetry(TelemetryMode::On);
-        let (_, tel) = analyze_parallel_telemetry(&prepared.program, &prepared.inputs, &config)
-            .unwrap_or_else(|e| panic!("threads={threads}: {e:?}"));
+        let tel = sweep(threads);
         assert_stable_counters_match(&baseline, &tel, &format!("{threads} threads vs 1"));
     }
 }
@@ -62,19 +72,18 @@ fn stable_counters_are_thread_count_invariant() {
 fn stable_counters_are_batch_width_invariant() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
-    let baseline_config = AnalysisConfig::default()
-        .with_batch_width(1)
-        .with_telemetry(TelemetryMode::On);
-    let (_, baseline) =
-        analyze_batched_telemetry(&prepared.program, &prepared.inputs, &baseline_config)
-            .expect("width=1");
+    let sweep = |width: usize| {
+        let config = AnalysisConfig::default().with_batch_width(width);
+        let (report, tel) = captured(TelemetryMode::On, || {
+            analyze_batched(&prepared.program, &prepared.inputs, &config)
+        });
+        report.unwrap_or_else(|e| panic!("width={width}: {e:?}"));
+        tel
+    };
+    let baseline = sweep(1);
     assert!(baseline.counter("fpvm.steps") > 0);
     for width in [4usize, 8] {
-        let config = AnalysisConfig::default()
-            .with_batch_width(width)
-            .with_telemetry(TelemetryMode::On);
-        let (_, tel) = analyze_batched_telemetry(&prepared.program, &prepared.inputs, &config)
-            .unwrap_or_else(|e| panic!("width={width}: {e:?}"));
+        let tel = sweep(width);
         assert_stable_counters_match(&baseline, &tel, &format!("width {width} vs 1"));
     }
 }
@@ -85,11 +94,11 @@ fn tiered_stable_counters_are_batch_width_invariant() {
     let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
     let mut snapshots = Vec::new();
     for width in [1usize, 4, 8] {
-        let config = AnalysisConfig::default()
-            .with_batch_width(width)
-            .with_telemetry(TelemetryMode::On);
-        let (_, tel) = analyze_tiered_telemetry(&prepared.program, &prepared.inputs, &config)
-            .unwrap_or_else(|e| panic!("width={width}: {e:?}"));
+        let config = AnalysisConfig::default().with_batch_width(width);
+        let (report, tel) = captured(TelemetryMode::On, || {
+            analyze_tiered(&prepared.program, &prepared.inputs, &config)
+        });
+        report.unwrap_or_else(|e| panic!("width={width}: {e:?}"));
         snapshots.push((width, tel));
     }
     let (_, baseline) = &snapshots[0];
@@ -105,54 +114,36 @@ fn tiered_stable_counters_are_batch_width_invariant() {
 fn reports_are_bit_identical_with_telemetry_on_and_off() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 24, 7).expect("prepare");
-    let off = AnalysisConfig::default();
-    let on = AnalysisConfig::default().with_telemetry(TelemetryMode::On);
-
-    let plain = analyze(&prepared.program, &prepared.inputs, &off).expect("serial");
-    let (serial_off, tel_off) =
-        analyze_telemetry(&prepared.program, &prepared.inputs, &off).expect("serial off");
-    let (serial_on, tel_on) =
-        analyze_telemetry(&prepared.program, &prepared.inputs, &on).expect("serial on");
-    assert!(!tel_off.enabled);
-    assert!(tel_on.enabled);
-    assert_reports_identical(&plain, &serial_off, "serial wrapper vs plain");
-    assert_reports_identical(&serial_off, &serial_on, "serial on vs off");
-
-    let (parallel_off, _) =
-        analyze_parallel_telemetry(&prepared.program, &prepared.inputs, &off).expect("par off");
-    let (parallel_on, _) =
-        analyze_parallel_telemetry(&prepared.program, &prepared.inputs, &on).expect("par on");
-    assert_reports_identical(&parallel_off, &parallel_on, "parallel on vs off");
-    assert_reports_identical(&plain, &parallel_on, "parallel vs serial");
-
-    let plain_batched =
-        analyze_batched(&prepared.program, &prepared.inputs, &off).expect("batched");
-    let (batched_off, _) =
-        analyze_batched_telemetry(&prepared.program, &prepared.inputs, &off).expect("batched off");
-    let (batched_on, _) =
-        analyze_batched_telemetry(&prepared.program, &prepared.inputs, &on).expect("batched on");
-    assert_reports_identical(&plain_batched, &batched_off, "batched wrapper vs plain");
-    assert_reports_identical(&batched_off, &batched_on, "batched on vs off");
-
-    let plain_tiered = analyze_tiered(&prepared.program, &prepared.inputs, &off).expect("tiered");
-    let (tiered_off, _) =
-        analyze_tiered_telemetry(&prepared.program, &prepared.inputs, &off).expect("tiered off");
-    let (tiered_on, _) =
-        analyze_tiered_telemetry(&prepared.program, &prepared.inputs, &on).expect("tiered on");
-    assert_reports_identical(&plain_tiered, &tiered_off, "tiered wrapper vs plain");
-    assert_reports_identical(&tiered_off, &tiered_on, "tiered on vs off");
+    let (program, inputs) = (&prepared.program, &prepared.inputs);
+    let config = AnalysisConfig::default();
+    let drivers: [(&str, fn(_, _, _) -> _); 4] = [
+        ("serial", analyze),
+        ("parallel", analyze_parallel),
+        ("batched", analyze_batched),
+        ("tiered", analyze_tiered),
+    ];
+    let plain = analyze(program, inputs, &config).expect("serial");
+    for (name, driver) in drivers {
+        let bare = driver(program, inputs, &config).expect(name);
+        let (off, tel_off) = captured(TelemetryMode::Off, || driver(program, inputs, &config));
+        let (on, tel_on) = captured(TelemetryMode::On, || driver(program, inputs, &config));
+        assert!(!tel_off.enabled, "{name}");
+        assert!(tel_on.enabled, "{name}");
+        let (off, on) = (off.expect(name), on.expect(name));
+        assert_reports_identical(&bare, &off, &format!("{name} off capture vs bare"));
+        assert_reports_identical(&off, &on, &format!("{name} on vs off"));
+        assert_reports_identical(&plain, &on, &format!("{name} vs serial"));
+    }
 }
 
 #[test]
 fn isolated_driver_reports_are_bit_identical_with_telemetry_on_and_off() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 24, 7).expect("prepare");
-    let off = AnalysisConfig::default();
-    let on = AnalysisConfig::default().with_telemetry(TelemetryMode::On);
-    let (report_off, tel_off) =
-        analyze_tiered_isolated_telemetry(&prepared.program, &prepared.inputs, &off);
-    let (report_on, tel_on) =
-        analyze_tiered_isolated_telemetry(&prepared.program, &prepared.inputs, &on);
+    let config = AnalysisConfig::default();
+    let sweep = || analyze_tiered_isolated(&prepared.program, &prepared.inputs, &config);
+    let (report_off, tel_off) = captured(TelemetryMode::Off, sweep);
+    let (report_on, tel_on) = captured(TelemetryMode::On, sweep);
     assert!(!tel_off.enabled);
     assert!(tel_on.enabled);
     assert_reports_identical(&report_off, &report_on, "tiered isolated on vs off");
@@ -163,12 +154,104 @@ fn isolated_driver_reports_are_bit_identical_with_telemetry_on_and_off() {
 }
 
 #[test]
+fn off_capture_returns_a_disabled_snapshot() {
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 16, 7).expect("prepare");
+    let config = AnalysisConfig::default();
+    let (report, tel) = captured(TelemetryMode::Off, || {
+        analyze(&prepared.program, &prepared.inputs, &config)
+    });
+    assert!(report.expect("serial").total_runs > 0);
+    assert!(!tel.enabled);
+    assert_eq!(tel.counter("fpvm.steps"), 0);
+}
+
+#[test]
+fn on_capture_counts_steps_ops_and_one_sweep_phase() {
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 16, 7).expect("prepare");
+    let config = AnalysisConfig::default().with_threads(2);
+    let (report, tel) = captured(TelemetryMode::On, || {
+        analyze_parallel(&prepared.program, &prepared.inputs, &config)
+    });
+    report.expect("parallel");
+    assert!(tel.enabled);
+    assert!(tel.counter("fpvm.steps") > 0);
+    assert!(tel.counter("shadow.bigfloat_ops") > 0);
+    assert_eq!(tel.phase(herbgrind::telemetry::Phase::Sweep).count, 1);
+}
+
+#[test]
+fn tiered_snapshot_subsumes_tier_stats() {
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 16, 7).expect("prepare");
+    let config = AnalysisConfig::default();
+    let (result, tel) = captured(TelemetryMode::On, || {
+        analyze_tiered_with_stats(&prepared.program, &prepared.inputs, &config)
+    });
+    let (_, stats) = result.expect("tiered");
+    assert_eq!(
+        tel.counter("tiered.inputs_certified"),
+        stats.certified_inputs as u64
+    );
+    assert_eq!(
+        tel.counter("tiered.inputs_escalated"),
+        stats.escalated_inputs() as u64
+    );
+}
+
+#[test]
+fn capture_disables_recording_after_finish() {
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 16, 7).expect("prepare");
+    let config = AnalysisConfig::default();
+    let (report, _) = captured(TelemetryMode::On, || {
+        analyze_batched(&prepared.program, &prepared.inputs, &config)
+    });
+    report.expect("batched");
+    assert!(!herbgrind::telemetry::enabled());
+}
+
+#[test]
+fn uncaptured_sweeps_on_other_threads_do_not_leak_into_a_capture() {
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
+    let config = AnalysisConfig::default().with_threads(2);
+    let capture = || {
+        let (report, tel) = captured(TelemetryMode::On, || {
+            analyze_parallel(&prepared.program, &prepared.inputs, &config)
+        });
+        report.expect("captured sweep");
+        tel
+    };
+    let alone = capture();
+    let (stop, background_sweeps) = (AtomicBool::new(false), AtomicUsize::new(0));
+    let concurrent = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                analyze(&prepared.program, &prepared.inputs, &config).expect("background");
+                background_sweeps.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        while background_sweeps.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let tel = capture();
+        stop.store(true, Ordering::Relaxed);
+        tel
+    });
+    assert_stable_counters_match(&alone, &concurrent, "capture alone vs beside uncaptured");
+}
+
+#[test]
 fn json_rendering_is_schema_stable() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
     let prepared = fpbench::prepare(&core, 16, 7).expect("prepare");
-    let config = AnalysisConfig::default().with_telemetry(TelemetryMode::On);
-    let (_, tel) =
-        analyze_tiered_telemetry(&prepared.program, &prepared.inputs, &config).expect("tiered");
+    let config = AnalysisConfig::default();
+    let (report, tel) = captured(TelemetryMode::On, || {
+        analyze_tiered(&prepared.program, &prepared.inputs, &config)
+    });
+    report.expect("tiered");
     let json = telemetry_to_json(&tel);
     assert!(
         json.contains("\"schema\": \"herbgrind-sweep-telemetry\""),

@@ -128,27 +128,59 @@ fn tiered_matches_on_lowered_library_calls() {
 #[test]
 fn tiered_matches_across_configuration_knobs() {
     let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").unwrap();
-    let program = fpvm::compile_core(&core, Default::default()).unwrap();
-    let inputs: Vec<Vec<f64>> = (0..20).map(|i| vec![10f64.powi(i)]).collect();
-    let configs = [
-        AnalysisConfig::fpdebug_like(),
-        AnalysisConfig::default().with_local_error_threshold(1.0),
-        AnalysisConfig::default().with_compensation_detection(false),
-        AnalysisConfig::default()
-            .with_threads(3)
-            .with_batch_width(4),
+    let powers: (fpvm::Program, Vec<Vec<f64>>) = (
+        fpvm::compile_core(&core, Default::default()).unwrap(),
+        (0..20).map(|i| vec![10f64.powi(i)]).collect(),
+    );
+    // The same kernel as "NMSE example 3.1", on its sampled sweep.
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let sampled = fpbench::prepare(&core, 32, 7).expect("prepare");
+    let sampled = (sampled.program, sampled.inputs);
+    let cases = [
+        (AnalysisConfig::fpdebug_like(), &powers),
+        (
+            AnalysisConfig::default().with_local_error_threshold(1.0),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default().with_compensation_detection(false),
+            &powers,
+        ),
+        (
+            AnalysisConfig::default()
+                .with_threads(3)
+                .with_batch_width(4),
+            &powers,
+        ),
         // Below the tier threshold: the precision gate escalates everything.
-        AnalysisConfig {
-            shadow_precision: 64,
-            ..AnalysisConfig::default()
-        },
+        (
+            AnalysisConfig {
+                shadow_precision: 64,
+                ..AnalysisConfig::default()
+            },
+            &powers,
+        ),
         // Above the default: certificates retune to the wider rounding.
-        AnalysisConfig {
-            shadow_precision: 512,
-            ..AnalysisConfig::default()
-        },
+        (
+            AnalysisConfig {
+                shadow_precision: 512,
+                ..AnalysisConfig::default()
+            },
+            &powers,
+        ),
+        // Every input fits this trace budget alone, but a lane group of a
+        // tier shares one interner and overflows it: the tiered driver must
+        // re-run the group's lanes one input at a time and succeed like the
+        // flat analysis.
+        (
+            AnalysisConfig::default()
+                .with_threads(1)
+                .with_trace_node_budget(16),
+            &sampled,
+        ),
     ];
-    for (i, config) in configs.into_iter().enumerate() {
-        assert_tiered_matches_oracles(&program, &inputs, &config, &format!("config {i}"));
+    for (i, (config, (program, inputs))) in cases.iter().enumerate() {
+        assert_tiered_matches_oracles(program, inputs, config, &format!("config {i}"));
     }
+    analyze(&sampled.0, &sampled.1, &cases[cases.len() - 1].0).expect("budget fits every input");
 }
