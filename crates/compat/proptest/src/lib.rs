@@ -5,7 +5,7 @@
 //! this path crate instead of the real proptest. It provides the
 //! [`proptest!`] test macro, the [`Strategy`](strategy::Strategy) trait with
 //! the `prop_map`/`prop_recursive`/`boxed` combinators, range and tuple
-//! strategies, [`prop_oneof!`], [`any`], `collection::vec`, and the
+//! strategies, [`prop_oneof!`], [`any`](strategy::any), `collection::vec`, and the
 //! `prop_assert*`/[`prop_assume!`] macros.
 //!
 //! Differences from real proptest, deliberate for an offline shim:

@@ -121,8 +121,26 @@ fn ensure_shadow_inner<R: Real>(
     slot.shadow = Some(fresh);
 }
 
-/// Builds the hash-consed concrete expression for one compute result, so
-/// repeated subtraces share one allocation.
+/// The traces of the current run's shadows of `args`, in operand order
+/// (slots past `args.len()` repeat the first operand). Every operand must
+/// already have a shadow ([`Herbgrind::ensure_shadow`]).
+fn operand_traces<'a, R>(
+    shadow_slots: &'a [ShadowSlot<R>],
+    gen: u64,
+    args: &[Addr],
+) -> [&'a Arc<ConcreteExpr>; MAX_ARITY] {
+    let first = shadow_at(shadow_slots, gen, args[0]).expect("operand shadow populated");
+    let mut traces = [&first.expr; MAX_ARITY];
+    for (slot, &addr) in traces.iter_mut().zip(args) {
+        *slot = &shadow_at(shadow_slots, gen, addr)
+            .expect("operand shadow populated")
+            .expr;
+    }
+    traces
+}
+
+/// Builds the hash-consed concrete expression for one compute result over
+/// its operand traces, so repeated subtraces share one allocation.
 ///
 /// Stored traces are depth-bounded with hysteresis: the reported bound is
 /// `max_expression_depth` (D), but shadow memory keeps traces up to 4D deep
@@ -134,45 +152,31 @@ fn ensure_shadow_inner<R: Real>(
 /// depth budget ([`OpRecord::record_bounded`]), which reads nodes beyond D
 /// as value leaves — bit-identical to truncating first, because truncation
 /// preserves every value, operation, and location above the cut.
-#[allow(clippy::too_many_arguments)]
-fn build_compute_trace<R: Real>(
+pub(crate) fn build_compute_trace(
     config: &AnalysisConfig,
-    shadow_slots: &[ShadowSlot<R>],
-    gen: u64,
     interner: &mut ExprInterner,
-    locations: &[Arc<SourceLoc>],
+    location: &Arc<SourceLoc>,
     pc: usize,
     op: RealOp,
-    args: &[Addr],
+    children: &[&Arc<ConcreteExpr>],
     result: f64,
 ) -> Arc<ConcreteExpr> {
-    let n = args.len();
-    let first = shadow_at(shadow_slots, gen, args[0]).expect("operand shadow populated");
-    let mut expr_refs: [&Arc<ConcreteExpr>; MAX_ARITY] = [&first.expr; MAX_ARITY];
-    for (i, &addr) in args.iter().enumerate() {
-        expr_refs[i] = &shadow_at(shadow_slots, gen, addr)
-            .expect("operand shadow populated")
-            .expr;
-    }
-    let location = location_of(locations, pc);
     let max_depth = config.max_expression_depth;
-    let store_bound = max_depth.saturating_mul(4);
-    let depth = 1 + expr_refs[..n].iter().map(|c| c.depth()).max().unwrap_or(0);
+    let depth = 1 + children.iter().map(|c| c.depth()).max().unwrap_or(0);
     if depth <= intern_depth_bound(config) {
-        interner.node_ref(op, result, &expr_refs[..n], pc, location)
+        return interner.node_ref(op, result, children, pc, location);
+    }
+    let node = ConcreteExpr::node(
+        op,
+        result,
+        TraceChildren::from_refs(children),
+        pc,
+        Arc::clone(location),
+    );
+    if depth <= max_depth.saturating_mul(4) {
+        node
     } else {
-        let node = ConcreteExpr::node(
-            op,
-            result,
-            TraceChildren::from_refs(&expr_refs[..n]),
-            pc,
-            Arc::clone(location),
-        );
-        if depth <= store_bound {
-            node
-        } else {
-            node.truncate_to_depth(max_depth)
-        }
+        node.truncate_to_depth(max_depth)
     }
 }
 
@@ -363,7 +367,7 @@ impl<R: Real> Herbgrind<R> {
     /// exact value, and the prune mask's poison fixpoint guarantees the
     /// substitution is invisible in the report.
     pub(crate) fn on_pruned_compute(&mut self, pc: usize, op: RealOp, dest: Addr) {
-        self.op_record_entry(pc, op);
+        self.state.op_record(pc, op);
         put_shadow(&mut self.shadow_slots, self.shadow_gen, dest, None);
     }
 
@@ -506,9 +510,8 @@ impl<R: Real> Herbgrind<R> {
     /// [`Herbgrind::ensure_shadow`] with the leaf interner supplied by the
     /// caller: the batched analysis shares one group-level interner across
     /// all lane shards, so leaves with identical values are pointer-shared
-    /// between lanes and the group trace layer's shared-children fast path
-    /// keeps firing. (Where a leaf's allocation comes from is invisible to
-    /// the analysis output.)
+    /// between lanes, and so are the result nodes built over them. (Where a
+    /// leaf's allocation comes from is invisible to the analysis output.)
     pub(crate) fn ensure_shadow_in(
         &mut self,
         interner: &mut ExprInterner,
@@ -549,34 +552,37 @@ impl<R: Real> Herbgrind<R> {
         location_of(&self.state.locations, pc)
     }
 
-    /// The operation record slot for `pc`, created on first use — the
-    /// batched record layer borrows per-lane records through this when
-    /// folding a lane group's observations.
-    pub(crate) fn op_record_entry(&mut self, pc: usize, op: RealOp) -> &mut OpRecord {
-        self.state.op_record(pc, op).0
+    /// The local error of `op` on the current operand shadows (Figure 4),
+    /// with the exact result: [`local_error_ref`] over the populated slots
+    /// ([`Herbgrind::ensure_shadow`]).
+    pub(crate) fn local_error(&self, op: RealOp, args: &[Addr]) -> (f64, R) {
+        let first = shadow_at(&self.shadow_slots, self.shadow_gen, args[0])
+            .expect("operand shadow populated");
+        let mut exact_refs: [&R; MAX_ARITY] = [&first.real; MAX_ARITY];
+        for (slot, &addr) in exact_refs.iter_mut().zip(args) {
+            *slot = &shadow_at(&self.shadow_slots, self.shadow_gen, addr)
+                .expect("operand shadow populated")
+                .real;
+        }
+        local_error_ref(op, &exact_refs[..args.len()])
     }
 
-    /// The exact value and the trace of `addr`'s shadow together — one slot
-    /// probe for both, for the batched gather that feeds the vectorized
-    /// evaluation and the group trace construction from the same pass
-    /// (after [`Herbgrind::ensure_shadow_in`] has populated the operands).
-    pub(crate) fn shadow_parts(&self, addr: Addr) -> Option<(&R, &Arc<ConcreteExpr>)> {
-        shadow_at(&self.shadow_slots, self.shadow_gen, addr)
-            .map(|shadow| (&shadow.real, &shadow.expr))
+    /// The traces of the operands' current shadows, for the batched
+    /// analysis's result-node construction (see [`build_compute_trace`]).
+    pub(crate) fn operand_traces(&self, args: &[Addr]) -> [&Arc<ConcreteExpr>; MAX_ARITY] {
+        operand_traces(&self.shadow_slots, self.shadow_gen, args)
     }
 
-    /// The record-keeping tail of a compute observation, with the exact
-    /// evaluation already done: compensation detection, influence
-    /// propagation, trace construction, record update, and the destination
-    /// shadow write. `Tracer::on_compute` calls this after evaluating the
-    /// operation serially; the batched analysis calls it per lane after one
-    /// lane-vectorized evaluation ([`shadowreal::BatchReal`]), whose
-    /// bit-identity contract makes the two entry points indistinguishable.
+    /// The tail of a compute observation, with the exact evaluation and the
+    /// result trace already done: compensation detection (§5.3), influence
+    /// propagation, the destination-shadow write and the record update.
+    /// The serial `Tracer::on_compute` and the batched analysis's per-lane
+    /// step both end here; they differ only in which interner built `node`.
     ///
     /// Every operand must already have a shadow for the current run
     /// ([`Herbgrind::ensure_shadow`]), and `local_err`/`exact_result` must be
-    /// exactly what [`crate::localerr::local_error_ref`] computes on those
-    /// operand shadows.
+    /// exactly what [`Herbgrind::local_error`] computes on those operand
+    /// shadows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finish_compute(
         &mut self,
@@ -588,89 +594,9 @@ impl<R: Real> Herbgrind<R> {
         result: f64,
         local_err: f64,
         exact_result: R,
+        node: Arc<ConcreteExpr>,
     ) {
         shadow_ops_counter::<R>().incr();
-        // Build the result trace through the shard's own interner, then run
-        // the shadow tail and the record update. The batched analysis uses
-        // the same two tail steps but builds traces through its group-level
-        // interner ([`ExprInterner::node_group`]) and folds the record
-        // updates of a whole lane group through
-        // [`OpRecord::record_bounded_group`]; both orders of sub-steps are
-        // confined to per-lane state, so the decomposition cannot be
-        // observed in the report.
-        let node = {
-            let Herbgrind {
-                state,
-                shadow_slots,
-                shadow_gen,
-                interner,
-                ..
-            } = &mut *self;
-            build_compute_trace(
-                &state.config,
-                shadow_slots,
-                *shadow_gen,
-                interner,
-                &state.locations,
-                pc,
-                op,
-                args,
-                result,
-            )
-        };
-        let recorded = self.compute_shadow_tail(
-            pc,
-            op,
-            dest,
-            args,
-            arg_values,
-            result,
-            local_err,
-            exact_result,
-            Arc::clone(&node),
-        );
-        if let Some(erroneous) = recorded {
-            let (record, config) = self.state.op_record(pc, op);
-            record.record_bounded(
-                &node,
-                config.max_expression_depth,
-                local_err,
-                erroneous,
-                config,
-            );
-        }
-        // Trace-memory budget ([`AnalysisConfig::trace_node_budget`]): the
-        // per-run interner is the analysis's dominant growing allocation, so
-        // its node count is the budget's measure. The fault is delivered
-        // through the interpreter's per-step poll, aborting the run before
-        // the next statement. (The batched engine interns through its
-        // group-level table and performs the equivalent check there.)
-        let budget = self.state.config.trace_node_budget;
-        if budget != 0 && self.interner.len() >= budget && self.pending_fault.is_none() {
-            self.pending_fault = Some(MachineError::TraceBudgetExceeded { limit: budget });
-        }
-    }
-
-    /// The shadow-memory half of one compute observation, with the result
-    /// trace already built: influence propagation, compensation detection
-    /// (§5.3), and the destination-shadow write. Returns `Some(erroneous)`
-    /// when the operation's record should also observe the execution (the
-    /// operation was not a detected compensation), `None` otherwise; callers
-    /// route the record update through [`OpRecord::record_bounded`] (serial)
-    /// or [`OpRecord::record_bounded_group`] (batched lane groups).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn compute_shadow_tail(
-        &mut self,
-        pc: usize,
-        op: RealOp,
-        dest: Addr,
-        args: &[Addr],
-        arg_values: &[f64],
-        result: f64,
-        local_err: f64,
-        exact_result: R,
-        node: Arc<ConcreteExpr>,
-    ) -> Option<bool> {
         // Split field borrows: operand shadows stay borrowed from the slot
         // table while influences accumulate; only the destination is written.
         let Herbgrind {
@@ -679,12 +605,6 @@ impl<R: Real> Herbgrind<R> {
             shadow_gen,
             ..
         } = self;
-        let AnalysisState {
-            config,
-            compensations_detected,
-            ..
-        } = state;
-        let config: &AnalysisConfig = config;
         let gen = *shadow_gen;
         let n = args.len();
 
@@ -696,13 +616,13 @@ impl<R: Real> Herbgrind<R> {
             exact_refs[i] = &shadow.real;
             influences.union_with(&shadow.influences);
         }
-        let erroneous = local_err > config.local_error_threshold;
+        let erroneous = local_err > state.config.local_error_threshold;
 
         // Compensation detection (§5.3): the compensating term's influences
         // are not propagated, and the compensated operation is not itself
         // reported as a candidate root cause.
         let compensation = detect_compensation(
-            config,
+            &state.config,
             op,
             &exact_refs[..n],
             arg_values,
@@ -710,13 +630,23 @@ impl<R: Real> Herbgrind<R> {
             result,
         );
         if let Some(passthrough_index) = compensation {
-            *compensations_detected += 1;
+            state.compensations_detected += 1;
             influences.clear();
             let shadow = shadow_at(shadow_slots, gen, args[passthrough_index])
                 .expect("operand shadow populated");
             influences.union_with(&shadow.influences);
-        } else if erroneous {
-            influences.insert(pc);
+        } else {
+            if erroneous {
+                influences.insert(pc);
+            }
+            let (record, config) = state.op_record(pc, op);
+            record.record_bounded(
+                &node,
+                config.max_expression_depth,
+                local_err,
+                erroneous,
+                config,
+            );
         }
 
         // Update the destination shadow (the only slot written).
@@ -730,11 +660,6 @@ impl<R: Real> Herbgrind<R> {
                 influences,
             }),
         );
-        if compensation.is_none() {
-            Some(erroneous)
-        } else {
-            None
-        }
     }
 
     /// Merges the state of a later input shard into this one.
@@ -989,17 +914,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
 
         // Local error of this operation on exact inputs (Figure 4).
         #[allow(unused_mut)]
-        let (mut local_err, mut exact_result) = {
-            let first = shadow_at(&self.shadow_slots, self.shadow_gen, args[0])
-                .expect("operand shadow populated");
-            let mut exact_refs: [&R; MAX_ARITY] = [&first.real; MAX_ARITY];
-            for (slot, &addr) in exact_refs.iter_mut().zip(args) {
-                *slot = &shadow_at(&self.shadow_slots, self.shadow_gen, addr)
-                    .expect("operand shadow populated")
-                    .real;
-            }
-            local_error_ref(op, &exact_refs[..args.len()])
-        };
+        let (mut local_err, mut exact_result) = self.local_error(op, args);
         // NaN poisoning replaces the exact shadow result — modeling a shadow
         // op hitting a domain edge — and must not crash the analysis: the
         // poisoned shadow propagates through the fail-closed shadow kernels
@@ -1009,6 +924,24 @@ impl<R: Real> Tracer for Herbgrind<R> {
             exact_result = R::from_f64_prec(f64::NAN, self.state.config.shadow_precision);
             local_err = MAX_ERROR_BITS;
         }
+        let node = {
+            let Herbgrind {
+                state,
+                shadow_slots,
+                shadow_gen,
+                interner,
+                ..
+            } = &mut *self;
+            build_compute_trace(
+                &state.config,
+                interner,
+                location_of(&state.locations, pc),
+                pc,
+                op,
+                &operand_traces(shadow_slots, *shadow_gen, args)[..args.len()],
+                result,
+            )
+        };
         self.finish_compute(
             pc,
             op,
@@ -1018,7 +951,18 @@ impl<R: Real> Tracer for Herbgrind<R> {
             result,
             local_err,
             exact_result,
+            node,
         );
+        // Trace-memory budget ([`AnalysisConfig::trace_node_budget`]): the
+        // per-run interner is the analysis's dominant growing allocation, so
+        // its node count is the budget's measure. The fault is delivered
+        // through the interpreter's per-step poll, aborting the run before
+        // the next statement. (The batched engine interns through its
+        // group-level table and performs the equivalent check there.)
+        let budget = self.state.config.trace_node_budget;
+        if budget != 0 && self.interner.len() >= budget && self.pending_fault.is_none() {
+            self.pending_fault = Some(MachineError::TraceBudgetExceeded { limit: budget });
+        }
     }
 
     fn on_cast_to_int(&mut self, pc: usize, dest: Addr, src: Addr, value: f64, result: i64) {

@@ -6,34 +6,28 @@
 //! [`analyze_batched`] splits the input sweep into `W` contiguous chunks and
 //! assigns chunk `l` to lane `l` — the same contiguous-chunk sharding
 //! [`analyze_parallel`](crate::analysis::analyze_parallel) uses across
-//! threads, but across SIMD lanes of one [`BatchMachine`] pass. Each lane
-//! owns a full per-lane [`Herbgrind`] shard (its own shadow slot table,
-//! record slots, and trace interner, indexed by lane), and the
-//! [`BatchHerbgrind`] tracer fans every per-group callback out to the lanes
-//! of the group, so **each lane shard observes exactly the serial callback
-//! sequence for its inputs**. Folding the lane shards in lane order is then
-//! the same contiguous in-input-order merge the parallel engine performs —
-//! which is why the batched report is **bit-identical** to serial
-//! [`analyze`](crate::analysis::analyze) for every batch width, divergent
-//! control flow included (the engine replays each lane's serial statement
-//! sequence regardless of grouping).
+//! threads, but across SIMD lanes of one
+//! [`BatchMachine`](fpvm::batch::BatchMachine) pass. Each lane owns a full
+//! per-lane [`Herbgrind`] shard (its own shadow slot table and record slots,
+//! indexed by lane), and the [`BatchHerbgrind`] tracer fans every per-group
+//! callback out to the lanes of the group, so **each lane shard observes
+//! exactly the serial callback sequence for its inputs**. Folding the lane
+//! shards in lane order is then the same contiguous in-input-order merge the
+//! parallel engine performs — which is why the batched report is
+//! **bit-identical** to serial [`analyze`](crate::analysis::analyze) for
+//! every batch width, divergent control flow included (the engine replays
+//! each lane's serial statement sequence regardless of grouping).
 //!
-//! What the batch amortizes or vectorizes per op group: tape dispatch, the
-//! tracer callback, the client `f64` arithmetic, the **exact shadow
-//! evaluation** (one [`BatchReal::apply_lanes`] call per group — the
-//! vectorized [`shadowreal::dd_batch`] kernels for the `DoubleDouble`
-//! shadow), the float side of the local-error computation, and the
-//! **group-shared record layer**: operand gathering fused with lazy
-//! shadowing (one slot probe per operand per lane), trace nodes interned
-//! once per convergent group through a group-level
-//! [`ExprInterner::node_group`] (structural key hashed once, lanes split
-//! only on value mismatch, value-identical lanes sharing one node), and
-//! record updates folded through [`OpRecord::record_bounded_group`] /
-//! [`crate::inputs::InputCharacteristics::apply_assignments_group`] in
-//! lane order. The anti-unification and characteristics *state* stays
-//! per-lane (that is what makes the lane-order merge bit-identical);
-//! [`DdErrorProbe`] shows the engine's throughput with all record
-//! bookkeeping stripped to FpDebug-style per-statement error counters.
+//! A compute group runs the serial per-op steps lane by lane — exact result
+//! and local error, result trace, shadow tail and record update — so there
+//! is one record path for both engines. What the batch adds is lockstep
+//! execution (tape dispatch, the tracer callback and the client `f64`
+//! arithmetic once per group) and cross-lane trace sharing: one trace
+//! interner per pass instead of one per lane, and deep trace nodes (past the
+//! interning depth bound) built once per group for lanes that observed the
+//! same value over the same operand traces. [`DdErrorProbe`] shows the
+//! engine's throughput with all record bookkeeping stripped to
+//! FpDebug-style per-statement error counters.
 //!
 //! Threads compose with lanes: `config.threads` shards the sweep exactly as
 //! the parallel engine does, every shard runs the batched engine on the one
@@ -47,16 +41,17 @@
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind};
+use crate::analysis::{
+    balanced_chunks, build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind,
+};
 use crate::config::AnalysisConfig;
 use crate::quarantine::{batched_family, fail_fast};
-use crate::records::{GroupObservation, OpRecord};
 use crate::report::Report;
-use crate::trace::{ConcreteExpr, ExprInterner, LaneNode, TraceChildren};
+use crate::trace::{ConcreteExpr, ExprInterner};
 use fpcore::CmpOp;
 use fpvm::batch::{full_mask, lane_active, lane_indices, BatchMemory, BatchTracer, LaneMask};
 use fpvm::{Addr, Machine, MachineError, Program, Tracer, Value, MAX_ARITY, MAX_LANES};
-use shadowreal::{apply_f64_lanes, bits_error, BatchReal, BigFloat, DdLanes, RealOp};
+use shadowreal::{apply_f64_lanes, BigFloat, DdLanes, Real, RealOp};
 use std::sync::Arc;
 
 /// The lane widths the batched engine is compiled for. Requested widths
@@ -84,32 +79,29 @@ pub fn effective_batch_width(requested: usize) -> usize {
 /// analysis shard per lane, driven by per-group callbacks.
 ///
 /// Most events simply fan out to the owning lane's serial [`Tracer`]
-/// methods. Compute events run the whole group through the **group-shared
-/// record layer**: one lane-vectorized exact evaluation
-/// ([`BatchReal::apply_lanes`]), one group-level trace-interning call
-/// ([`ExprInterner::node_group`] — the structural key is hashed once per
-/// group and split per lane only on value mismatch, so lanes with identical
-/// observations share one trace node), and one group-level record fold
-/// ([`OpRecord::record_bounded_group`] /
-/// [`crate::inputs::InputCharacteristics::apply_assignments_group`]) in
-/// lane order. Constant loads intern one leaf per group. All sharing is
-/// structural-identity-preserving, so every lane shard still holds exactly
-/// the serial per-input state and the lane-order merge stays bit-identical
-/// to serial [`analyze`](crate::analysis::analyze).
+/// methods. A compute event runs the serial per-op steps for each active
+/// lane in lane order: [`crate::localerr::local_error_ref`] for the exact
+/// result and local error, the result node through the pass's shared
+/// interner ([`ExprInterner::node_ref`]), and the shadow tail with
+/// [`OpRecord::record_bounded`](crate::records::OpRecord::record_bounded).
+/// Lanes share trace allocations in two ways: leaves and shallow nodes come
+/// from the one group interner, and a deep node (too deep to intern) is
+/// reused from an earlier lane of the group with the same value bits and
+/// pointer-equal operand traces. Constant loads intern one leaf per group.
+/// Sharing is invisible to the analysis output, so every lane shard holds
+/// exactly the serial per-input state and the lane-order merge stays
+/// bit-identical to serial [`analyze`](crate::analysis::analyze).
 #[derive(Debug)]
-pub struct BatchHerbgrind<R: BatchReal, const W: usize> {
+pub struct BatchHerbgrind<R: Real, const W: usize> {
     lanes: Vec<Herbgrind<R>>,
     config: AnalysisConfig,
     /// The group-level trace interner: one hash-consing table shared by all
-    /// lane shards, so a convergent group's nodes are interned with one
-    /// structural hash and value-identical lanes share allocations (which in
-    /// turn keeps operand pointer sets identical across lanes, feeding the
-    /// next group's shared-structure fast path and the anti-unification
+    /// lane shards, so value-identical lanes share allocations (which in
+    /// turn keeps operand pointers identical across lanes, so the next
+    /// statement's nodes are shared too, and the anti-unification hits its
     /// pointer-identity short-circuits). Per-run state like shadow memory:
     /// cleared at the start of every batch pass.
     interner: ExprInterner,
-    /// Reusable per-group output buffer for [`ExprInterner::node_group`].
-    node_scratch: Vec<Option<Arc<ConcreteExpr>>>,
     /// Per-lane analysis-side faults (group trace-budget exhaustion,
     /// injected failures) awaiting delivery through the batch scheduler's
     /// per-group [`BatchTracer::lane_fault`] poll, which masks the lane out.
@@ -126,18 +118,17 @@ pub struct BatchHerbgrind<R: BatchReal, const W: usize> {
     prune: Option<Arc<staticerr::PruneMask>>,
 }
 
-impl<R: BatchReal, const W: usize> BatchHerbgrind<R, W> {
+impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
     /// One analysis shard per lane. The configuration is normalized
     /// ([`AnalysisConfig::normalize`]) like the serial analysis does, so the
-    /// group-level record layer and the lane shards agree on every clamped
-    /// parameter.
+    /// group-level trace construction and the lane shards agree on every
+    /// clamped parameter.
     pub fn new(config: &AnalysisConfig) -> Self {
         let config = config.normalize();
         BatchHerbgrind {
             lanes: (0..W).map(|_| Herbgrind::new(config.clone())).collect(),
             config,
             interner: ExprInterner::new(),
-            node_scratch: Vec::new(),
             lane_faults: std::array::from_fn(|_| None),
             #[cfg(feature = "fault-injection")]
             inject_lanes: [None; MAX_LANES],
@@ -192,7 +183,7 @@ impl<R: BatchReal, const W: usize> BatchHerbgrind<R, W> {
     }
 }
 
-impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
+impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
     fn on_start(&mut self, program: &Program, lane_inputs: &[Option<&[f64]>; W], mask: LaneMask) {
         // The group interner is per-pass state, like the serial shard
         // interners are per-run state: a pass is one run per lane.
@@ -247,8 +238,8 @@ impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
                             limit: self.config.trace_node_budget.max(1),
                         });
                     }
-                    // NaN poisoning targets the serial stages; lane groups
-                    // share exact evaluations, so it is a no-op here.
+                    // NaN poisoning is defined for the serial stages only
+                    // (`InjectKind::NanPoison`), so it is a no-op here.
                     Some(InjectKind::NanPoison) | Some(InjectKind::TierEscalation) | None => {}
                 }
             }
@@ -265,165 +256,86 @@ impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
             }
             return;
         }
-        crate::analysis::shadow_ops_counter::<R>().add(u64::from(mask.count_ones()));
-        let n = args.len();
         let BatchHerbgrind {
             lanes,
             config,
             interner,
-            node_scratch,
             lane_faults,
             ..
         } = self;
-        // One lane-vectorized exact evaluation for the whole group, with the
-        // lazy leaf-shadow creation (through the group interner, so lanes
-        // observing the same value share one leaf) fused into the operand
-        // gather that feeds both the exact kernel and the trace layer: each
-        // lane's slot is probed once per operand. The operand shadows stay
-        // borrowed in the lane slot tables while the kernel runs;
-        // `BatchReal`'s bit-identity contract guarantees each lane gets
-        // exactly the serial `apply_ref` result.
-        let max_depth = config.max_expression_depth;
-        let store_bound = max_depth.saturating_mul(4);
-        let intern_bound = crate::analysis::intern_depth_bound(config);
-        let mut exact_results: [Option<R>; W] = std::array::from_fn(|_| None);
-        let mut local_errs = [0.0f64; W];
-        // Placeholder for inactive child-ref slots: the cached process-wide
-        // zero leaf (no allocation), never read for lanes outside the mask.
-        let zero_leaf = ConcreteExpr::leaf(0.0);
-        {
-            let mut child_refs = [[&zero_leaf; MAX_ARITY]; W];
-            let mut gathered: [[Option<&R>; W]; MAX_ARITY] = [[None; W]; MAX_ARITY];
-            let mut location: Option<&Arc<fpvm::SourceLoc>> = None;
-            for (l, lane) in lanes.iter_mut().enumerate() {
-                if !lane_active(mask, l) {
-                    continue;
-                }
-                for (i, &addr) in args.iter().enumerate() {
-                    lane.ensure_shadow_in(interner, addr, arg_values[i][l]);
-                }
-                // Downgrade this lane's borrow and read the freshly ensured
-                // operands in the same pass.
-                let lane: &Herbgrind<R> = lane;
-                for (i, &addr) in args.iter().enumerate() {
-                    let (real, expr) = lane.shadow_parts(addr).expect("operand shadow");
-                    gathered[i][l] = Some(real);
-                    child_refs[l][i] = expr;
-                }
-                if location.is_none() {
-                    location = Some(lane.location(pc));
-                }
+        let n = args.len();
+        let intern_bound = intern_depth_bound(config);
+        // Per lane, the serial steps up to the result trace: lazy operand
+        // shadows (leaves through the group interner), exact result and local
+        // error, and the result node through the group interner. A deep node
+        // (past the interning bound, so never in the table) is taken from an
+        // earlier lane of the group with the same value bits and the same
+        // operand traces. The deep keys hold operand-trace addresses: this
+        // loop writes no lane's current-run shadows (lazy leaves fill only
+        // empty or stale slots), so every keyed trace stays alive until the
+        // shadow tails below.
+        let mut steps: [Option<(f64, R, Arc<ConcreteExpr>)>; W] = std::array::from_fn(|_| None);
+        let mut deep_keys: [Option<(u64, [usize; MAX_ARITY])>; W] = [None; W];
+        for l in lane_indices(mask) {
+            let lane = &mut lanes[l];
+            for (&addr, values) in args.iter().zip(arg_values) {
+                lane.ensure_shadow_in(interner, addr, values[l]);
             }
-            let location = location.expect("non-empty group");
-            R::apply_lanes(op, &gathered[..n], mask, &mut exact_results);
-
-            // Local error (Figure 4), with the float re-evaluation of the
-            // rounded exact operands done lane-vectorized.
-            let mut rounded = [[0.0f64; W]; MAX_ARITY];
-            for (rounded_lanes, arg) in rounded.iter_mut().zip(&gathered[..n]) {
-                for l in lane_indices(mask) {
-                    rounded_lanes[l] = arg[l].expect("operand shadow").to_f64();
+            let lane: &Herbgrind<R> = lane;
+            let (local_err, exact) = lane.local_error(op, args);
+            let children = lane.operand_traces(args);
+            let children = &children[..n];
+            let depth = 1 + children.iter().map(|c| c.depth()).max().unwrap_or(0);
+            let shared = if depth > intern_bound {
+                let mut ptrs = [0usize; MAX_ARITY];
+                for (ptr, child) in ptrs.iter_mut().zip(children) {
+                    *ptr = Arc::as_ptr(child) as usize;
                 }
-            }
-            let float_results = apply_f64_lanes(op, &rounded[..n]);
-            for l in lane_indices(mask) {
-                let exact = exact_results[l].as_ref().expect("lane result");
-                local_errs[l] = bits_error(float_results[l], exact.to_f64());
-            }
-
-            // Group-shared trace construction: intern the whole group's
-            // result nodes in one call — one structural hash for lanes whose
-            // operands are pointer-shared, one node per distinct
-            // observation. Deep traces take the serial paths (allocated
-            // directly past the interning depth bound, truncated past the 4D
-            // storage bound), deduplicated within the group so lanes with
-            // identical observations still share one node.
-            let mut deep_mask: LaneMask = 0;
-            let mut depths = [0usize; W];
-            let mut reqs: [Option<LaneNode>; W] = std::array::from_fn(|_| None);
-            for l in lane_indices(mask) {
-                let depth = 1 + child_refs[l][..n]
-                    .iter()
-                    .map(|c| c.depth())
-                    .max()
-                    .unwrap_or(0);
-                depths[l] = depth;
-                if depth <= intern_bound {
-                    reqs[l] = Some(LaneNode {
-                        value: results[l],
-                        children: &child_refs[l][..n],
-                    });
-                } else {
-                    deep_mask |= 1 << l;
+                deep_keys[l] = Some((results[l].to_bits(), ptrs));
+                let shared = deep_keys[..l].iter().position(|k| *k == deep_keys[l]);
+                match shared {
+                    Some(_) => telemetry::BATCH_GROUP_SHARED_NODES.incr(),
+                    None => telemetry::BATCH_GROUP_SPLIT_NODES.incr(),
                 }
-            }
-            interner.node_group(op, pc, location, &reqs, node_scratch);
-            for l in lane_indices(deep_mask) {
-                let shared = lane_indices(deep_mask).take_while(|&p| p < l).find(|&p| {
-                    results[p].to_bits() == results[l].to_bits()
-                        && child_refs[p][..n]
-                            .iter()
-                            .zip(&child_refs[l][..n])
-                            .all(|(a, b)| Arc::ptr_eq(a, b))
-                });
-                node_scratch[l] = match shared {
-                    Some(p) => node_scratch[p].clone(),
-                    None => {
-                        let node = ConcreteExpr::node(
-                            op,
-                            results[l],
-                            TraceChildren::from_refs(&child_refs[l][..n]),
-                            pc,
-                            location.clone(),
-                        );
-                        Some(if depths[l] <= store_bound {
-                            node
-                        } else {
-                            node.truncate_to_depth(max_depth)
-                        })
-                    }
-                };
-            }
+                shared
+            } else {
+                None
+            };
+            let node = match shared {
+                Some(p) => Arc::clone(&steps[p].as_ref().expect("earlier lane step").2),
+                None => build_compute_trace(
+                    config,
+                    interner,
+                    lane.location(pc),
+                    pc,
+                    op,
+                    children,
+                    results[l],
+                ),
+            };
+            steps[l] = Some((local_err, exact, node));
         }
 
-        // Per-lane shadow tails (influences, compensation, destination
-        // write), then one group-level record fold — both in lane order.
+        // Per lane, the serial tail: influences, compensation, destination
+        // write and record update.
         let mut lane_args = [0.0f64; MAX_ARITY];
-        let mut recorded: [Option<bool>; W] = [None; W];
         for l in lane_indices(mask) {
-            for (slot, lane_values) in lane_args.iter_mut().zip(arg_values) {
-                *slot = lane_values[l];
+            for (slot, values) in lane_args.iter_mut().zip(arg_values) {
+                *slot = values[l];
             }
-            let exact = exact_results[l].take().expect("lane result");
-            let node = Arc::clone(node_scratch[l].as_ref().expect("lane node"));
-            recorded[l] = lanes[l].compute_shadow_tail(
+            let (local_err, exact, node) = steps[l].take().expect("lane step");
+            lanes[l].finish_compute(
                 pc,
                 op,
                 dest,
                 args,
                 &lane_args[..n],
                 results[l],
-                local_errs[l],
+                local_err,
                 exact,
                 node,
             );
         }
-        OpRecord::record_bounded_group(
-            lanes.iter_mut().enumerate().filter_map(|(l, lane)| {
-                let erroneous = recorded[l]?;
-                let node = node_scratch[l].as_ref().expect("lane node");
-                Some((
-                    lane.op_record_entry(pc, op),
-                    GroupObservation {
-                        node,
-                        local_error: local_errs[l],
-                        erroneous,
-                    },
-                ))
-            }),
-            max_depth,
-            config,
-        );
 
         // Trace-memory budget on the group interner — the batched
         // counterpart of the serial per-run check. The table is shared by
@@ -530,7 +442,7 @@ impl<R: BatchReal, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
 /// `prune` is the tier-0 static prune mask — `None` everywhere except the
 /// tiered driver's in-region groups — and `inject` (fault-injection builds
 /// only) the stage the lanes are armed with, or `None` for unarmed sweeps.
-pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
+pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     index_base: usize,
@@ -600,7 +512,7 @@ pub(crate) fn batched_sweep_collect<R: BatchReal, const W: usize>(
 }
 
 /// [`batched_sweep_collect`] dispatched to the compiled batch width.
-pub(crate) fn dispatch_sweep_collect<R: BatchReal>(
+pub(crate) fn dispatch_sweep_collect<R: Real>(
     machine: &Machine<'_>,
     width: usize,
     inputs: &[Vec<f64>],
@@ -655,11 +567,10 @@ pub fn analyze_batched(
     analyze_batched_with_shadow::<BigFloat>(program, inputs, config)
 }
 
-/// Runs the batched analysis with an explicit shadow-real type. The
-/// `DoubleDouble` shadow evaluates through the lane-vectorized
-/// [`shadowreal::dd_batch`] kernels; `f64` through vectorized lane loops;
-/// [`BigFloat`] falls back to scalar kernels per lane while still amortizing
-/// decode and dispatch.
+/// Runs the batched analysis with an explicit shadow-real type. Every
+/// shadow type evaluates with its scalar kernels lane by lane, exactly as
+/// the serial analysis does; the batch amortizes decode and dispatch and
+/// shares trace nodes across lanes.
 ///
 /// The fail-fast view of the batched fault-isolating engine
 /// ([`analyze_batched_isolated`](crate::quarantine::analyze_batched_isolated)),
@@ -672,7 +583,7 @@ pub fn analyze_batched(
 ///
 /// Propagates [`MachineError`] from the underlying interpreter; when several
 /// inputs fail, the earliest failing input's error is returned.
-pub fn analyze_batched_with_shadow<R: BatchReal + Send>(
+pub fn analyze_batched_with_shadow<R: Real + Send>(
     program: &Program,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
@@ -1162,6 +1073,55 @@ mod tests {
             .with_batch_width(W);
         let serial = analyze(&p, &inputs, &config).unwrap();
         let batched = analyze_batched(&p, &inputs, &config).unwrap();
+        assert_eq!(format!("{serial:?}"), format!("{batched:?}"));
+    }
+
+    #[test]
+    fn lanes_with_one_trip_count_share_deep_trace_nodes() {
+        // Every lane counts 40 iterations, well past the interning depth
+        // bound, so the counter's deep nodes never enter the interner: only
+        // the cross-lane reuse makes the lanes' counter traces one
+        // allocation. Reports are the same without the reuse, so this is its
+        // only pin besides throughput.
+        const W: usize = 8;
+        let p = program("(FPCore (n) (while (< i n) ((i 0 (+ i 1)) (c 0 (+ c 1))) c))");
+        let inputs: Vec<Vec<f64>> = (0..W).map(|l| vec![39.5 + l as f64 / 32.0]).collect();
+        let config = AnalysisConfig::default()
+            .with_threads(1)
+            .with_batch_width(W);
+        let counter = p
+            .statements
+            .iter()
+            .find_map(|statement| match statement {
+                fpvm::Statement::Output { src } => Some(*src),
+                _ => None,
+            })
+            .unwrap();
+        let mut tracer = BatchHerbgrind::<BigFloat, W>::new(&config);
+        let lane_inputs: [Option<&[f64]>; W] = std::array::from_fn(|l| Some(inputs[l].as_slice()));
+        let outcome = Machine::new(&p).batched::<W>().run_batch(
+            &lane_inputs,
+            &mut tracer,
+            &mut BatchMemory::new(),
+        );
+        assert!(outcome.errors.iter().all(Option::is_none));
+        let traces: Vec<&Arc<ConcreteExpr>> = tracer
+            .lanes
+            .iter()
+            .map(|lane| lane.operand_traces(&[counter])[0])
+            .collect();
+        assert_eq!(traces[0].depth(), 40);
+        assert!(traces[0].depth() > intern_depth_bound(&config));
+        assert!(
+            traces.iter().all(|trace| Arc::ptr_eq(trace, traces[0])),
+            "every lane's counter trace must be the same node"
+        );
+
+        let capture = crate::SweepCapture::begin(crate::TelemetryMode::On);
+        let batched = analyze_batched(&p, &inputs, &config).unwrap();
+        let telemetry = capture.finish();
+        assert!(telemetry.counter("batch.group_shared_nodes") > 0);
+        let serial = analyze(&p, &inputs, &config).unwrap();
         assert_eq!(format!("{serial:?}"), format!("{batched:?}"));
     }
 

@@ -255,30 +255,6 @@ impl InputCharacteristics {
         true
     }
 
-    /// Group variant of [`InputCharacteristics::apply_assignments`]: folds a
-    /// convergent lane group's per-lane observations into the lanes'
-    /// summaries **in lane order**. Each lane's update is exactly the one
-    /// `apply_assignments` performs (the per-lane characteristics are merged
-    /// across lanes only at shard-merge time, which is what keeps batched
-    /// reports bit-identical to serial ones); the group entry point exists so
-    /// the batched record layer drives the whole group through one call —
-    /// and through the in-place fast path lane after lane.
-    pub fn apply_assignments_group<'a>(
-        lanes: impl Iterator<
-            Item = (
-                &'a mut InputCharacteristics,
-                &'a [VarAssignment],
-                bool,
-                bool,
-            ),
-        >,
-        kind: RangeKind,
-    ) {
-        for (characteristics, assignments, erroneous, had_prior_erroneous) in lanes {
-            characteristics.apply_assignments(assignments, kind, erroneous, had_prior_erroneous);
-        }
-    }
-
     /// Combines the characteristics of two input shards whose generalizers
     /// were just merged; `assignments` comes from
     /// [`crate::symbolic::Generalizer::merge`] and maps every variable of the
@@ -336,14 +312,6 @@ impl InputCharacteristics {
             }
         }
         out
-    }
-
-    /// Records an execution of an expression with no variables (all
-    /// constants so far); only counts are meaningful.
-    pub fn record_constant_execution(&mut self, erroneous: bool) {
-        // Nothing to record per-variable, but keep the problematic map in
-        // sync so reports can distinguish "never erroneous" from "no data".
-        let _ = erroneous;
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! * **Shadow reals** — every client double is shadowed by a high-precision
 //!   value ([`shadowreal::BigFloat`] by default), so rounding error is
-//!   observable ([`shadow`]).
+//!   observable ([`analysis`]).
 //! * **Spots and influences** — program outputs, float-controlled branches
 //!   and float→int conversions are *spots*; operations whose *local error*
 //!   exceeds a threshold are candidate root causes, and a taint analysis

@@ -50,7 +50,7 @@
 //!
 //! The batched engine needs one more mechanism: a lane group shares its
 //! expression interner, so a trace-budget fault is attributed to *all*
-//! active lanes of the group, and a panic in a lane-vectorized shadow op
+//! active lanes of the group, and a panic anywhere in a group callback
 //! cannot be attributed to any single lane. Fault candidates from a batched
 //! pass are therefore re-tried on a *serial probe ladder* — a fresh
 //! single-input serial run (then, for the tiered driver's certified tier, a
@@ -90,7 +90,7 @@ use crate::report::Report;
 use crate::tiered::{arm_tier0, certify_dispatch, input_in_region, Tier0, TierStats};
 use fpvm::{Machine, MachineError, Program};
 use shadowreal::cert::CertParams;
-use shadowreal::{BatchReal, BigFloat, DoubleDouble, Real};
+use shadowreal::{BigFloat, DoubleDouble, Real};
 
 #[cfg(feature = "fault-injection")]
 use crate::faultinject::InjectStage;
@@ -416,7 +416,7 @@ enum Mode {
 /// sort the guilty from the innocent. Every iteration with candidates
 /// resolves at least one input, bounding the loop; a fault-free chunk costs
 /// exactly one batched sweep.
-fn batched_engine<R: BatchReal>(
+fn batched_engine<R: Real>(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
@@ -752,7 +752,7 @@ pub(crate) fn serial_family<R: Real>(
 
 /// The batched family's sweep on the `R` shadow, threads composed with
 /// lanes.
-pub(crate) fn batched_family<R: BatchReal>(
+pub(crate) fn batched_family<R: Real>(
     program: &Program,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,

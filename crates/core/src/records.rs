@@ -4,22 +4,11 @@
 use crate::config::AnalysisConfig;
 use crate::errsum::ErrorBitsSum;
 use crate::inputs::InputCharacteristics;
-use crate::symbolic::{Generalizer, VarAssignment};
+use crate::symbolic::Generalizer;
 use crate::trace::ConcreteExpr;
 use fpvm::SourceLoc;
 use shadowreal::RealOp;
 use std::sync::Arc;
-
-/// One lane's observation of a statement executed by a convergent lane
-/// group, as consumed by [`OpRecord::record_bounded_group`].
-pub struct GroupObservation<'a> {
-    /// The (possibly group-shared) concrete trace of the lane's result.
-    pub node: &'a Arc<ConcreteExpr>,
-    /// The lane's local error for this execution, in bits.
-    pub local_error: f64,
-    /// Whether that local error exceeded the analysis threshold.
-    pub erroneous: bool,
-}
 
 /// How many influences an [`InfluenceSet`] holds inline before spilling to
 /// the heap. Most shadow values are influenced by zero or a handful of
@@ -31,7 +20,7 @@ const INLINE_INFLUENCES: usize = 8;
 /// influence a value — the "taint" of the influences analysis (§4.2).
 ///
 /// Stored as a sorted, deduplicated sequence with small-vector storage: up
-/// to [`INLINE_INFLUENCES`] entries live inline (no allocation — the common
+/// to `INLINE_INFLUENCES` entries live inline (no allocation — the common
 /// case on the per-op propagation path), larger sets spill to a heap
 /// vector. Iteration order is ascending, exactly the order the previous
 /// `BTreeSet` representation produced, so record merges and reports are
@@ -447,89 +436,6 @@ impl OpRecord {
         erroneous: bool,
         config: &AnalysisConfig,
     ) {
-        let mut truncation_cache = None;
-        self.record_bounded_cached(
-            concrete,
-            max_depth,
-            local_error,
-            erroneous,
-            config,
-            &mut truncation_cache,
-        );
-    }
-
-    /// Group variant of [`OpRecord::record_bounded`]: folds a convergent
-    /// lane group's observations of one statement into the lanes' records
-    /// **in lane order** — the order whose shard merge reproduces the serial
-    /// sweep bit for bit. Each lane's record receives exactly the update
-    /// `record_bounded` would apply; what the group call hoists is the work
-    /// the group-shared trace layer makes shareable: lanes that keep the
-    /// same shared node as their problematic example truncate it once, and
-    /// the input-characteristics updates are driven through one
-    /// [`InputCharacteristics::apply_assignments_group`] fold.
-    pub fn record_bounded_group<'a>(
-        observations: impl Iterator<Item = (&'a mut OpRecord, GroupObservation<'a>)>,
-        max_depth: usize,
-        config: &AnalysisConfig,
-    ) {
-        let mut truncation_cache: Option<(*const ConcreteExpr, Arc<ConcreteExpr>)> = None;
-        InputCharacteristics::apply_assignments_group(
-            observations.map(|(record, obs)| {
-                record.observe_counts_and_example(
-                    obs.node,
-                    max_depth,
-                    obs.local_error,
-                    obs.erroneous,
-                    &mut truncation_cache,
-                )
-            }),
-            config.range_kind,
-        );
-    }
-
-    /// [`OpRecord::record_bounded`] with a shared truncation cache (see
-    /// [`OpRecord::record_bounded_group`]).
-    fn record_bounded_cached(
-        &mut self,
-        concrete: &Arc<ConcreteExpr>,
-        max_depth: usize,
-        local_error: f64,
-        erroneous: bool,
-        config: &AnalysisConfig,
-        truncation_cache: &mut Option<(*const ConcreteExpr, Arc<ConcreteExpr>)>,
-    ) {
-        let (characteristics, assignments, erroneous, had_prior_erroneous) = self
-            .observe_counts_and_example(
-                concrete,
-                max_depth,
-                local_error,
-                erroneous,
-                truncation_cache,
-            );
-        characteristics.apply_assignments(
-            assignments,
-            config.range_kind,
-            erroneous,
-            had_prior_erroneous,
-        );
-    }
-
-    /// The counts/example/generalizer half of one observation, returning the
-    /// characteristics update it implies (so group callers can fold those
-    /// through [`InputCharacteristics::apply_assignments_group`]).
-    fn observe_counts_and_example<'r>(
-        &'r mut self,
-        concrete: &Arc<ConcreteExpr>,
-        max_depth: usize,
-        local_error: f64,
-        erroneous: bool,
-        truncation_cache: &mut Option<(*const ConcreteExpr, Arc<ConcreteExpr>)>,
-    ) -> (
-        &'r mut InputCharacteristics,
-        &'r [VarAssignment],
-        bool,
-        bool,
-    ) {
         let had_prior_erroneous = self.erroneous > 0;
         self.total += 1;
         self.total_local_error.add(local_error);
@@ -539,25 +445,18 @@ impl OpRecord {
         if erroneous {
             self.erroneous += 1;
             if self.example_problematic.is_none() {
-                let key = Arc::as_ptr(concrete);
-                let truncated = match truncation_cache {
-                    Some((cached_key, cached)) if *cached_key == key => Arc::clone(cached),
-                    _ => {
-                        let truncated = concrete.truncate_to_depth(max_depth);
-                        *truncation_cache = Some((key, Arc::clone(&truncated)));
-                        truncated
-                    }
-                };
-                self.example_problematic = Some(truncated);
+                self.example_problematic = Some(concrete.truncate_to_depth(max_depth));
             }
         }
-        let OpRecord {
-            generalizer,
-            characteristics,
-            ..
-        } = self;
-        let assignments = generalizer.observe_bounded_scratch(concrete, max_depth);
-        (characteristics, assignments, erroneous, had_prior_erroneous)
+        let assignments = self
+            .generalizer
+            .observe_bounded_scratch(concrete, max_depth);
+        self.characteristics.apply_assignments(
+            assignments,
+            config.range_kind,
+            erroneous,
+            had_prior_erroneous,
+        );
     }
 
     /// Merges the record of a later input shard into this one: counts, exact

@@ -120,9 +120,9 @@ enum CertFailKind {
 /// leaf creation ([`Herbgrind::ensure_shadow`](crate::analysis::Herbgrind)
 /// creates a leaf from the client double the first time an unshadowed
 /// location is read), the same copy sharing, the same clearing on integer
-/// stores — evaluated through the same vectorized [`shadowreal::dd_batch`]
-/// kernels the full `DoubleDouble` analysis uses, which are bit-identical
-/// per lane to the scalar shadow. The certificate layer rides on top:
+/// stores — evaluated through the vectorized [`shadowreal::dd_batch`]
+/// kernels, which are bit-identical per lane to the scalar kernels the full
+/// `DoubleDouble` analysis uses. The certificate layer rides on top:
 /// leaves are exact (`E = 0`), computes propagate bounds through
 /// [`cert::propagate`] and certify the result's rounding, and every
 /// comparison decision the full analysis would make is certified or the
@@ -239,8 +239,9 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
                 self.ensure(addr, l, arg_values[i][l]);
             }
         }
-        // One vectorized exact evaluation for the group — the same kernels
-        // (hence bit-identical lane values) as the full DoubleDouble tier.
+        // One vectorized exact evaluation for the group: `dd_batch` is
+        // pinned bit-identical, lane by lane, to the scalar kernels the full
+        // DoubleDouble tier runs.
         let mut operands = [DdLanes::zero(); MAX_ARITY];
         let mut operand_errs = [[0.0f64; W]; MAX_ARITY];
         for (i, &addr) in args.iter().enumerate() {

@@ -324,12 +324,8 @@ impl ConcreteExpr {
 /// [`MAX_ARITY`] ([`RealOp`] has no wider operation), so the key is a
 /// fixed-size, allocation-free value.
 ///
-/// The key carries its own precomputed hash, split into a *structural* part
-/// (operation, statement, children) finished with the value bits. The
-/// group-level entry point ([`ExprInterner::node_group`]) hashes the
-/// structural part once per convergent lane group and finishes it per lane,
-/// so a `W`-lane group pays one structural hash instead of `W`; the `Hash`
-/// impl then only has to feed the cached word to the table's hasher.
+/// The key carries its hash, computed once at construction, so the `Hash`
+/// impl only has to feed the cached word to the table's hasher.
 #[derive(Debug)]
 struct NodeKey {
     hash: u64,
@@ -347,72 +343,38 @@ fn mix(hash: u64, word: u64) -> u64 {
     (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
-/// The structural half of a node key's hash: everything except the observed
-/// value, which lane-variant probes mix in last via [`finish_hash`].
-#[inline]
-fn structural_hash(op: RealOp, pc: usize, children: &[usize; MAX_ARITY], arity: u8) -> u64 {
-    let mut hash = mix(0, op as u64);
-    hash = mix(hash, pc as u64);
-    hash = mix(hash, u64::from(arity));
-    for &child in children {
-        hash = mix(hash, child as u64);
-    }
-    hash
-}
-
-/// Finishes a structural hash with a lane's observed value.
-#[inline]
-fn finish_hash(structural: u64, value_bits: u64) -> u64 {
-    mix(structural, value_bits)
-}
-
-/// Copies child identities into the fixed-size key slot.
-#[inline]
-fn child_ptrs<'a>(
-    children: impl Iterator<Item = &'a Arc<ConcreteExpr>>,
-) -> ([usize; MAX_ARITY], u8) {
-    let mut ptrs = [0usize; MAX_ARITY];
-    let mut arity = 0u8;
-    for child in children {
-        assert!(
-            (arity as usize) < MAX_ARITY,
-            "RealOp arity exceeds key capacity"
-        );
-        ptrs[arity as usize] = Arc::as_ptr(child) as usize;
-        arity += 1;
-    }
-    (ptrs, arity)
-}
-
 impl NodeKey {
-    fn with_structural(
+    fn new<'a>(
         op: RealOp,
         value: f64,
         pc: usize,
-        children: [usize; MAX_ARITY],
-        arity: u8,
-        structural: u64,
+        children: impl Iterator<Item = &'a Arc<ConcreteExpr>>,
     ) -> NodeKey {
+        let mut ptrs = [0usize; MAX_ARITY];
+        let mut arity = 0u8;
+        for child in children {
+            assert!(
+                (arity as usize) < MAX_ARITY,
+                "RealOp arity exceeds key capacity"
+            );
+            ptrs[arity as usize] = Arc::as_ptr(child) as usize;
+            arity += 1;
+        }
+        let value_bits = value.to_bits();
+        let mut hash = mix(0, op as u64);
+        hash = mix(hash, pc as u64);
+        hash = mix(hash, u64::from(arity));
+        for &child in &ptrs {
+            hash = mix(hash, child as u64);
+        }
         NodeKey {
-            hash: finish_hash(structural, value.to_bits()),
+            hash: mix(hash, value_bits),
             op,
-            value_bits: value.to_bits(),
+            value_bits,
             pc,
             arity,
-            children,
+            children: ptrs,
         }
-    }
-
-    fn new(op: RealOp, value: f64, pc: usize, children: &[Arc<ConcreteExpr>]) -> NodeKey {
-        let (ptrs, arity) = child_ptrs(children.iter());
-        let structural = structural_hash(op, pc, &ptrs, arity);
-        NodeKey::with_structural(op, value, pc, ptrs, arity, structural)
-    }
-
-    fn from_refs(op: RealOp, value: f64, pc: usize, children: &[&Arc<ConcreteExpr>]) -> NodeKey {
-        let (ptrs, arity) = child_ptrs(children.iter().copied());
-        let structural = structural_hash(op, pc, &ptrs, arity);
-        NodeKey::with_structural(op, value, pc, ptrs, arity, structural)
     }
 }
 
@@ -438,16 +400,6 @@ impl Hash for NodeKey {
     }
 }
 
-/// One lane's request in a group interning call
-/// ([`ExprInterner::node_group`]): the value the lane observed and its
-/// operand traces.
-pub struct LaneNode<'a> {
-    /// The double value the lane computed at the statement.
-    pub value: f64,
-    /// The lane's operand traces, in operand order.
-    pub children: &'a [&'a Arc<ConcreteExpr>],
-}
-
 /// A hash-consing table for [`ConcreteExpr`] nodes.
 ///
 /// Tracing allocates one node per executed operation, and loops or repeated
@@ -459,17 +411,16 @@ pub struct LaneNode<'a> {
 ///
 /// Each serial analysis shard owns one interner (per-run state like shadow
 /// memory, cleared at the start of every run); the batched analysis owns
-/// one **group-level** interner shared by all its lane shards and driven
-/// through [`ExprInterner::node_group`], so lanes with identical
-/// observations share nodes. Interning affects only allocation sharing,
-/// never analysis output, so shard-merged reports stay bit-identical to
-/// serial ones regardless of which table a node came from; interners are
-/// simply dropped when shards merge.
+/// one **group-level** interner shared by all its lane shards, so lanes
+/// with identical observations share nodes. Interning affects only
+/// allocation sharing, never analysis output, so shard-merged reports stay
+/// bit-identical to serial ones regardless of which table a node came from;
+/// interners are simply dropped when shards merge.
 ///
 /// The table keeps every interned node alive until the run ends, so growth
 /// is bounded two ways: callers skip interning for nodes that cannot be
 /// shared (the analysis bypasses traces deeper than its tracking bound),
-/// and the table itself stops inserting past [`MAX_INTERNED`] entries —
+/// and the table itself stops inserting past `MAX_INTERNED` entries —
 /// lookups still succeed, later misses just allocate unshared nodes.
 #[derive(Debug, Default)]
 pub struct ExprInterner {
@@ -555,7 +506,7 @@ impl ExprInterner {
         pc: usize,
         loc: impl Into<Arc<SourceLoc>>,
     ) -> Arc<ConcreteExpr> {
-        let key = NodeKey::new(op, value, pc, &children);
+        let key = NodeKey::new(op, value, pc, children.iter());
         if let Some(existing) = self.nodes.get(&key) {
             telemetry::INTERNER_PROBE_HITS.incr();
             return Arc::clone(existing);
@@ -587,7 +538,7 @@ impl ExprInterner {
         pc: usize,
         loc: &Arc<SourceLoc>,
     ) -> Arc<ConcreteExpr> {
-        let key = NodeKey::from_refs(op, value, pc, children);
+        let key = NodeKey::new(op, value, pc, children.iter().copied());
         if let Some(existing) = self.nodes.get(&key) {
             telemetry::INTERNER_PROBE_HITS.incr();
             return Arc::clone(existing);
@@ -604,96 +555,6 @@ impl ExprInterner {
             self.nodes.insert(key, Arc::clone(&node));
         }
         node
-    }
-
-    /// The group-level interning entry point used by the batched analysis:
-    /// interns the result nodes of one statement executed by a convergent
-    /// lane group, producing one `Arc` per *distinct* observation instead of
-    /// one table walk per lane.
-    ///
-    /// `lanes[l]` is `Some` for every lane that needs a node (inactive and
-    /// cold-path lanes pass `None`); `out` is filled parallel to `lanes`.
-    /// The table is probed with hashes that are computed once per distinct
-    /// structure: lanes whose operand traces are pointer-identical share one
-    /// structural hash (the common convergent case, since their operands
-    /// were themselves built as shared group nodes) and split per lane only
-    /// when their observed values differ. Lanes with bit-identical values
-    /// *and* identical operands receive the same `Arc` — the group-shared
-    /// trace node. Sharing is invisible to the analysis output (nodes are
-    /// compared structurally everywhere), so reports stay bit-identical to
-    /// the serial interner; it only multiplies the pointer-identity fast
-    /// paths downstream.
-    pub fn node_group(
-        &mut self,
-        op: RealOp,
-        pc: usize,
-        loc: &Arc<SourceLoc>,
-        lanes: &[Option<LaneNode<'_>>],
-        out: &mut Vec<Option<Arc<ConcreteExpr>>>,
-    ) {
-        out.clear();
-        out.resize(lanes.len(), None);
-        // Distinct operand-pointer sets seen so far, with their structural
-        // hashes: a stack buffer scanned linearly (lane groups rarely hold
-        // more than a few distinct structures; overflow just recomputes).
-        let mut structures = [([0usize; MAX_ARITY], 0u8, 0u64); 8];
-        let mut structure_count = 0usize;
-        for (l, req) in lanes.iter().enumerate() {
-            let Some(req) = req else { continue };
-            let (ptrs, arity) = child_ptrs(req.children.iter().copied());
-            let value_bits = req.value.to_bits();
-            // Share within the group: an earlier lane with the same operands
-            // and the same value already produced this exact node.
-            if let Some(shared) = lanes[..l].iter().zip(out.iter()).find_map(|(prev, node)| {
-                let prev = prev.as_ref()?;
-                let node = node.as_ref()?;
-                (prev.value.to_bits() == value_bits
-                    && prev.children.len() == req.children.len()
-                    && prev
-                        .children
-                        .iter()
-                        .zip(req.children)
-                        .all(|(a, b)| Arc::ptr_eq(a, b)))
-                .then(|| Arc::clone(node))
-            }) {
-                telemetry::BATCH_GROUP_SHARED_NODES.incr();
-                out[l] = Some(shared);
-                continue;
-            }
-            telemetry::BATCH_GROUP_SPLIT_NODES.incr();
-            let structural = match structures[..structure_count]
-                .iter()
-                .find(|(p, a, _)| *a == arity && *p == ptrs)
-            {
-                Some((_, _, hash)) => *hash,
-                None => {
-                    let hash = structural_hash(op, pc, &ptrs, arity);
-                    if structure_count < structures.len() {
-                        structures[structure_count] = (ptrs, arity, hash);
-                        structure_count += 1;
-                    }
-                    hash
-                }
-            };
-            let key = NodeKey::with_structural(op, req.value, pc, ptrs, arity, structural);
-            if let Some(existing) = self.nodes.get(&key) {
-                telemetry::INTERNER_PROBE_HITS.incr();
-                out[l] = Some(Arc::clone(existing));
-                continue;
-            }
-            telemetry::INTERNER_PROBE_MISSES.incr();
-            let node = self.alloc_node(ConcreteExpr::node_value(
-                op,
-                req.value,
-                TraceChildren::from_refs(req.children),
-                pc,
-                Arc::clone(loc),
-            ));
-            if self.nodes.len() < MAX_INTERNED {
-                self.nodes.insert(key, Arc::clone(&node));
-            }
-            out[l] = Some(node);
-        }
     }
 
     /// Boxes a freshly built node, reusing a recycled allocation from the
@@ -716,8 +577,8 @@ impl ExprInterner {
     /// Node allocations whose only owner is the table are not returned to
     /// the system: their contents are replaced with an inert leaf — which
     /// releases child subtrees and locations immediately, exactly like
-    /// dropping — and the empty blocks are kept (up to [`POOL_CAP`]) for
-    /// [`ExprInterner::alloc_node`] to rewrite during the next run.
+    /// dropping — and the empty blocks are kept (up to `POOL_CAP`) for
+    /// the next run's nodes to be written into.
     pub fn clear(&mut self) {
         telemetry::INTERNER_PEAK_NODES.record((self.leaves.len() + self.nodes.len()) as u64);
         let ExprInterner {
@@ -999,94 +860,6 @@ mod tests {
         assert_eq!(interner.len(), 1);
         interner.clear();
         assert!(interner.is_empty());
-    }
-
-    #[test]
-    fn node_group_shares_lanes_with_identical_observations() {
-        let mut interner = ExprInterner::new();
-        let x = interner.leaf(7.0);
-        let y = interner.leaf(9.0);
-        let mut out = Vec::new();
-        // Lanes 0 and 2 observe the same (value, children); lane 1 differs in
-        // value, lane 3 differs in children, lane 4 is inactive.
-        let lanes = [
-            Some(LaneNode {
-                value: 49.0,
-                children: &[&x, &x],
-            }),
-            Some(LaneNode {
-                value: 50.0,
-                children: &[&x, &x],
-            }),
-            Some(LaneNode {
-                value: 49.0,
-                children: &[&x, &x],
-            }),
-            Some(LaneNode {
-                value: 49.0,
-                children: &[&x, &y],
-            }),
-            None,
-        ];
-        interner.node_group(
-            RealOp::Mul,
-            3,
-            &Arc::new(SourceLoc::default()),
-            &lanes,
-            &mut out,
-        );
-        let node = |l: usize| out[l].as_ref().unwrap();
-        assert!(Arc::ptr_eq(node(0), node(2)), "identical lanes share");
-        assert!(!Arc::ptr_eq(node(0), node(1)), "values split lanes");
-        assert!(!Arc::ptr_eq(node(0), node(3)), "children split lanes");
-        assert!(out[4].is_none(), "inactive lanes get no node");
-        assert_eq!(node(1).value(), 50.0);
-        // The group nodes are interned under the same identity the serial
-        // entry points use.
-        let serial = interner.node_ref(
-            RealOp::Mul,
-            49.0,
-            &[&x, &x],
-            3,
-            &Arc::new(SourceLoc::default()),
-        );
-        assert!(Arc::ptr_eq(node(0), &serial));
-        let serial = interner.node_ref(
-            RealOp::Mul,
-            49.0,
-            &[&x, &y],
-            3,
-            &Arc::new(SourceLoc::default()),
-        );
-        assert!(Arc::ptr_eq(node(3), &serial));
-    }
-
-    #[test]
-    fn node_group_reuses_nodes_across_calls() {
-        let mut interner = ExprInterner::new();
-        let x = interner.leaf(2.5);
-        let mut out = Vec::new();
-        let lanes = [Some(LaneNode {
-            value: 5.0,
-            children: &[&x],
-        })];
-        interner.node_group(
-            RealOp::Sqrt,
-            1,
-            &Arc::new(SourceLoc::default()),
-            &lanes,
-            &mut out,
-        );
-        let first = Arc::clone(out[0].as_ref().unwrap());
-        interner.node_group(
-            RealOp::Sqrt,
-            1,
-            &Arc::new(SourceLoc::default()),
-            &lanes,
-            &mut out,
-        );
-        assert!(Arc::ptr_eq(&first, out[0].as_ref().unwrap()));
-        assert_eq!(interner.len(), 2); // one leaf, one node
     }
 
     #[test]

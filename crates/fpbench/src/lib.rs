@@ -2,7 +2,7 @@
 //!
 //! This crate packages three things:
 //!
-//! * [`suite`] — an embedded corpus of FPCore benchmarks in the style of the
+//! * [`suite`](mod@suite) — an embedded corpus of FPCore benchmarks in the style of the
 //!   FPBench general-purpose suite used by the paper's evaluation (§8),
 //! * [`driver`] — helpers that compile a benchmark, sample inputs from its
 //!   precondition, and run it natively or under Herbgrind,

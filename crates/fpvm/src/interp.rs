@@ -252,7 +252,7 @@ pub(crate) fn decode(program: &Program) -> Vec<Inst> {
 /// The machine interpreter.
 ///
 /// Construction pre-decodes the program into an execution tape (see
-/// [`decode`]); running is then a dispatch loop over fixed-size instructions
+/// `decode`); running is then a dispatch loop over fixed-size instructions
 /// that performs no per-instruction heap allocation. The tape is held behind
 /// an [`Arc`](std::sync::Arc), so cloning a machine — one per analysis shard,
 /// or to seed a [`crate::batch::BatchMachine`] — shares the decoded tape

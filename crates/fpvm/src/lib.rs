@@ -12,13 +12,13 @@
 //!
 //! * [`program`] — the machine program representation,
 //! * [`compile`] — a compiler from FPCore benchmarks to machine programs,
-//! * [`interp`] — the interpreter, with a [`Tracer`](interp::Tracer) hook
+//! * [`interp`] — the interpreter, with a [`Tracer`] hook
 //!   through which the `herbgrind` crate (and the baseline tools) observe
 //!   every executed statement,
 //! * [`batch`] — the lane-parallel batched interpreter: one tape pass drives
 //!   a SIMD-width batch of inputs with struct-of-arrays lane memory, an
 //!   active-lane mask for branch divergence, and a
-//!   [`BatchTracer`](batch::BatchTracer) hook that observes whole lane
+//!   [`BatchTracer`] hook that observes whole lane
 //!   groups,
 //! * [`libm_lowering`] — expansion of math-library calls into sequences of
 //!   primitive instructions, used to reproduce the library-wrapping ablation

@@ -19,7 +19,6 @@
 //! accurate than required to measure error in double-precision clients.
 
 mod functions;
-pub(crate) mod lanes;
 mod limbs;
 mod newton;
 

@@ -1,7 +1,8 @@
 //! Lane-vectorized [`DoubleDouble`] arithmetic.
 //!
-//! The batched execution engine evaluates a whole lane group's shadow
-//! operation in one call. [`DdLanes`] holds a group of double-doubles
+//! The analysis's two lane probes — the local-error probe and the tiered
+//! driver's certify pass — evaluate a whole lane group's shadow operation in
+//! one call. [`DdLanes`] holds a group of double-doubles
 //! struct-of-arrays (`hi` and `lo` lane arrays), and the kernels here apply
 //! the error-free transformations elementwise over those arrays — plain
 //! contiguous loops of branch-free float arithmetic that the compiler
@@ -13,9 +14,9 @@
 //! root (non-finite quotients, negative radicands, zero) are reproduced by
 //! computing the branch-free main path for all lanes and then patching the
 //! special lanes with the scalar path's exact results. The agreement tests
-//! below pin this down over the full operation set, and the analysis-level
-//! equivalence suite relies on it: a batched sweep with the `DoubleDouble`
-//! shadow must produce the same report as the serial one.
+//! below pin this down over the full operation set, and the analysis relies
+//! on it: a probe's lane values must be exactly the ones the full
+//! `DoubleDouble` analysis computes with the scalar kernels.
 
 // The kernels below intentionally index several lane arrays with one loop
 // variable: each iteration is one lane of a lockstep SIMD operation, and the

@@ -52,4 +52,4 @@ pub use bigfloat::BigFloat;
 pub use bits::{bits_error, ordinal, ulps_between, MAX_ERROR_BITS};
 pub use dd::DoubleDouble;
 pub use dd_batch::DdLanes;
-pub use real::{apply_f64_lanes, BatchReal, Real, RealOp, MAX_ARITY};
+pub use real::{apply_f64_lanes, Real, RealOp, MAX_ARITY};

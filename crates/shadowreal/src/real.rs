@@ -217,47 +217,6 @@ pub trait Real: Clone + Debug + Sized {
     }
 }
 
-/// A shadow representation that can evaluate an operation over a whole lane
-/// group in one call — the hook through which the batched analysis reaches
-/// the vectorized kernels.
-///
-/// `args` holds one `[Option<&Self>; W]` lane array per operand; lanes
-/// outside `mask` may be `None` and are left untouched in `out`. The
-/// contract every implementation must honor is **bit-identity with the
-/// scalar path**: for each active lane, the result must be exactly what
-/// [`Real::apply_ref`] would produce on that lane's operands. The default
-/// implementation simply loops the scalar kernel; `f64` and
-/// [`DoubleDouble`] override it with contiguous lane loops
-/// ([`crate::dd_batch`]) that the compiler auto-vectorizes.
-pub trait BatchReal: Real {
-    /// Evaluates `op` for every lane set in `mask`, writing results into
-    /// `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `args.len() != op.arity()`, or if an active lane is missing
-    /// an operand.
-    fn apply_lanes<const W: usize>(
-        op: RealOp,
-        args: &[[Option<&Self>; W]],
-        mask: u32,
-        out: &mut [Option<Self>; W],
-    ) {
-        assert_eq!(args.len(), op.arity(), "arity mismatch for {op}");
-        for l in 0..W {
-            if (mask >> l) & 1 == 0 {
-                continue;
-            }
-            let mut refs: [&Self; MAX_ARITY] =
-                [args[0][l].expect("active lane operand"); MAX_ARITY];
-            for (slot, lanes) in refs.iter_mut().zip(args) {
-                *slot = lanes[l].expect("active lane operand");
-            }
-            out[l] = Some(Self::apply_ref(op, &refs[..args.len()]));
-        }
-    }
-}
-
 impl Real for f64 {
     fn from_f64(x: f64) -> Self {
         x
@@ -289,8 +248,9 @@ impl Real for f64 {
 }
 
 /// Evaluates an operation elementwise over `[f64; W]` lane arrays — the
-/// lane-parallel form of [`apply_f64`], used both by the batched machine
-/// interpreter (client semantics) and by the `f64` trivial shadow. The
+/// lane-parallel form of `apply_f64`, used both by the batched machine
+/// interpreter (client semantics) and by the analysis's lane-vectorized
+/// local-error probe (the float side of local error). The
 /// hardware operations are specialized to contiguous lane loops that the
 /// compiler auto-vectorizes; library calls fall back to a per-lane scalar
 /// loop. Every lane is computed; per lane the result is bit-identical to
@@ -405,71 +365,6 @@ pub(crate) fn apply_f64(op: RealOp, args: &[f64]) -> f64 {
     }
 }
 
-impl BatchReal for f64 {
-    fn apply_lanes<const W: usize>(
-        op: RealOp,
-        args: &[[Option<&Self>; W]],
-        mask: u32,
-        out: &mut [Option<Self>; W],
-    ) {
-        assert_eq!(args.len(), op.arity(), "arity mismatch for {op}");
-        let mut gathered = [[0.0f64; W]; MAX_ARITY];
-        for (lanes, arg) in gathered.iter_mut().zip(args) {
-            for (lane, operand) in lanes.iter_mut().zip(arg) {
-                if let Some(&v) = operand {
-                    *lane = v;
-                }
-            }
-        }
-        let results = apply_f64_lanes(op, &gathered[..args.len()]);
-        for (l, (slot, result)) in out.iter_mut().zip(results).enumerate() {
-            if (mask >> l) & 1 == 1 {
-                *slot = Some(result);
-            }
-        }
-    }
-}
-
-/// `BigFloat` lane groups run the unrolled 256-bit kernels back to back:
-/// conforming lanes (both operands finite at the default four-limb
-/// precision) are gathered contiguously and dispatched once per group
-/// instead of once per lane ([`crate::bigfloat::lanes`]); everything else
-/// — other precisions, non-finite operands, non-arithmetic operations —
-/// falls back to the scalar kernels, so every lane stays bit-identical to
-/// [`Real::apply_ref`].
-impl BatchReal for BigFloat {
-    fn apply_lanes<const W: usize>(
-        op: RealOp,
-        args: &[[Option<&Self>; W]],
-        mask: u32,
-        out: &mut [Option<Self>; W],
-    ) {
-        assert_eq!(args.len(), op.arity(), "arity mismatch for {op}");
-        let handled = match (op, args) {
-            (RealOp::Add, [a, b]) => crate::bigfloat::lanes::add_lanes(a, b, mask, out),
-            (RealOp::Sub, [a, b]) => crate::bigfloat::lanes::sub_lanes(a, b, mask, out),
-            (RealOp::Mul, [a, b]) => crate::bigfloat::lanes::mul_lanes(a, b, mask, out),
-            (RealOp::Div, [a, b]) => crate::bigfloat::lanes::div_lanes(a, b, mask, out),
-            _ => 0,
-        };
-        let rest = mask & !handled;
-        if rest == 0 {
-            return;
-        }
-        for l in 0..W {
-            if (rest >> l) & 1 == 0 {
-                continue;
-            }
-            let mut refs: [&Self; MAX_ARITY] =
-                [args[0][l].expect("active lane operand"); MAX_ARITY];
-            for (slot, lanes) in refs.iter_mut().zip(args) {
-                *slot = lanes[l].expect("active lane operand");
-            }
-            out[l] = Some(Self::apply_ref(op, &refs[..args.len()]));
-        }
-    }
-}
-
 impl Real for BigFloat {
     fn from_f64(x: f64) -> Self {
         BigFloat::from_f64(x)
@@ -542,32 +437,6 @@ impl Real for BigFloat {
             Trunc => args[0].trunc(),
             Round => args[0].round_nearest(),
             Copysign => args[0].copysign(args[1]),
-        }
-    }
-}
-
-impl BatchReal for DoubleDouble {
-    fn apply_lanes<const W: usize>(
-        op: RealOp,
-        args: &[[Option<&Self>; W]],
-        mask: u32,
-        out: &mut [Option<Self>; W],
-    ) {
-        assert_eq!(args.len(), op.arity(), "arity mismatch for {op}");
-        let mut gathered: [crate::dd_batch::DdLanes<W>; MAX_ARITY] =
-            [crate::dd_batch::DdLanes::zero(); MAX_ARITY];
-        for (lanes, arg) in gathered.iter_mut().zip(args) {
-            for (l, operand) in arg.iter().enumerate() {
-                if let Some(&v) = operand {
-                    lanes.set(l, v);
-                }
-            }
-        }
-        let results = crate::dd_batch::apply(op, &gathered[..args.len()]);
-        for (l, slot) in out.iter_mut().enumerate() {
-            if (mask >> l) & 1 == 1 {
-                *slot = Some(results.get(l));
-            }
         }
     }
 }

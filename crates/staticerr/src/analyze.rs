@@ -9,7 +9,7 @@
 //! edges refine the compared operands (with drift slack, so the refined
 //! box still contains both the client and the exact value on that path).
 //! Entry states at targets of back edges are widened after a few joins
-//! ([`WIDEN_AFTER`]), driving loops to a fixpoint along the domain's
+//! (`WIDEN_AFTER`), driving loops to a fixpoint along the domain's
 //! finite ladder.
 //!
 //! ## Certification

@@ -265,11 +265,11 @@ declare_counters! {
      "Lane-group splits at data-dependent branches in the batched interpreter."),
     (FPVM_BRANCH_RECONVERGE, "fpvm.branch_reconverge", false,
      "Lane-group merges when a parked group rejoined at the scheduler's current pc."),
-    // Batched analysis engine (group-interned traces).
+    // Batched analysis engine (cross-lane sharing of deep trace nodes).
     (BATCH_GROUP_SHARED_NODES, "batch.group_shared_nodes", false,
-     "Group-interned trace nodes satisfied by sharing an earlier lane's node."),
+     "Deep trace nodes (past the interning depth bound) a lane took from an earlier lane of its group."),
     (BATCH_GROUP_SPLIT_NODES, "batch.group_split_nodes", false,
-     "Group-interned trace nodes that required a per-lane probe or allocation."),
+     "Deep trace nodes (past the interning depth bound) a lane built itself."),
     // Shadow op counts attributed by Real::kind_name().
     (SHADOW_F64_OPS, "shadow.f64_ops", true,
      "Analyzed operations executed under the f64 reference shadow."),
