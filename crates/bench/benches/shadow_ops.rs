@@ -4,9 +4,10 @@
 //! per-operation cost of `shadowreal` *is* the analysis overhead (the
 //! paper's Table 1). This bench tracks that cost from PR 2 onward:
 //!
-//! * `BigFloat` add / mul / div / exp / sin at 64, 256 (default) and 1024
-//!   bits — the inline-limb representation covers the first two, the heap
-//!   fallback the last;
+//! * `BigFloat` add / mul / div and the elementary functions the
+//!   library-call workload uses (exp / sin / ln / pow / cbrt / tan) at 64,
+//!   256 (default) and 1024 bits — the inline-limb representation covers
+//!   the first two, the heap fallback the last;
 //! * `DoubleDouble` add / mul (the fast fixed-precision shadow);
 //! * a retained copy of the pre-PR `Vec<u64>`-mantissa kernels
 //!   ([`vec_baseline`]), measured in the same run, so the speedup of the
@@ -407,7 +408,8 @@ fn main() {
                 }
             }),
         });
-        // div/exp/sin are far slower; fewer repetitions keep the bench short.
+        // div and the elementary functions are far slower; fewer repetitions
+        // keep the bench short.
         let few: Vec<_> = pairs.iter().take(if smoke { 2 } else { 32 }).collect();
         let few_iters = few.len() as u64;
         rows.push(Row {
@@ -440,6 +442,29 @@ fn main() {
                 }
             }),
         });
+        // The rest of the library-call mix, on a ∈ [1/3, 4.5). pow raises a
+        // to 64·b ∈ [2.3, 2.6], so its exponential sees ordinary arguments
+        // (|y·ln a| up to ~4) rather than near-zero ones.
+        let sixty_four = BigFloat::from_f64_prec(64.0, 64);
+        type Kernel<'a> = &'a dyn Fn(&BigFloat, &BigFloat) -> BigFloat;
+        let kernels: [(&'static str, Kernel); 4] = [
+            ("ln", &|a, _| a.ln()),
+            ("pow", &|a, b| a.pow(&b.mul(&sixty_four))),
+            ("cbrt", &|a, _| a.cbrt()),
+            ("tan", &|a, _| a.tan()),
+        ];
+        for (op, kernel) in kernels {
+            rows.push(Row {
+                group: "bigfloat",
+                op,
+                bits,
+                ns_per_op: measure(few_iters, fn_reps, || {
+                    for (a, b) in &few {
+                        black_box(kernel(black_box(a), black_box(b)));
+                    }
+                }),
+            });
+        }
     }
 
     // --- DoubleDouble fast shadow ----------------------------------------

@@ -2,57 +2,90 @@
 //!
 //! Herbgrind wraps calls to the math library (`sin`, `exp`, ...) and
 //! evaluates them directly on the shadow reals (§5.3 of the paper). This
-//! module provides those evaluations: argument reduction plus Taylor /
-//! atanh-style series, computed with 64 guard bits and faithfully rounded to
-//! the working precision. Constants (π, ln 2, √½) are computed on demand and
-//! cached per precision.
+//! module provides those evaluations, faithfully rounded to the operand
+//! precision `p`.
+//!
+//! **One guard width per call.** Every public function picks one working
+//! precision `work = p + 64`, computes at it, and rounds once. The kernels
+//! other functions build on (`exp_at`, `expm1_at`, `ln_at`, `log1p_at`,
+//! `atan_at`) take `work` as a parameter and add no guard bits of their
+//! own, so `pow`, `cbrt`, `tanh` and friends never stack a second 64 bits
+//! on top of the first.
+//!
+//! **Reductions and series.**
+//! * `exp`: x = n·ln 2 + r, then r is halved `s` times until
+//!   |r/2^s| < 2^−K (K ≈ √work, so `s` is 0 when r is already tiny); the
+//!   Taylor series runs on r/2^s at `work + s` bits and the sum is
+//!   squared `s` times, each squaring doubling the relative error the `s`
+//!   extra bits absorbed.
+//! * `ln`: x = m·2^k with m ∈ [√½, √2), then ln m = ln c + 2·atanh(t)
+//!   around the nearest c = j/128, with t = (m − c)/(m + c) and
+//!   |t| ≤ 2^−8.4: about 20 series terms at 320 bits, against ~60 for
+//!   t = (m − 1)/(m + 1). j = 128 skips the table, which keeps full
+//!   relative accuracy near 1.
+//! * `cbrt`: Newton's iteration y ← y + (m/y² − y)/3 from the `f64` cube
+//!   root, doubling the precision at each step.
+//! * `tan`: one sine series, with cos = √(1 − sin²) (well conditioned,
+//!   because the reduced argument keeps cos ≥ 0.707).
+//! * `sin`, `cos`, `atan`: Taylor / Gregory series after argument
+//!   reduction (Payne–Hanek for large trig arguments, four halvings for
+//!   atan).
+//!
+//! The series terms run at staged precision (see [`SeriesArg`]).
+//!
+//! **Constants.** π, ln 2, ln 10, 2/π and the ln(j/128) table are computed
+//! on first use and cached per precision in one shared table
+//! ([`cached`]). Every entry is a deterministic function of its key, so
+//! cache state never changes a result.
 //!
 //! Allocation audit (this module is part of the shadow hot path): with the
-//! inline-limb mantissa representation, every temporary at or below 256 bits
-//! — including the per-iteration `from_i64` series coefficients — lives on
-//! the stack. The series accumulators (`term`, `power`, `sum`) are moved,
-//! not cloned, across iterations, so the only heap traffic in a series
-//! evaluation is the mantissas wider than four limbs created at the
-//! `work = prec + 64` guard precision.
+//! inline-limb mantissa representation, every temporary at or below 384
+//! bits (six limbs) — including the per-iteration series coefficients —
+//! lives on the stack. A 256-bit shadow's working precisions (320 bits,
+//! and 384 bits for the halved exp series) stay inside that capacity, so
+//! once the constant caches are warm the kernels do not allocate (the
+//! Payne–Hanek window for huge trig arguments aside).
 
 use super::{fast_paths_enabled, BigFloat, Finite, Repr, MAX_PRECISION, MIN_PRECISION};
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
-// The constant caches recover from lock poisoning instead of propagating
-// it: entries are idempotent inserts of deterministic values, so a cache
-// abandoned mid-update by a panicking run is still valid, and one
-// quarantined input must not poison the shadow arithmetic for the rest of
-// a fault-isolated sweep.
-fn pi_cache() -> &'static Mutex<HashMap<u32, BigFloat>> {
-    static CACHE: OnceLock<Mutex<HashMap<u32, BigFloat>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// A constant in the shared per-precision cache.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Constant {
+    Pi,
+    Ln2,
+    Ln10,
+    TwoOverPi,
+    /// ln(j/128), the logarithm's reduction table.
+    LnTable(u8),
 }
 
-fn ln2_cache() -> &'static Mutex<HashMap<u32, BigFloat>> {
-    static CACHE: OnceLock<Mutex<HashMap<u32, BigFloat>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// √½ at the given precision, cached: `ln` needs it for range reduction on
-/// every call, and recomputing it runs a full Newton square root each time.
-fn sqrt_half(prec: u32) -> BigFloat {
-    static CACHE: OnceLock<Mutex<HashMap<u32, BigFloat>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
+/// `key` at `prec` bits, computed by `compute` on first use and cached.
+///
+/// The cache recovers from lock poisoning instead of propagating it:
+/// entries are idempotent inserts of deterministic values, so a cache
+/// abandoned mid-update by a panicking run is still valid, and one
+/// quarantined input must not poison the shadow arithmetic for the rest of
+/// a fault-isolated sweep. The lock is not held while `compute` runs,
+/// because one constant may be computed from another.
+fn cached(key: Constant, prec: u32, compute: impl FnOnce() -> BigFloat) -> BigFloat {
+    static CACHE: OnceLock<Mutex<HashMap<(Constant, u32), BigFloat>>> = OnceLock::new();
+    let cache = CACHE.get_or_init(Default::default);
     if let Some(v) = cache
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&prec)
+        .unwrap_or_else(PoisonError::into_inner)
+        .get(&(key, prec))
     {
         telemetry::BIGFLOAT_CONST_CACHE_HITS.incr();
         return v.clone();
     }
     telemetry::BIGFLOAT_CONST_CACHE_MISSES.incr();
-    let v = BigFloat::from_f64_prec(0.5, prec).sqrt();
+    let v = compute();
     cache
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(prec, v.clone());
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert((key, prec), v.clone());
     v
 }
 
@@ -66,7 +99,7 @@ fn atan_recip_int(x: i64, prec: u32) -> BigFloat {
     let mut k: i64 = 1;
     loop {
         term = term.div(&xsq);
-        let contrib = term.div(&BigFloat::from_i64(2 * k + 1));
+        let contrib = term.div(&small_int(2 * k + 1));
         let next = if k % 2 == 1 {
             sum.sub(&contrib)
         } else {
@@ -80,31 +113,34 @@ fn atan_recip_int(x: i64, prec: u32) -> BigFloat {
     }
 }
 
-fn two_over_pi_cache() -> &'static Mutex<HashMap<u32, BigFloat>> {
-    static CACHE: OnceLock<Mutex<HashMap<u32, BigFloat>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// 2/π at the given precision, cached: the Payne–Hanek trig reduction
+/// 2/π at the given precision (cached): the Payne–Hanek trig reduction
 /// reads a bit window out of it for every large argument.
 fn two_over_pi(prec: u32) -> BigFloat {
-    if let Some(v) = two_over_pi_cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&prec)
-    {
-        telemetry::BIGFLOAT_CONST_CACHE_HITS.incr();
-        return v.clone();
-    }
-    telemetry::BIGFLOAT_CONST_CACHE_MISSES.incr();
-    let v = BigFloat::from_i64(2)
-        .with_precision(prec)
-        .div(&BigFloat::pi(prec));
-    two_over_pi_cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(prec, v.clone());
-    v
+    cached(Constant::TwoOverPi, prec, || {
+        BigFloat::from_i64(2)
+            .with_precision(prec)
+            .div(&BigFloat::pi(prec))
+    })
+}
+
+/// ln 10 at the given precision (cached), for `log10`.
+fn ln10(prec: u32) -> BigFloat {
+    cached(Constant::Ln10, prec, || {
+        let work = prec + 32;
+        BigFloat::from_i64(10).ln_at(work).with_precision(prec)
+    })
+}
+
+/// ln(j/128) at the given precision (cached), by the atanh series on
+/// t = (j − 128)/(j + 128), |t| ≤ 0.17 for the j the reduction produces.
+fn ln_table(j: i64, prec: u32) -> BigFloat {
+    cached(Constant::LnTable(j as u8), prec, || {
+        let work = prec + 32;
+        let t = small_int(j - 128)
+            .with_precision(work)
+            .div(&small_int(j + 128));
+        t.atanh_series(work).scale_exp(1).with_precision(prec)
+    })
 }
 
 /// Guard bits kept on top of a term's contributing window when its
@@ -121,8 +157,7 @@ const STAGE_GUARD: u32 = 96;
 /// still covers its contributing window plus [`STAGE_GUARD`] bits (the
 /// re-rounding of the argument is linear in the mantissa, noise next to the
 /// multiply it narrows). The staging is part of the fast-path surface: with
-/// `set_disable_fast_paths` every term runs at full width and the loops
-/// below replay the historical evaluation order bit for bit.
+/// `set_disable_fast_paths` every term runs at full width.
 struct SeriesArg<'a> {
     x: &'a BigFloat,
     work: u32,
@@ -189,67 +224,75 @@ fn converged(total: &BigFloat, delta: &BigFloat, work: u32) -> bool {
     }
 }
 
+/// The quadrant `n mod 4` (in 0..=3) of an integer-valued reduction
+/// multiple. Below 2^53, `n` converts to `f64` exactly, which skips the
+/// wide `fmod`.
+fn quadrant(n: &BigFloat) -> u8 {
+    let q = if n.exponent().is_none_or(|e| e <= 53) {
+        n.to_f64() as i64
+    } else {
+        n.fmod(&BigFloat::from_i64(4)).to_f64() as i64
+    };
+    q.rem_euclid(4) as u8
+}
+
+/// cbrt(m) at `p` bits, for m in [0.5, 4), by Newton's iteration
+/// y ← y + (m/y² − y)/3. Each step squares the relative error, so the step
+/// at `p` bits starts from a root good to about p/2 bits: the ladder halves
+/// down to the `f64` seed, which is good to ~51 bits.
+fn cbrt_newton(m: &BigFloat, p: u32) -> BigFloat {
+    let half = p / 2 + 4;
+    let y = if half <= 48 {
+        BigFloat::from_f64_prec(m.to_f64().cbrt(), MIN_PRECISION)
+    } else {
+        cbrt_newton(m, half)
+    }
+    .with_precision(p);
+    let residual = m.with_precision(p).div(&y.mul(&y)).sub(&y);
+    y.add(&residual.div(&small_int(3)))
+}
+
+/// A small exact integer at the narrowest precision, so it never widens
+/// the operation it takes part in.
+fn small_int(k: i64) -> BigFloat {
+    BigFloat::from_f64_prec(k as f64, MIN_PRECISION)
+}
+
 impl BigFloat {
     /// π at the given precision (cached).
     pub fn pi(prec: u32) -> BigFloat {
         let prec = prec.min(MAX_PRECISION);
-        if let Some(v) = pi_cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&prec)
-        {
-            telemetry::BIGFLOAT_CONST_CACHE_HITS.incr();
-            return v.clone();
-        }
-        telemetry::BIGFLOAT_CONST_CACHE_MISSES.incr();
-        // Machin's formula: π = 16·atan(1/5) − 4·atan(1/239).
-        let work = prec + 32;
-        let a = atan_recip_int(5, work).mul(&BigFloat::from_i64(16));
-        let b = atan_recip_int(239, work).mul(&BigFloat::from_i64(4));
-        let pi = a.sub(&b).with_precision(prec);
-        pi_cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(prec, pi.clone());
-        pi
+        cached(Constant::Pi, prec, || {
+            // Machin's formula: π = 16·atan(1/5) − 4·atan(1/239).
+            let work = prec + 32;
+            let a = atan_recip_int(5, work).scale_exp(4);
+            let b = atan_recip_int(239, work).scale_exp(2);
+            a.sub(&b).with_precision(prec)
+        })
     }
 
     /// ln 2 at the given precision (cached).
     pub fn ln2(prec: u32) -> BigFloat {
         let prec = prec.min(MAX_PRECISION);
-        if let Some(v) = ln2_cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&prec)
-        {
-            telemetry::BIGFLOAT_CONST_CACHE_HITS.incr();
-            return v.clone();
-        }
-        telemetry::BIGFLOAT_CONST_CACHE_MISSES.incr();
-        // ln 2 = 2·atanh(1/3) = 2·(1/3 + (1/3)³/3 + (1/3)⁵/5 + ...)
-        let work = prec + 32;
-        let third = BigFloat::one()
-            .with_precision(work)
-            .div(&BigFloat::from_i64(3));
-        let t2 = third.mul(&third);
-        let mut power = third.clone();
-        let mut sum = third.clone();
-        let mut k: i64 = 1;
-        loop {
-            power = power.mul(&t2);
-            let contrib = power.div(&BigFloat::from_i64(2 * k + 1));
-            let next = sum.add(&contrib);
-            if converged(&next, &contrib, work) {
-                let result = next.mul(&BigFloat::from_i64(2)).with_precision(prec);
-                ln2_cache()
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .insert(prec, result.clone());
-                return result;
+        cached(Constant::Ln2, prec, || {
+            // ln 2 = 2·atanh(1/3) = 2·(1/3 + (1/3)³/3 + (1/3)⁵/5 + ...)
+            let work = prec + 32;
+            let third = BigFloat::one().with_precision(work).div(&small_int(3));
+            let t2 = third.mul(&third);
+            let mut power = third.clone();
+            let mut sum = third.clone();
+            let mut k: i64 = 1;
+            loop {
+                power = power.mul(&t2);
+                let contrib = power.div(&small_int(2 * k + 1));
+                let next = sum.add(&contrib);
+                if converged(&next, &contrib, work) {
+                    return next.scale_exp(1).with_precision(prec);
+                }
+                sum = next;
+                k += 1;
             }
-            sum = next;
-            k += 1;
-        }
+        })
     }
 
     /// Euler's number e at the given precision.
@@ -274,160 +317,189 @@ impl BigFloat {
         }
     }
 
-    /// The exponential function e^x.
-    pub fn exp(&self) -> BigFloat {
-        let prec = self.precision();
+    /// e^self at `work` bits, adding no guard bits of its own.
+    fn exp_at(&self, work: u32) -> BigFloat {
         match &self.repr {
-            Repr::Nan { .. } => BigFloat::nan_at(prec),
-            Repr::Zero { .. } => BigFloat::one().with_precision(prec),
-            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, prec),
-            Repr::Inf { neg: true, .. } => BigFloat::zero_at(false, prec),
+            Repr::Nan { .. } => BigFloat::nan_at(work),
+            Repr::Zero { .. } => BigFloat::one().with_precision(work),
+            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, work),
+            Repr::Inf { neg: true, .. } => BigFloat::zero_at(false, work),
             Repr::Finite(f) => {
                 // Guard against astronomically large arguments whose result
                 // exponent would not fit in an i64.
                 if f.exp > 62 {
                     return if f.neg {
-                        BigFloat::zero_at(false, prec)
+                        BigFloat::zero_at(false, work)
                     } else {
-                        BigFloat::inf_at(false, prec)
+                        BigFloat::inf_at(false, work)
                     };
                 }
-                let work = self.work_prec();
                 let ln2 = BigFloat::ln2(work);
                 let x = self.with_precision(work);
                 let n = x.div(&ln2).round_nearest().to_f64() as i64;
                 let nb = BigFloat::from_i64(n).with_precision(work);
                 let r = x.sub(&nb.mul(&ln2));
-                // Taylor series for exp(r), |r| ≲ ln2/2, with staged
-                // working precision as the terms shrink.
-                let args = SeriesArg::new(&r, work);
-                let mut term = BigFloat::one().with_precision(work);
+                // exp(r) = exp(r/2^s)^(2^s), with s just large enough that
+                // |r/2^s| < 2^−⌊√work⌋, which balances series terms against
+                // squarings (s = 0 when r is already that small). The s
+                // squarings multiply the series' relative error by 2^s,
+                // which s extra bits (rounded up to whole limbs) absorb.
+                let s = r
+                    .exponent()
+                    .map_or(0, |e| (e + work.isqrt() as i64).max(0) as u32);
+                let ws = (work + s).next_multiple_of(64).min(MAX_PRECISION);
+                let r = r.with_precision(ws).scale_exp(-(s as i64));
+                // Taylor series with staged working precision as the terms
+                // shrink.
+                let args = SeriesArg::new(&r, ws);
+                let mut term = BigFloat::one().with_precision(ws);
                 let mut sum = term.clone();
                 let mut k: i64 = 1;
                 loop {
                     let below = bits_below(&sum, &term);
                     let (t, rs) = args.stage(term, below);
                     term = t.mul(&rs).div(&args.int(k));
-                    let next = sum.add(&term);
-                    if converged(&next, &term, work) {
-                        return next.scale_exp(n).with_precision(prec);
+                    sum = sum.add(&term);
+                    if converged(&sum, &term, ws) {
+                        break;
                     }
-                    sum = next;
                     k += 1;
                 }
+                for _ in 0..s {
+                    sum = sum.mul(&sum);
+                }
+                sum.scale_exp(n).with_precision(work)
+            }
+        }
+    }
+
+    /// The exponential function e^x.
+    pub fn exp(&self) -> BigFloat {
+        self.exp_at(self.work_prec())
+            .with_precision(self.precision())
+    }
+
+    /// ln(self) at `work` bits, adding no guard bits of its own.
+    fn ln_at(&self, work: u32) -> BigFloat {
+        match &self.repr {
+            Repr::Nan { .. } => BigFloat::nan_at(work),
+            Repr::Zero { .. } => BigFloat::inf_at(true, work),
+            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, work),
+            Repr::Inf { neg: true, .. } => BigFloat::nan_at(work),
+            Repr::Finite(f) if f.neg => BigFloat::nan_at(work),
+            Repr::Finite(f) => {
+                // Reduce to m·2^k with m in [√½, √2). The split only decides
+                // which side of the table m lands on, so an f64 comparison
+                // is exact enough.
+                let mut k = f.exp;
+                let mut m = self.with_precision(work).scale_exp(-f.exp);
+                if m.to_f64() < std::f64::consts::FRAC_1_SQRT_2 {
+                    m = m.scale_exp(1);
+                    k -= 1;
+                }
+                // ln m = ln c + 2·atanh(t), t = (m − c)/(m + c), around the
+                // nearest c = j/128: |t| ≤ 2^−8.4. m − c is exact.
+                let j = (m.to_f64() * 128.0).round() as i64;
+                let c = BigFloat::from_f64_prec(j as f64 / 128.0, work);
+                let t = m.sub(&c).div(&m.add(&c));
+                let mut ln_m = t.atanh_series(work).scale_exp(1);
+                if j != 128 {
+                    ln_m = ln_table(j, work).add(&ln_m);
+                }
+                if k == 0 {
+                    return ln_m;
+                }
+                let kb = BigFloat::from_i64(k).with_precision(work);
+                kb.mul(&BigFloat::ln2(work)).add(&ln_m)
             }
         }
     }
 
     /// The natural logarithm ln(x); NaN for negative input, −∞ at zero.
     pub fn ln(&self) -> BigFloat {
-        let prec = self.precision();
-        match &self.repr {
-            Repr::Nan { .. } => BigFloat::nan_at(prec),
-            Repr::Zero { .. } => BigFloat::inf_at(true, prec),
-            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, prec),
-            Repr::Inf { neg: true, .. } => BigFloat::nan_at(prec),
-            Repr::Finite(f) if f.neg => BigFloat::nan_at(prec),
-            Repr::Finite(f) => {
-                let work = self.work_prec();
-                // Reduce to m·2^k with m in [√½, √2).
-                let mut k = f.exp;
-                let mut m = self.with_precision(work).scale_exp(-f.exp);
-                let sqrt_half = sqrt_half(work);
-                if m.partial_cmp(&sqrt_half) == Some(std::cmp::Ordering::Less) {
-                    m = m.scale_exp(1);
-                    k -= 1;
-                }
-                // ln m = 2·atanh(t), t = (m−1)/(m+1), |t| ≤ 0.172.
-                let one = BigFloat::one().with_precision(work);
-                let t = m.sub(&one).div(&m.add(&one));
-                let ln_m = t.atanh_series(work).mul(&BigFloat::from_i64(2));
-                let kb = BigFloat::from_i64(k).with_precision(work);
-                kb.mul(&BigFloat::ln2(work)).add(&ln_m).with_precision(prec)
-            }
-        }
+        self.ln_at(self.work_prec())
+            .with_precision(self.precision())
     }
 
     /// Base-2 logarithm.
     pub fn log2(&self) -> BigFloat {
-        let prec = self.precision();
         let work = self.work_prec();
-        self.with_precision(work)
-            .ln()
+        self.ln_at(work)
             .div(&BigFloat::ln2(work))
-            .with_precision(prec)
+            .with_precision(self.precision())
     }
 
     /// Base-10 logarithm.
     pub fn log10(&self) -> BigFloat {
-        let prec = self.precision();
         let work = self.work_prec();
-        let ln10 = BigFloat::from_i64(10).with_precision(work).ln();
-        self.with_precision(work)
-            .ln()
-            .div(&ln10)
-            .with_precision(prec)
+        self.ln_at(work)
+            .div(&ln10(work))
+            .with_precision(self.precision())
     }
 
     /// 2^x.
     pub fn exp2(&self) -> BigFloat {
-        let prec = self.precision();
         let work = self.work_prec();
         self.with_precision(work)
             .mul(&BigFloat::ln2(work))
-            .exp()
-            .with_precision(prec)
+            .exp_at(work)
+            .with_precision(self.precision())
+    }
+
+    /// e^self − 1 at `work` bits, adding no guard bits of its own.
+    fn expm1_at(&self, work: u32) -> BigFloat {
+        match &self.repr {
+            Repr::Nan { .. } => BigFloat::nan_at(work),
+            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, work),
+            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, work),
+            Repr::Inf { neg: true, .. } => small_int(-1).with_precision(work),
+            Repr::Finite(f) if f.exp < -4 => {
+                // Direct Taylor series avoids cancellation: x + x²/2! + ...
+                let x = self.with_precision(work);
+                let mut term = x.clone();
+                let mut sum = x.clone();
+                let mut k: i64 = 2;
+                loop {
+                    term = term.mul(&x).div(&BigFloat::from_i64(k));
+                    let next = sum.add(&term);
+                    if converged(&next, &term, work) {
+                        return next;
+                    }
+                    sum = next;
+                    k += 1;
+                }
+            }
+            // |x| ≥ 2^−5: the subtraction cancels at most a few bits of
+            // the guard width.
+            Repr::Finite(_) => self.exp_at(work).sub(&small_int(1)),
+        }
     }
 
     /// e^x − 1, accurate for small x.
     pub fn expm1(&self) -> BigFloat {
-        let prec = self.precision();
+        self.expm1_at(self.work_prec())
+            .with_precision(self.precision())
+    }
+
+    /// ln(1 + self) at `work` bits, adding no guard bits of its own.
+    fn log1p_at(&self, work: u32) -> BigFloat {
         match &self.repr {
-            Repr::Nan { .. } => BigFloat::nan_at(prec),
-            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, prec),
-            Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, prec),
-            Repr::Inf { neg: true, .. } => BigFloat::from_i64(-1).with_precision(prec),
-            Repr::Finite(f) => {
-                if f.exp < -4 {
-                    // Direct Taylor series avoids cancellation: x + x²/2! + ...
-                    let work = self.work_prec();
-                    let x = self.with_precision(work);
-                    let mut term = x.clone();
-                    let mut sum = x.clone();
-                    let mut k: i64 = 2;
-                    loop {
-                        term = term.mul(&x).div(&BigFloat::from_i64(k));
-                        let next = sum.add(&term);
-                        if converged(&next, &term, work) {
-                            return next.with_precision(prec);
-                        }
-                        sum = next;
-                        k += 1;
-                    }
-                }
-                self.exp().sub(&BigFloat::one()).with_precision(prec)
+            Repr::Nan { .. } => BigFloat::nan_at(work),
+            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, work),
+            Repr::Finite(f) if f.exp < -4 => {
+                // ln(1+x) = 2·atanh(x / (2+x)).
+                let x = self.with_precision(work);
+                let t = x.div(&x.add(&small_int(2)));
+                t.atanh_series(work).scale_exp(1)
             }
+            _ => self.with_precision(work).add(&small_int(1)).ln_at(work),
         }
     }
 
     /// ln(1 + x), accurate for small x.
     pub fn log1p(&self) -> BigFloat {
-        let prec = self.precision();
-        let one = BigFloat::one().with_precision(prec);
-        match &self.repr {
-            Repr::Nan { .. } => BigFloat::nan_at(prec),
-            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, prec),
-            Repr::Finite(f) if f.exp < -4 => {
-                // ln(1+x) = 2·atanh(x / (2+x)).
-                let work = self.work_prec();
-                let x = self.with_precision(work);
-                let t = x.div(&x.add(&BigFloat::from_i64(2)));
-                t.atanh_series(work)
-                    .mul(&BigFloat::from_i64(2))
-                    .with_precision(prec)
-            }
-            _ => self.add(&one).ln().with_precision(prec),
-        }
+        self.log1p_at(self.work_prec())
+            .with_precision(self.precision())
     }
 
     /// atanh by direct series; requires |self| well below 1.
@@ -465,9 +537,7 @@ impl BigFloat {
         let x = self.with_precision(red_work);
         let n = x.div(&half_pi).round_nearest();
         let r = x.sub(&n.mul(&half_pi)).with_precision(work);
-        let q = n.fmod(&BigFloat::from_i64(4)).to_f64() as i64;
-        let q = ((q % 4) + 4) % 4;
-        (r, q as u8)
+        (r, quadrant(&n))
     }
 
     /// Payne–Hanek reduction for large arguments: instead of dividing by
@@ -516,11 +586,9 @@ impl BigFloat {
         let p = self.with_precision(window).mul(&m);
         let n = p.round_nearest();
         let frac = p.sub(&n).with_precision((work + 32).min(MAX_PRECISION));
-        let q = n.fmod(&BigFloat::from_i64(4)).to_f64() as i64;
-        let q = ((q % 4) + 4) % 4;
         let half_pi = BigFloat::pi((work + 32).min(MAX_PRECISION)).scale_exp(-1);
         let r = frac.mul(&half_pi).with_precision(work);
-        Some((r, q as u8))
+        Some((r, quadrant(&n)))
     }
 
     /// Taylor series for sine, valid for small arguments.
@@ -616,8 +684,10 @@ impl BigFloat {
             Repr::Finite(_) => {
                 let work = self.work_prec();
                 let (r, q) = self.trig_reduce(work);
+                // |r| ≤ π/4 keeps sin² ≤ ½, so 1 − sin² cancels at most one
+                // bit and its square root is the (positive) cosine.
                 let s = r.sin_series(work);
-                let c = r.cos_series(work);
+                let c = small_int(1).sub(&s.mul(&s)).sqrt();
                 let v = match q {
                     0 | 2 => s.div(&c),
                     _ => c.div(&s).neg(),
@@ -627,14 +697,13 @@ impl BigFloat {
         }
     }
 
-    /// Arctangent.
-    pub fn atan(&self) -> BigFloat {
-        let prec = self.precision();
+    /// atan(self) at `work` bits, adding no guard bits of its own.
+    fn atan_at(&self, work: u32) -> BigFloat {
         match &self.repr {
-            Repr::Nan { .. } => BigFloat::nan_at(prec),
-            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, prec),
+            Repr::Nan { .. } => BigFloat::nan_at(work),
+            Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, work),
             Repr::Inf { neg, .. } => {
-                let v = BigFloat::pi(prec).scale_exp(-1);
+                let v = BigFloat::pi(work).scale_exp(-1);
                 if *neg {
                     v.neg()
                 } else {
@@ -642,7 +711,6 @@ impl BigFloat {
                 }
             }
             Repr::Finite(f) => {
-                let work = self.work_prec();
                 let neg = f.neg;
                 let t = self.abs().with_precision(work);
                 let one = BigFloat::one().with_precision(work);
@@ -684,9 +752,15 @@ impl BigFloat {
                 if neg {
                     result = result.neg();
                 }
-                result.with_precision(prec)
+                result
             }
         }
+    }
+
+    /// Arctangent.
+    pub fn atan(&self) -> BigFloat {
+        self.atan_at(self.work_prec())
+            .with_precision(self.precision())
     }
 
     /// Two-argument arctangent atan2(self, x) where `self` is y.
@@ -696,7 +770,8 @@ impl BigFloat {
         if y.is_nan() || x.is_nan() {
             return BigFloat::nan_at(prec);
         }
-        let pi = BigFloat::pi(prec + 32);
+        let work = (prec + 64).min(MAX_PRECISION);
+        let pi = BigFloat::pi(work);
         let result = if x.is_zero() && y.is_zero() {
             // atan2(±0, +0) = ±0; atan2(±0, −0) = ±π.
             if x.is_negative() {
@@ -721,7 +796,7 @@ impl BigFloat {
                 _ => pi.scale_exp(-1),
             }
         } else {
-            let base = y.abs().div(&x.abs()).with_precision(prec + 32).atan();
+            let base = y.abs().with_precision(work).div(&x.abs()).atan_at(work);
             if x.is_negative() {
                 pi.sub(&base)
             } else {
@@ -757,29 +832,32 @@ impl BigFloat {
                 }
             }
             Some(std::cmp::Ordering::Less) => {
+                // asin x = atan(x/√((1 − |x|)(1 + |x|))); 1 − |x| is exact.
                 let work = self.work_prec();
-                let x = self.with_precision(work);
-                let denom = BigFloat::one().with_precision(work).sub(&x.mul(&x)).sqrt();
-                x.div(&denom).atan().with_precision(prec)
+                let a = a.with_precision(work);
+                let one = small_int(1);
+                let denom = one.sub(&a).mul(&one.add(&a)).sqrt();
+                self.with_precision(work)
+                    .div(&denom)
+                    .atan_at(work)
+                    .with_precision(prec)
             }
         }
     }
 
     /// Arccosine; NaN outside [−1, 1].
     pub fn acos(&self) -> BigFloat {
-        let prec = self.precision();
-        if self.is_nan() {
-            return BigFloat::nan_at(prec);
-        }
+        // acos x = 2·atan(√((1 − x)/(1 + x))): no cancellation near ±1,
+        // and NaN outside [−1, 1] through the square root.
         let work = self.work_prec();
-        let asin = self.with_precision(work).asin();
-        if asin.is_nan() {
-            return BigFloat::nan_at(prec);
-        }
-        BigFloat::pi(work)
-            .scale_exp(-1)
-            .sub(&asin)
-            .with_precision(prec)
+        let x = self.with_precision(work);
+        let one = small_int(1);
+        one.sub(&x)
+            .div(&one.add(&x))
+            .sqrt()
+            .atan_at(work)
+            .scale_exp(1)
+            .with_precision(self.precision())
     }
 
     /// Hyperbolic sine.
@@ -790,9 +868,9 @@ impl BigFloat {
             Repr::Zero { neg, .. } => BigFloat::zero_at(*neg, prec),
             Repr::Inf { neg, .. } => BigFloat::inf_at(*neg, prec),
             Repr::Finite(f) => {
+                let work = self.work_prec();
                 if f.exp < -8 {
                     // Avoid cancellation for small x: x + x³/3! + x⁵/5! + ...
-                    let work = self.work_prec();
                     let x = self.with_precision(work);
                     let x2 = x.mul(&x);
                     let mut term = x.clone();
@@ -808,9 +886,8 @@ impl BigFloat {
                         k += 1;
                     }
                 }
-                let work = self.work_prec();
-                let e = self.with_precision(work).exp();
-                let ei = BigFloat::one().with_precision(work).div(&e);
+                let e = self.exp_at(work);
+                let ei = small_int(1).div(&e);
                 e.sub(&ei).scale_exp(-1).with_precision(prec)
             }
         }
@@ -825,8 +902,8 @@ impl BigFloat {
             Repr::Inf { .. } => BigFloat::inf_at(false, prec),
             Repr::Finite(_) => {
                 let work = self.work_prec();
-                let e = self.with_precision(work).exp();
-                let ei = BigFloat::one().with_precision(work).div(&e);
+                let e = self.exp_at(work);
+                let ei = small_int(1).div(&e);
                 e.add(&ei).scale_exp(-1).with_precision(prec)
             }
         }
@@ -846,11 +923,15 @@ impl BigFloat {
                     one
                 }
             }
-            Repr::Finite(_) => {
+            Repr::Finite(f) => {
+                // tanh|x| = −m/(m + 2) with m = e^(−2|x|) − 1 ∈ (−1, 0]: one
+                // exponential, no overflow, and full relative accuracy for
+                // small |x| through expm1's series.
                 let work = self.work_prec();
-                let s = self.with_precision(work).sinh();
-                let c = self.with_precision(work).cosh();
-                s.div(&c).with_precision(prec)
+                let m = self.abs().scale_exp(1).neg().expm1_at(work);
+                let t = m.div(&m.add(&small_int(2))).neg();
+                let t = if f.neg { t.neg() } else { t };
+                t.with_precision(prec)
             }
         }
     }
@@ -861,11 +942,15 @@ impl BigFloat {
         if self.is_nan() || self.is_zero() || self.is_infinite() {
             return self.clone();
         }
+        // asinh|x| = log1p(|x| + x²/(1 + √(1 + x²))): no cancellation, and
+        // log1p keeps full relative accuracy for tiny |x|.
         let work = self.work_prec();
         let a = self.abs().with_precision(work);
+        let a2 = a.mul(&a);
+        let one = small_int(1);
         let r = a
-            .add(&a.mul(&a).add(&BigFloat::one()).sqrt())
-            .ln()
+            .add(&a2.div(&one.add(&one.add(&a2).sqrt())))
+            .log1p_at(work)
             .with_precision(prec);
         if self.is_negative() {
             r.neg()
@@ -886,10 +971,11 @@ impl BigFloat {
                 if self.is_infinite() {
                     return BigFloat::inf_at(false, prec);
                 }
+                // acosh x = log1p(t + √(t·(t + 2))) with t = x − 1 exact.
                 let work = self.work_prec();
-                let x = self.with_precision(work);
-                x.add(&x.mul(&x).sub(&BigFloat::one()).sqrt())
-                    .ln()
+                let t = self.with_precision(work).sub(&small_int(1));
+                t.add(&t.mul(&t.add(&small_int(2))).sqrt())
+                    .log1p_at(work)
                     .with_precision(prec)
             }
         }
@@ -907,11 +993,21 @@ impl BigFloat {
             Some(std::cmp::Ordering::Greater) | None => BigFloat::nan_at(prec),
             Some(std::cmp::Ordering::Equal) => BigFloat::inf_at(self.is_negative(), prec),
             Some(std::cmp::Ordering::Less) => {
+                // atanh|x| = ½·log1p(2|x|/(1 − |x|)); 1 − |x| is exact and
+                // the log1p argument is positive, so nothing cancels.
                 let work = self.work_prec();
-                let x = self.with_precision(work);
-                let num = BigFloat::one().add(&x);
-                let den = BigFloat::one().sub(&x);
-                num.div(&den).ln().scale_exp(-1).with_precision(prec)
+                let a = a.with_precision(work);
+                let r = a
+                    .scale_exp(1)
+                    .div(&small_int(1).sub(&a))
+                    .log1p_at(work)
+                    .scale_exp(-1)
+                    .with_precision(prec);
+                if self.is_negative() {
+                    r.neg()
+                } else {
+                    r
+                }
             }
         }
     }
@@ -961,28 +1057,25 @@ impl BigFloat {
             return if odd { mag.neg() } else { mag };
         }
         let work = (prec + 64).min(MAX_PRECISION);
-        let r = y
-            .with_precision(work)
-            .mul(&self.with_precision(work).ln())
-            .exp();
-        r.with_precision(prec)
+        y.with_precision(work)
+            .mul(&self.ln_at(work))
+            .exp_at(work)
+            .with_precision(prec)
     }
 
     /// Cube root, defined for negative inputs.
     pub fn cbrt(&self) -> BigFloat {
         let prec = self.precision();
-        if self.is_nan() || self.is_zero() || self.is_infinite() {
-            return self.clone();
-        }
+        let f = match &self.repr {
+            Repr::Finite(f) => f,
+            _ => return self.clone(),
+        };
         let work = self.work_prec();
-        let mag = self
-            .abs()
-            .with_precision(work)
-            .ln()
-            .div(&BigFloat::from_i64(3))
-            .exp()
-            .with_precision(prec);
-        if self.is_negative() {
+        // |x| = m·2^(3q) with m in [0.5, 4), so cbrt|x| = cbrt(m)·2^q.
+        let q = f.exp.div_euclid(3);
+        let m = self.abs().with_precision(work).scale_exp(-3 * q);
+        let mag = cbrt_newton(&m, work).scale_exp(q).with_precision(prec);
+        if f.neg {
             mag.neg()
         } else {
             mag
@@ -1258,6 +1351,36 @@ mod tests {
             BigFloat::from_f64(1.5).log1p().to_f64(),
             1.5f64.ln_1p()
         ));
+    }
+
+    #[test]
+    fn cancellation_prone_kernels_are_faithful() {
+        // Each argument makes a naive formula cancel at 256 bits: rounding
+        // e^x before subtracting 1 (8–16 ulps), rounding (1 + x)/(1 − x)
+        // before the logarithm (~2^30 ulps), and ln(x + √(x² + 1)) for tiny
+        // x (4–8 ulps).
+        for (name, x) in [
+            ("expm1", 2f64.powi(-5)),
+            ("atanh", 1e-30),
+            ("atanh", -1e-30),
+            ("asinh", 1e-20),
+        ] {
+            let eval = |prec: u32| {
+                let b = BigFloat::from_f64_prec(x, prec);
+                match name {
+                    "expm1" => b.expm1(),
+                    "atanh" => b.atanh(),
+                    _ => b.asinh(),
+                }
+            };
+            let got = eval(256);
+            let want = eval(1024).with_precision(256);
+            let ulp = BigFloat::from_f64_prec(1.0, 64).scale_exp(want.exponent().unwrap() - 256);
+            assert!(
+                got.sub(&want).abs().partial_cmp(&ulp) != Some(std::cmp::Ordering::Greater),
+                "{name}({x:e}) at 256 bits: {got:?} vs {want:?}"
+            );
+        }
     }
 
     #[test]

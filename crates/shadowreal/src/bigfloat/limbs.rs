@@ -11,10 +11,10 @@
 //! * [`Limbs`] (`N = 6`) holds stored mantissas — precisions up to 384 bits
 //!   never touch the allocator, covering the default 256 plus the widened
 //!   working precision (`prec + 64`) the transcendental kernels run at;
-//! * [`Scratch`] (`N = 16`) holds the working windows of the arithmetic
+//! * [`Scratch`] (`N = 20`) holds the working windows of the arithmetic
 //!   kernels — the widened addition window (`limbs + 1`), the full product
 //!   (`a.len() + b.len()`), and the Newton division/sqrt windows stay on
-//!   the stack for operands up to the widened default precision.
+//!   the stack for operands up to the 384-bit inline mantissa width.
 //!
 //! All kernels operate in place on `&mut [u64]` slices so the same code
 //! serves both representations; none of them allocate.
@@ -28,8 +28,9 @@ pub(crate) const INLINE_LIMBS: usize = 6;
 
 /// Number of limbs stored inline in a scratch window (covers the addition
 /// window, the double-width product, and the Newton division/sqrt windows
-/// at default precision with room to spare for mixed-precision operands).
-pub(crate) const SCRATCH_LIMBS: usize = 16;
+/// up to the 384-bit inline mantissa width; the square root's widest
+/// window there is 20 limbs).
+pub(crate) const SCRATCH_LIMBS: usize = 20;
 
 /// A limb buffer with inline storage for up to `N` limbs and heap fallback
 /// above.

@@ -60,8 +60,8 @@ pub fn set_force_heap_limbs(on: bool) {
 }
 
 /// Test support (debug builds only): routes every operation through the
-/// general kernels, bypassing the unrolled 256-bit fast paths, so the two
-/// can be compared bit for bit. Not compiled into release builds.
+/// general kernels, bypassing the unrolled whole-limb fast paths, so the
+/// two can be compared bit for bit. Not compiled into release builds.
 #[cfg(debug_assertions)]
 #[doc(hidden)]
 pub fn set_disable_fast_paths(on: bool) {
@@ -661,13 +661,17 @@ impl BigFloat {
     fn add_finite(a: &Finite, b: &Finite, prec: u32) -> Repr {
         let nl = a.limbs.len();
         if nl == b.limbs.len() && prec as usize == nl * 64 && fast_paths_enabled() {
-            // Whole-limb precisions up to the default 256 bits take the
-            // unrolled const-size window (NL limbs plus one guard limb).
+            // Whole-limb precisions up to the 384-bit inline capacity (a
+            // 256-bit shadow's 320- and 384-bit working precisions
+            // included) take the unrolled const-size window (NL limbs plus
+            // one guard limb).
             match nl {
                 1 => return Self::add_finite_fast::<1, 2>(a, b),
                 2 => return Self::add_finite_fast::<2, 3>(a, b),
                 3 => return Self::add_finite_fast::<3, 4>(a, b),
                 4 => return Self::add_finite_fast::<4, 5>(a, b),
+                5 => return Self::add_finite_fast::<5, 6>(a, b),
+                6 => return Self::add_finite_fast::<6, 7>(a, b),
                 _ => {}
             }
         }
@@ -754,6 +758,8 @@ impl BigFloat {
                         2 => Some(Self::mul_finite_fast::<2, 4>(a, b, sign)),
                         3 => Some(Self::mul_finite_fast::<3, 6>(a, b, sign)),
                         4 => Some(Self::mul_finite_fast::<4, 8>(a, b, sign)),
+                        5 => Some(Self::mul_finite_fast::<5, 10>(a, b, sign)),
+                        6 => Some(Self::mul_finite_fast::<6, 12>(a, b, sign)),
                         _ => None,
                     };
                     if let Some(repr) = fast {

@@ -1,5 +1,7 @@
 //! Golden-file regression tests: the rendered `Report` text for four suite
-//! benchmarks under a fixed sampling seed, snapshotted in `tests/golden/`.
+//! benchmarks under a fixed sampling seed, snapshotted in `tests/golden/`,
+//! and a 64-bit digest of every suite program's report
+//! (`tests/golden/suite_digests.txt`).
 //!
 //! These pin the *entire* user-visible analysis output — spot ordering,
 //! error-bit figures, symbolic expressions, preconditions, example inputs —
@@ -76,6 +78,78 @@ fn reports_match_golden_files() {
         "golden report mismatch; if the change is intentional, regenerate with \
          UPDATE_GOLDEN=1 and review the diff\n\n{}",
         mismatches.join("\n")
+    );
+}
+
+/// The whole-suite digest file: one `hash name` line per suite program.
+const SUITE_DIGESTS: &str = "suite_digests.txt";
+
+/// 64-bit FNV-1a, fixed here so the committed digests do not depend on any
+/// library's hashing choices.
+fn fnv1a64(text: &str) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in text.as_bytes() {
+        hash ^= byte as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+#[test]
+fn every_suite_report_matches_its_digest() {
+    // The four text goldens above reach only a few kernels; this pins the
+    // rendered report of every suite program (library calls at ordinary
+    // arguments included) by hash.
+    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
+    let path = golden_path(SUITE_DIGESTS);
+    let rendered: Vec<(String, String)> = fpbench::suite()
+        .iter()
+        .map(|core| {
+            let name = core.display_name().to_string();
+            let prepared = fpbench::prepare(core, SAMPLES, SEED)
+                .unwrap_or_else(|e| panic!("{name}: prepare failed: {e}"));
+            let report = prepared
+                .run_herbgrind(&AnalysisConfig::default())
+                .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
+            (name, report.to_text())
+        })
+        .collect();
+    let lines: String = rendered
+        .iter()
+        .map(|(name, text)| format!("{:016x} {name}\n", fnv1a64(text)))
+        .collect();
+    if update {
+        std::fs::write(&path, &lines).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing digest file {} ({e}); run with UPDATE_GOLDEN=1 to create it",
+            path.display()
+        )
+    });
+    let expected: Vec<(&str, &str)> = expected
+        .lines()
+        .map(|line| line.split_once(' ').expect("`hash name` line"))
+        .collect();
+    let names: Vec<&str> = rendered.iter().map(|(name, _)| name.as_str()).collect();
+    let expected_names: Vec<&str> = expected.iter().map(|&(_, name)| name).collect();
+    assert_eq!(
+        names, expected_names,
+        "suite programs changed; regenerate {SUITE_DIGESTS} with UPDATE_GOLDEN=1"
+    );
+    let changed: Vec<String> = rendered
+        .iter()
+        .zip(&expected)
+        .filter(|((_, text), (hash, _))| format!("{:016x}", fnv1a64(text)) != *hash)
+        .map(|((name, text), _)| format!("--- {name} ---\n{text}"))
+        .collect();
+    assert!(
+        changed.is_empty(),
+        "{} suite report(s) changed; if the change is intentional, regenerate with \
+         UPDATE_GOLDEN=1 and review the reports\n\n{}",
+        changed.len(),
+        changed.join("\n")
     );
 }
 

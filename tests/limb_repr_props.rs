@@ -64,6 +64,97 @@ fn workload(x: f64, y: f64, prec: u32) -> Vec<BigFloat> {
     vec![a, b, sum, diff, prod, quot, root, rounded, rere]
 }
 
+/// Every rewritten elementary kernel, with its arguments derived from one
+/// sampled `x ∈ [0.01, 100)` (and `y ∈ [−5, 5]`) so each stays inside its
+/// domain and its result inside a moderate range.
+fn kernel_cases(x: f64, y: f64) -> Vec<(&'static str, f64, f64)> {
+    vec![
+        ("exp", x / 4.0 - 12.5, 0.0),
+        ("ln", x, 0.0),
+        ("pow", x, y),
+        ("cbrt", x, 0.0),
+        ("cbrt", -x / 7.0, 0.0),
+        ("tan", x, 0.0),
+        ("expm1", x / 100.0 - 0.5, 0.0),
+        ("expm1", x / 4.0, 0.0),
+        ("log1p", x, 0.0),
+        ("log1p", x / 100.0 - 0.5, 0.0),
+        ("log2", x, 0.0),
+        ("log10", x, 0.0),
+        ("exp2", x / 4.0 - 12.5, 0.0),
+        ("sinh", x / 10.0 - 5.0, 0.0),
+        ("cosh", x / 10.0 - 5.0, 0.0),
+        ("tanh", x / 10.0 - 5.0, 0.0),
+        ("asinh", x - 50.0, 0.0),
+        ("acosh", 1.0 + x, 0.0),
+        ("atanh", x / 100.5 - 0.5, 0.0),
+        ("atanh", x / 100.5, 0.0),
+        ("asin", x / 50.25 - 1.0, 0.0),
+        ("acos", x / 50.25 - 1.0, 0.0),
+        ("atan2", y, x - 50.0),
+    ]
+}
+
+/// Evaluates the named kernel (`b` is the second operand of the binary
+/// ones).
+fn apply_kernel(name: &str, a: &BigFloat, b: &BigFloat) -> BigFloat {
+    match name {
+        "exp" => a.exp(),
+        "ln" => a.ln(),
+        "pow" => a.pow(b),
+        "cbrt" => a.cbrt(),
+        "tan" => a.tan(),
+        "expm1" => a.expm1(),
+        "log1p" => a.log1p(),
+        "log2" => a.log2(),
+        "log10" => a.log10(),
+        "exp2" => a.exp2(),
+        "sinh" => a.sinh(),
+        "cosh" => a.cosh(),
+        "tanh" => a.tanh(),
+        "asinh" => a.asinh(),
+        "acosh" => a.acosh(),
+        "atanh" => a.atanh(),
+        "asin" => a.asin(),
+        "acos" => a.acos(),
+        "atan2" => a.atan2(b),
+        _ => unreachable!("unknown kernel {name}"),
+    }
+}
+
+/// Asserts that `got` is within one ulp (at its own precision) of
+/// `expect`, a same-precision rounding of a much wider evaluation.
+fn assert_within_one_ulp(got: &BigFloat, expect: &BigFloat, context: &str) {
+    assert_eq!(got.precision(), expect.precision(), "precision: {context}");
+    if !got.is_finite() || !expect.is_finite() || expect.is_zero() {
+        assert!(
+            got.eq_value(expect) || (got.is_nan() && expect.is_nan()),
+            "special value: {context}: {got} vs {expect}"
+        );
+        return;
+    }
+    let diff = got.sub(expect);
+    if diff.is_zero() {
+        return;
+    }
+    // With value = f·2^e, f ∈ [0.5, 1), one ulp at precision p is 2^(e − p)
+    // (the coarser ulp when the two straddle a power of two).
+    let e = got
+        .exponent()
+        .max(expect.exponent())
+        .expect("finite nonzero");
+    let ulp_exp = e - got.precision() as i64;
+    assert!(
+        (-1000..1000).contains(&ulp_exp),
+        "ulp out of f64 range: {context}"
+    );
+    let ulp = BigFloat::from_f64_prec(2f64.powi(ulp_exp as i32), 64);
+    assert!(
+        diff.abs().partial_cmp(&ulp) != Some(std::cmp::Ordering::Greater),
+        "more than one ulp apart: {context}: {got:?} vs {expect:?}"
+    );
+}
+
 proptest! {
     /// Exact roundtrip at every precision: 64-bit mantissas already hold any
     /// double exactly, so the boundary cannot change constructed values.
@@ -140,11 +231,13 @@ proptest! {
         }
     }
 
-    /// The unrolled 256-bit add/mul fast paths are bit-identical to the
-    /// general kernels on the same inputs (debug builds; the kill switch is
-    /// compiled out of release builds). Dense mantissas and a wide exponent
-    /// spread exercise alignment, sticky collection, rounding carries, and
-    /// the cancellation paths.
+    /// The unrolled add/mul fast paths are bit-identical to the general
+    /// kernels on the same inputs, at the default 256 bits and at the 320-
+    /// and 384-bit working precisions of a 256-bit shadow's elementary
+    /// functions (debug builds; the kill switch is compiled out of release
+    /// builds). Dense mantissas and a wide exponent spread exercise
+    /// alignment, sticky collection, rounding carries, and the cancellation
+    /// paths.
     #[test]
     fn fast_paths_match_general_kernels(
         x in reasonable_f64(),
@@ -154,18 +247,25 @@ proptest! {
         #[cfg(debug_assertions)]
         {
             prop_assume!(x != 0.0 && y != 0.0);
-            let a = BigFloat::from_f64(x).div(&BigFloat::from_f64(7.0));
-            let b = BigFloat::from_f64(y * 2f64.powi(scale)).div(&BigFloat::from_f64(3.0));
-            let fast = [a.add(&b), a.sub(&b), a.mul(&b), b.sub(&a)];
-            shadowreal::bigfloat::set_disable_fast_paths(true);
-            let general = [a.add(&b), a.sub(&b), a.mul(&b), b.sub(&a)];
-            shadowreal::bigfloat::set_disable_fast_paths(false);
-            for (i, (f, g)) in fast.iter().zip(&general).enumerate() {
-                if f.is_zero() && g.is_zero() {
-                    assert_eq!(f.is_negative(), g.is_negative(), "zero sign at step {i}");
-                    continue;
+            for prec in [256u32, 320, 384] {
+                let a = BigFloat::from_f64_prec(x, prec).div(&BigFloat::from_f64_prec(7.0, prec));
+                let b = BigFloat::from_f64_prec(y * 2f64.powi(scale), prec)
+                    .div(&BigFloat::from_f64_prec(3.0, prec));
+                let fast = [a.add(&b), a.sub(&b), a.mul(&b), b.sub(&a)];
+                shadowreal::bigfloat::set_disable_fast_paths(true);
+                let general = [a.add(&b), a.sub(&b), a.mul(&b), b.sub(&a)];
+                shadowreal::bigfloat::set_disable_fast_paths(false);
+                for (i, (f, g)) in fast.iter().zip(&general).enumerate() {
+                    if f.is_zero() && g.is_zero() {
+                        assert_eq!(f.is_negative(), g.is_negative(), "zero sign at step {i}");
+                        continue;
+                    }
+                    assert_bit_identical(
+                        f,
+                        g,
+                        &format!("fast-path step {i} at {prec} bits on ({x}, {y}, {scale})"),
+                    );
                 }
-                assert_bit_identical(f, g, &format!("fast-path step {i} on ({x}, {y}, {scale})"));
             }
         }
         #[cfg(not(debug_assertions))]
@@ -175,9 +275,13 @@ proptest! {
     }
 
     /// Elementary functions agree with libm at every precision — the
-    /// boundary introduces no accuracy cliff.
+    /// boundary introduces no accuracy cliff — and every rewritten kernel is
+    /// faithful: within one ulp of its own evaluation at `2p + 64` bits
+    /// rounded to `p`. Each case checks faithfulness at one of 64, 256 and
+    /// 320 bits (the 1024-bit reference would dominate the test's run
+    /// time, so 1024 bits is covered by the libm check only).
     #[test]
-    fn functions_stay_faithful_across_the_boundary(x in 0.01f64..100.0) {
+    fn functions_stay_faithful_across_the_boundary(x in 0.01f64..100.0, pick in 0usize..3) {
         for prec in PRECISIONS {
             let b = BigFloat::from_f64_prec(x, prec);
             for (name, got, expect) in [
@@ -198,6 +302,19 @@ proptest! {
                 }
             }
         }
+        let prec = [64u32, 256, 320][pick];
+        let reference = 2 * prec + 64;
+        // A second operand for the binary kernels, spread over [−5, 5].
+        let y = 5.0 * (3.0 * x).sin();
+        for (name, a, b) in kernel_cases(x, y) {
+            let got = apply_kernel(name, &BigFloat::from_f64_prec(a, prec), &BigFloat::from_f64_prec(b, prec));
+            let wide = apply_kernel(
+                name,
+                &BigFloat::from_f64_prec(a, reference),
+                &BigFloat::from_f64_prec(b, reference),
+            );
+            assert_within_one_ulp(&got, &wide.with_precision(prec), &format!("{name}({a}, {b}) at {prec} bits"));
+        }
     }
 
     /// The shadow-precision parameter threads through the `Real` trait: each
@@ -214,5 +331,31 @@ proptest! {
         prop_assert_eq!(wide.precision(), 1024);
         let mixed = BigFloat::apply(RealOp::Add, &[narrow, wide]);
         prop_assert_eq!(mixed.precision(), 1024);
+    }
+}
+
+/// Exact cases the rewritten kernels must reproduce exactly at every
+/// precision: a faithful kernel may round either way, but not away from a
+/// representable true result.
+#[test]
+fn rewritten_kernels_are_exact_on_exact_cases() {
+    for prec in PRECISIONS {
+        let big = |x: f64| BigFloat::from_f64_prec(x, prec);
+        for (name, got, want) in [
+            ("cbrt(27)", big(27.0).cbrt(), 3.0),
+            ("cbrt(-27)", big(-27.0).cbrt(), -3.0),
+            ("pow(4, 0.5)", big(4.0).pow(&big(0.5)), 2.0),
+            ("pow(2, 10)", big(2.0).pow(&big(10.0)), 1024.0),
+            ("exp(0)", big(0.0).exp(), 1.0),
+            ("ln(1)", big(1.0).ln(), 0.0),
+        ] {
+            assert!(got.eq_value(&big(want)), "{name} at {prec} bits: {got:?}");
+            assert_eq!(got.precision(), prec, "{name} precision");
+        }
+        let ln1 = big(1.0).ln();
+        assert!(
+            ln1.is_zero() && !ln1.is_negative(),
+            "ln(1) = {ln1:?} at {prec} bits, not +0"
+        );
     }
 }

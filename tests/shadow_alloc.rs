@@ -116,6 +116,35 @@ fn steady_state_shadow_arithmetic_does_not_allocate() {
     });
     assert_eq!(series, 0, "steady-state 256-bit exp allocated");
 
+    // The other kernels the library-call workload leans on: every working
+    // precision of a 256-bit shadow (320 bits, 384 for the halved exp
+    // series) fits the six inline limbs, so once the constant caches and
+    // the logarithm's table are warm, ln, pow, cbrt and tan do not
+    // allocate either.
+    let libm_args: Vec<BigFloat> = (1..=8)
+        .map(|k| a.mul(&BigFloat::from_f64(k as f64 * 0.37)))
+        .collect();
+    type Kernel = fn(&BigFloat, &BigFloat) -> BigFloat;
+    let kernels: [(&str, Kernel); 4] = [
+        ("ln", |x, _| x.ln()),
+        ("pow", |x, y| x.pow(y)),
+        ("cbrt", |x, _| x.neg().cbrt()),
+        ("tan", |x, _| x.tan()),
+    ];
+    for (name, kernel) in kernels {
+        for x in &libm_args {
+            black_box(kernel(x, &b));
+        }
+        let count = allocations_during(|| {
+            let mut acc = BigFloat::zero();
+            for x in &libm_args {
+                acc = acc.add(&kernel(x, &b));
+            }
+            acc
+        });
+        assert_eq!(count, 0, "steady-state 256-bit {name} allocated");
+    }
+
     // Comparisons, truncation, sign operations and f64 conversion ride the
     // same guarantee.
     let auxiliary = allocations_during(|| {
