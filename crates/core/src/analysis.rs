@@ -323,9 +323,9 @@ pub struct Herbgrind<R: Real> {
     inject: Option<(usize, crate::faultinject::InjectStage)>,
     /// Tier-0 static prune mask: compute statements certified stable by the
     /// static error-dataflow pass ([`staticerr`]) skip shadow arithmetic
-    /// entirely. Installed only by the tiered driver, and only for inputs
-    /// inside the statically declared region — every other driver leaves it
-    /// `None` and behaves exactly as before.
+    /// entirely. Installed only by the tiered driver, and only for sweeps
+    /// whose every input lies inside the statically declared region — every
+    /// other driver leaves it `None` and behaves exactly as before.
     prune: Option<Arc<staticerr::PruneMask>>,
 }
 
@@ -351,8 +351,8 @@ impl<R: Real> Herbgrind<R> {
     /// Installs (or clears) the tier-0 static prune mask consulted by every
     /// compute observation. Callers are responsible for only installing a
     /// mask whose declared input region covers the inputs about to run —
-    /// the tiered driver checks each input and sweeps out-of-region inputs
-    /// unpruned.
+    /// the tiered driver arms it only when the region covers its whole
+    /// sweep.
     pub(crate) fn set_prune_mask(&mut self, mask: Option<Arc<staticerr::PruneMask>>) {
         self.prune = mask;
     }
@@ -416,10 +416,15 @@ impl<R: Real> Herbgrind<R> {
                 });
                 false
             }
-            Some(InjectKind::NanPoison) => true,
+            // Poisoning is defined for the serial stages only, like in the
+            // batched tracer: a serial re-run of a faulted batched or tiered
+            // pass must not poison what the lane pass would not have.
+            Some(InjectKind::NanPoison) => {
+                matches!(stage, InjectStage::Serial | InjectStage::Parallel)
+            }
             Some(InjectKind::TierEscalation) => {
                 // Modeled as the escalation tier itself failing: the
-                // BigFloat reference tier panics, ending the retry ladder.
+                // BigFloat tier panics, so the input is quarantined.
                 if stage == InjectStage::TieredBigFloat {
                     panic!("injected tier-escalation failure: input {input_index}, pc {pc}")
                 }

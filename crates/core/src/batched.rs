@@ -31,19 +31,19 @@
 //!
 //! Threads compose with lanes: `config.threads` shards the sweep exactly as
 //! the parallel engine does, every shard runs the batched engine on the one
-//! decoded tape, and shard merges happen in input order. The sweep itself —
-//! lane passes, fault collection, the serial retry of lanes that fault —
-//! runs on the batched fault-isolating engine in [`crate::quarantine`];
-//! [`analyze_batched`] is its fail-fast view.
+//! decoded tape, and shard merges happen in input order. The sweep runs on
+//! the batched fault-isolating engine in [`crate::quarantine`]: one lane
+//! sweep per shard, whose state is the shard's outcome when no lane faults.
+//! A faulted lane or a panicking pass sends the whole shard back through the
+//! serial engine, whose per-input verdicts decide the quarantine.
+//! [`analyze_batched`] is the engine's fail-fast view.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{
-    balanced_chunks, build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind,
-};
+use crate::analysis::{build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind};
 use crate::config::AnalysisConfig;
 use crate::quarantine::{batched_family, fail_fast};
 use crate::report::Report;
@@ -61,6 +61,59 @@ use std::sync::Arc;
 /// the vectorized kernels target plus a prime width (13) so non-uniform
 /// remainder chunking stays exercised.
 pub const SUPPORTED_BATCH_WIDTHS: &[usize] = &[1, 2, 4, 8, 13, 16];
+
+/// Evaluates `$body` with the const `$W` bound to the compiled lane width
+/// for `$width`, an entry of [`SUPPORTED_BATCH_WIDTHS`] (anything else runs
+/// single-lane): the one place a runtime width becomes a compile-time one.
+macro_rules! with_lane_width {
+    ($width:expr, $W:ident => $body:expr) => {
+        match $width {
+            2 => {
+                const $W: usize = 2;
+                $body
+            }
+            4 => {
+                const $W: usize = 4;
+                $body
+            }
+            8 => {
+                const $W: usize = 8;
+                $body
+            }
+            13 => {
+                const $W: usize = 13;
+                $body
+            }
+            16 => {
+                const $W: usize = 16;
+                $body
+            }
+            _ => {
+                const $W: usize = 1;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_lane_width;
+
+/// The lane schedule of a batched sweep over `len` inputs at width `W`: one
+/// item per batch pass, mapping each lane to the index of the input it runs
+/// in that pass (`None` once its chunk is used up). Lane `l` walks the
+/// `l`-th chunk of [`balanced_chunks`](crate::analysis::balanced_chunks)
+/// front to back, so chunk lengths differ by at most one (a sweep of at
+/// least `W` inputs keeps every lane busy) and lane order is input order —
+/// folding lane shards in lane order is the in-input-order merge.
+pub(crate) fn lane_passes<const W: usize>(len: usize) -> impl Iterator<Item = [Option<usize>; W]> {
+    let lanes = W.min(len).max(1);
+    let (base, extra) = (len / lanes, len % lanes);
+    (0..base + usize::from(extra > 0)).map(move |position| {
+        std::array::from_fn(|l| {
+            let chunk_len = base + usize::from(l < extra);
+            (l < lanes && position < chunk_len).then(|| l * base + l.min(extra) + position)
+        })
+    })
+}
 
 /// The width the engine will actually run for a requested
 /// [`AnalysisConfig::batch_width`]: the largest supported width that does
@@ -109,12 +162,12 @@ pub struct BatchHerbgrind<R: Real, const W: usize> {
     /// Per-lane fault-injection context for the current pass: each lane's
     /// sweep-global input index, plus the pipeline stage.
     #[cfg(feature = "fault-injection")]
-    inject_lanes: [Option<usize>; MAX_LANES],
+    inject_lanes: [Option<usize>; W],
     #[cfg(feature = "fault-injection")]
     inject_stage: crate::faultinject::InjectStage,
     /// Tier-0 static prune mask, shared by all lanes (pruning is a
     /// per-statement decision, identical across lanes). Installed only by
-    /// the tiered driver for input groups inside the declared static region.
+    /// tiered sweeps whose inputs all lie inside the declared static region.
     prune: Option<Arc<staticerr::PruneMask>>,
 }
 
@@ -131,7 +184,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
             interner: ExprInterner::new(),
             lane_faults: std::array::from_fn(|_| None),
             #[cfg(feature = "fault-injection")]
-            inject_lanes: [None; MAX_LANES],
+            inject_lanes: [None; W],
             #[cfg(feature = "fault-injection")]
             inject_stage: crate::faultinject::InjectStage::Batched,
             prune: None,
@@ -156,7 +209,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
     #[cfg(feature = "fault-injection")]
     pub(crate) fn arm_lane_injection(
         &mut self,
-        lanes: [Option<usize>; MAX_LANES],
+        lanes: [Option<usize>; W],
         stage: crate::faultinject::InjectStage,
     ) {
         self.inject_lanes = lanes;
@@ -340,7 +393,7 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
         // Trace-memory budget on the group interner — the batched
         // counterpart of the serial per-run check. The table is shared by
         // every lane, so attribution is collective: all active lanes fault,
-        // and the batched engine's serial retry (per-input interner)
+        // and the batched engine's serial re-run (per-input interner)
         // decides which inputs genuinely exceed the budget alone.
         let budget = config.trace_node_budget;
         if budget != 0 && interner.len() >= budget {
@@ -429,119 +482,40 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
     }
 }
 
-/// Runs one batched sweep at compile-time width `W` over contiguous lane
-/// chunks, one batch pass per chunk position, collecting faults: every
-/// failed run is reported as `(sweep-global input index, error)` —
-/// `index_base` is the global index of `inputs[0]` — and the analysis state
-/// is returned only when the sweep was fault-free (a faulted lane's partial
-/// records make the accumulated state unusable; the isolating engine
-/// rebuilds without the faulted inputs). A failed lane stops consuming its
-/// chunk, so its tail is left to the caller as unprocessed rather than
-/// failed; panics unwind to the caller.
+/// Runs one batched sweep at compile-time width `W` over the balanced
+/// contiguous lane schedule ([`lane_passes`]) and returns the lane-order
+/// merge of its lane shards, or `None` at the first pass in which any lane
+/// faults: a faulted run's partial records make the accumulated state
+/// unusable, and the isolating engine re-runs the chunk serially. Panics
+/// unwind to the caller.
 ///
-/// `prune` is the tier-0 static prune mask — `None` everywhere except the
-/// tiered driver's in-region groups — and `inject` (fault-injection builds
-/// only) the stage the lanes are armed with, or `None` for unarmed sweeps.
+/// `prune` is the tier-0 static prune mask — `None` outside tiered sweeps
+/// whose inputs all lie in the declared region — and `inject`
+/// (fault-injection builds only) arms the lanes with the sweep-global index
+/// of `inputs[0]` and the pipeline stage, or is `None` for unarmed sweeps.
 pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
-    index_base: usize,
     config: &AnalysisConfig,
     prune: Option<&Arc<staticerr::PruneMask>>,
-    #[cfg(feature = "fault-injection")] inject: Option<crate::faultinject::InjectStage>,
-) -> Result<AnalysisState, Vec<(usize, MachineError)>> {
-    let lane_count = W.min(inputs.len()).max(1);
-    // Balanced contiguous partition: chunk lengths differ by at most one, so
-    // a sweep of at least W inputs keeps every lane busy, and chunks are
-    // contiguous in input order, so the lane-order merge is the in-order
-    // merge.
-    let chunks = balanced_chunks(inputs, lane_count);
-    let positions = chunks.first().map_or(0, |chunk| chunk.len());
-    let mut offsets = Vec::with_capacity(chunks.len());
-    let mut start = 0;
-    for chunk in &chunks {
-        offsets.push(start);
-        start += chunk.len();
-    }
+    #[cfg(feature = "fault-injection")] inject: Option<(usize, crate::faultinject::InjectStage)>,
+) -> Option<AnalysisState> {
     let batch = machine.batched::<W>();
     let mut tracer = BatchHerbgrind::<R, W>::new(config);
     tracer.set_prune_mask(prune.map(Arc::clone));
     let mut memory = BatchMemory::new();
-    let mut failed = [false; W];
-    let mut faults: Vec<(usize, MachineError)> = Vec::new();
-    for position in 0..positions {
-        let mut lane_inputs: [Option<&[f64]>; W] = [None; W];
-        let mut any = false;
+    for lanes in lane_passes::<W>(inputs.len()) {
         #[cfg(feature = "fault-injection")]
-        let mut lane_indices_global = [None; MAX_LANES];
-        for (l, chunk) in chunks.iter().enumerate() {
-            if !failed[l] {
-                if let Some(input) = chunk.get(position) {
-                    lane_inputs[l] = Some(input.as_slice());
-                    any = true;
-                    #[cfg(feature = "fault-injection")]
-                    {
-                        lane_indices_global[l] = Some(index_base + offsets[l] + position);
-                    }
-                }
-            }
+        if let Some((index_base, stage)) = inject {
+            tracer.arm_lane_injection(lanes.map(|ix| ix.map(|ix| index_base + ix)), stage);
         }
-        if !any {
-            break;
-        }
-        #[cfg(feature = "fault-injection")]
-        if let Some(stage) = inject {
-            tracer.arm_lane_injection(lane_indices_global, stage);
-        }
+        let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
         let outcome = batch.run_batch(&lane_inputs, &mut tracer, &mut memory);
-        for (l, error) in outcome.errors.iter().enumerate() {
-            if !failed[l] {
-                if let Some(error) = error {
-                    failed[l] = true;
-                    faults.push((index_base + offsets[l] + position, error.clone()));
-                }
-            }
+        if outcome.errors.iter().any(Option::is_some) {
+            return None;
         }
     }
-    if faults.is_empty() {
-        Ok(tracer.into_merged().into_state())
-    } else {
-        faults.sort_by_key(|(index, _)| *index);
-        Err(faults)
-    }
-}
-
-/// [`batched_sweep_collect`] dispatched to the compiled batch width.
-pub(crate) fn dispatch_sweep_collect<R: Real>(
-    machine: &Machine<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    index_base: usize,
-    config: &AnalysisConfig,
-    prune: Option<&Arc<staticerr::PruneMask>>,
-    #[cfg(feature = "fault-injection")] inject: Option<crate::faultinject::InjectStage>,
-) -> Result<AnalysisState, Vec<(usize, MachineError)>> {
-    macro_rules! go {
-        ($w:literal) => {
-            batched_sweep_collect::<R, $w>(
-                machine,
-                inputs,
-                index_base,
-                config,
-                prune,
-                #[cfg(feature = "fault-injection")]
-                inject,
-            )
-        };
-    }
-    match width {
-        2 => go!(2),
-        4 => go!(4),
-        8 => go!(8),
-        13 => go!(13),
-        16 => go!(16),
-        _ => go!(1),
-    }
+    Some(tracer.into_merged().into_state())
 }
 
 /// Runs a program under the batched analysis for every input vector, using
@@ -944,41 +918,29 @@ pub fn probe_local_error<const W: usize>(
 ) -> Result<LocalErrorSummary, MachineError> {
     let machine = Machine::new(program);
     let batch = machine.batched::<W>();
-    let lane_count = W.min(inputs.len()).max(1);
-    let chunks = balanced_chunks(inputs, lane_count);
-    let positions = chunks.first().map_or(0, |chunk| chunk.len());
     let mut probe = DdErrorProbe::<W>::new(threshold_bits);
     let mut memory = BatchMemory::new();
-    let mut failures: [Option<MachineError>; W] = std::array::from_fn(|_| None);
-    let mut lowest_failed = W;
-    for position in 0..positions {
-        let mut lane_inputs: [Option<&[f64]>; W] = [None; W];
-        let mut any = false;
-        for (l, chunk) in chunks.iter().enumerate().take(lowest_failed) {
-            if failures[l].is_none() {
-                if let Some(input) = chunk.get(position) {
-                    lane_inputs[l] = Some(input.as_slice());
-                    any = true;
-                }
-            }
-        }
-        if !any {
+    // The earliest failure so far, by lane: lanes from it upward stop.
+    let mut failure: Option<(usize, MachineError)> = None;
+    for lanes in lane_passes::<W>(inputs.len()) {
+        let live = failure.as_ref().map_or(W, |(lane, _)| *lane);
+        let lane_inputs: [Option<&[f64]>; W] = std::array::from_fn(|l| {
+            lanes[l]
+                .filter(|_| l < live)
+                .map(|ix| inputs[ix].as_slice())
+        });
+        if lane_inputs.iter().all(Option::is_none) {
             break;
         }
         let outcome = batch.run_batch(&lane_inputs, &mut probe, &mut memory);
-        for (l, (failure, error)) in failures.iter_mut().zip(&outcome.errors).enumerate() {
-            if failure.is_none() {
-                if let Some(error) = error {
-                    *failure = Some(error.clone());
-                    lowest_failed = lowest_failed.min(l);
-                }
-            }
+        if let Some(lane) = (0..live).find(|&l| outcome.errors[l].is_some()) {
+            failure = outcome.errors[lane].clone().map(|error| (lane, error));
         }
     }
-    if let Some(error) = failures.iter().flatten().next() {
-        return Err(error.clone());
+    match failure {
+        Some((_, error)) => Err(error),
+        None => Ok(probe.summary()),
     }
-    Ok(probe.summary())
 }
 
 #[cfg(test)]
@@ -986,7 +948,7 @@ mod tests {
     #![allow(clippy::unwrap_used)] // test assertions may unwrap freely
 
     use super::*;
-    use crate::analysis::analyze;
+    use crate::analysis::{analyze, balanced_chunks};
     use fpcore::parse_core;
     use fpvm::compile_core;
 
@@ -1003,6 +965,50 @@ mod tests {
         assert_eq!(effective_batch_width(12), 8);
         assert_eq!(effective_batch_width(13), 13);
         assert_eq!(effective_batch_width(100), 16);
+    }
+
+    #[test]
+    fn lane_schedule_is_the_balanced_contiguous_split() {
+        for &width in SUPPORTED_BATCH_WIDTHS {
+            assert_eq!(
+                with_lane_width!(width, W => W),
+                width,
+                "dispatch of width {width}"
+            );
+            for len in 0..=40usize {
+                let passes: Vec<Vec<Option<usize>>> = with_lane_width!(width, W => lane_passes::<W>(len).map(|p| p.to_vec()).collect());
+                let context = format!("width={width} len={len}");
+                assert!(
+                    passes.iter().all(|p| p.iter().any(Option::is_some)),
+                    "{context}"
+                );
+                // Each lane's inputs, pass by pass: a run of `Some` and then
+                // only `None`.
+                let lanes: Vec<Vec<usize>> = (0..width)
+                    .map(|l| {
+                        let run: Vec<usize> = passes.iter().map_while(|p| p[l]).collect();
+                        assert!(
+                            passes[run.len()..].iter().all(|p| p[l].is_none()),
+                            "{context}"
+                        );
+                        run
+                    })
+                    .filter(|run| !run.is_empty())
+                    .collect();
+                // Lanes hold contiguous runs, in input order, visiting every
+                // index exactly once...
+                let visited: Vec<usize> = lanes.iter().flatten().copied().collect();
+                assert_eq!(visited, (0..len).collect::<Vec<_>>(), "{context}");
+                // ...and those runs are exactly the balanced chunks.
+                let items: Vec<usize> = (0..len).collect();
+                let chunks: Vec<&[usize]> = balanced_chunks(&items, width)
+                    .into_iter()
+                    .filter(|chunk| !chunk.is_empty())
+                    .collect();
+                let runs: Vec<&[usize]> = lanes.iter().map(Vec::as_slice).collect();
+                assert_eq!(runs, chunks, "{context}");
+            }
+        }
     }
 
     #[test]

@@ -78,11 +78,12 @@ pub struct AnalysisConfig {
     /// tiered driver runs the static error-dataflow pass
     /// ([`staticerr::analyze_program`]) over the compiled tape before any
     /// input executes and skips dynamic shadowing for statements it
-    /// certifies stable — the report stays bit-identical as long as every
-    /// swept input actually lies inside the declared region (the driver
-    /// checks this per input and falls back to unpruned shadowing for
-    /// out-of-region inputs). `None` (the default) disables tier 0
-    /// everywhere; the serial and reference analyses never consult it.
+    /// certifies stable. The driver arms tier 0 per sweep: only when every
+    /// swept input lies inside the declared region. A sweep with any
+    /// out-of-region input skips the static pass and runs unpruned, so the
+    /// report stays bit-identical even when the declaration is wrong. `None`
+    /// (the default) disables tier 0 everywhere; the serial and reference
+    /// analyses never consult it.
     pub input_ranges: Option<Vec<(f64, f64)>>,
 }
 

@@ -30,13 +30,14 @@ pub enum InjectKind {
     Deadline,
     /// Latch a [`fpvm::MachineError::TraceBudgetExceeded`] fault.
     TraceBudget,
-    /// Replace the exact shadow result with NaN (serial stages only): the
-    /// analysis must absorb the poison without crashing or quarantining.
+    /// Replace the exact shadow result with NaN (the serial and parallel
+    /// stages only; a no-op elsewhere): the analysis must absorb the poison
+    /// without crashing or quarantining.
     NanPoison,
     /// Force the input out of the certified tier at certify time, then fail
     /// the `BigFloat` escalation tier itself (a panic at the injection
-    /// site), so the whole retry ladder is exercised and the input ends up
-    /// quarantined.
+    /// site), so the tier's lane pass and its serial re-run both fail and
+    /// the input ends up quarantined.
     TierEscalation,
 }
 
@@ -55,7 +56,7 @@ pub enum InjectStage {
     /// The tiered driver's certified (`DoubleDouble`) tier.
     TieredDoubleDouble,
     /// The tiered driver's escalation (`BigFloat`) tier — also armed for
-    /// reference-tier retries.
+    /// its serial re-runs.
     TieredBigFloat,
 }
 
@@ -164,9 +165,9 @@ impl FaultPlan {
 
 /// One fault site at which an installed plan actually fired: the query key
 /// plus the kind it resolved to. Sites are deduplicated — a fault that fires
-/// repeatedly at the same `(input, pc, stage)` (retry-ladder rungs, batched
-/// re-dispatch) records one entry — so the set depends only on the plan and
-/// the input sweep, not on thread count or batch width.
+/// repeatedly at the same `(input, pc, stage)` (a lane pass and its serial
+/// re-run, a serial rebuild) records one entry — so the set depends only on
+/// the plan and the input sweep, not on thread count or batch width.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiredSite {
     /// Sweep-global input index the fault fired for.

@@ -48,31 +48,30 @@
 //! analysis state from scratch over the survivors. The fault-free fast path
 //! is exactly one plain sweep plus a per-run `catch_unwind` frame.
 //!
-//! The batched engine needs one more mechanism: a lane group shares its
+//! The batched engine recovers through the serial engine. It runs one lane
+//! sweep of its chunk; when no lane faults, that state is the chunk's
+//! outcome. A lane group cannot be trusted to name a culprit — it shares one
 //! expression interner, so a trace-budget fault is attributed to *all*
-//! active lanes of the group, and a panic anywhere in a group callback
-//! cannot be attributed to any single lane. Fault candidates from a batched
-//! pass are therefore re-tried on a *serial probe ladder* — a fresh
-//! single-input serial run (then, for the tiered driver's certified tier, a
-//! `BigFloat`-tier probe) whose verdict is canonical because it is
-//! per-input deterministic. A candidate whose probe succeeds is *healed*:
-//! its probe state is cached and merged back in input order, and the input
-//! is demoted out of batched execution so the group fault cannot recur. A
-//! candidate that fails every rung is quarantined with the last rung's
-//! fault and stage. Probing is what makes quarantine lists — and the plain
-//! drivers' errors — independent of the batch width the group fault
+//! active lanes, and a panic anywhere in a group callback belongs to no lane
+//! — so any fault discards the lane sweep and re-runs the chunk on the
+//! serial engine at the same stage. Its per-input-deterministic verdicts
+//! decide the quarantine, which is what makes quarantine lists — and the
+//! plain drivers' errors — independent of the batch width the fault
 //! happened to occur at.
 //!
 //! The tiered engine certifies each shard's inputs, splits them into
-//! contiguous groups of equal verdict (and, with tier 0 armed, equal
-//! declared-region membership), and runs every group through the batched
-//! engine on its tier's shadow.
+//! contiguous groups of equal verdict, and runs every group through the
+//! batched engine on its tier's shadow. Only the `BigFloat` tier
+//! quarantines: an input the `DoubleDouble` tier faults on is demoted to the
+//! `BigFloat` tier and its group re-split, so a fault scoped to the
+//! `DoubleDouble` tier heals, and one the `BigFloat` tier also hits is
+//! quarantined at [`SweepStage::TieredBigFloat`].
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
-//! panics on user input): the serial engines catch them per input, the
-//! batched engine catches them per pass and probes every input of the pass.
-//! Either way only the offending input is quarantined — the shard or lane
-//! group is rebuilt without it.
+//! panics on user input): the serial engine catches them per input, the
+//! batched engine per pass, re-running the pass's chunk serially. Either
+//! way only the offending input is quarantined — the shard or lane group is
+//! rebuilt without it.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
@@ -84,10 +83,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind};
-use crate::batched::{dispatch_sweep_collect, effective_batch_width};
+use crate::batched::{batched_sweep_collect, effective_batch_width, with_lane_width};
 use crate::config::AnalysisConfig;
 use crate::report::Report;
-use crate::tiered::{arm_tier0, certify_dispatch, input_in_region, Tier0, TierStats};
+use crate::tiered::{arm_tier0, certify_inputs, TierStats};
 use fpvm::{Machine, MachineError, Program};
 use shadowreal::cert::CertParams;
 use shadowreal::{BigFloat, DoubleDouble, Real};
@@ -102,13 +101,13 @@ pub enum SweepStage {
     Serial,
     /// A thread shard of the parallel driver.
     ParallelShard,
-    /// The batched driver (lane-group pass or its serial retry probe — the
-    /// probe is part of the same pipeline stage).
+    /// The batched driver (a lane pass, or the serial re-run of a faulted
+    /// one — the re-run is part of the same pipeline stage).
     BatchedLane,
     /// The tiered driver's certified `DoubleDouble` tier.
     TieredDoubleDouble,
-    /// The tiered driver's `BigFloat` tier — the last rung of the tiered
-    /// retry ladder, so tiered quarantines report this stage.
+    /// The tiered driver's `BigFloat` tier — the only tier that quarantines,
+    /// so tiered quarantines report this stage.
     TieredBigFloat,
 }
 
@@ -192,11 +191,15 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// What every engine of one sweep reads: the machine, decoded once and
-/// shared by every shard, the normalized configuration, and whether runs
-/// consult the installed fault plan.
+/// shared by every shard, the normalized configuration, the tier-0 prune
+/// mask, and whether runs consult the installed fault plan.
 struct Sweep<'p> {
     machine: Machine<'p>,
     config: AnalysisConfig,
+    /// Tier 0's static prune mask, consulted by every run of the sweep. Set
+    /// only by tiered sweeps whose inputs all lie in the declared region
+    /// ([`arm_tier0`]).
+    prune: Option<Arc<staticerr::PruneMask>>,
     /// Set only by the `*_isolated` drivers. The plain drivers never consult
     /// an installed fault plan, so they stay the uninjected oracle the
     /// fault-injection suite compares against.
@@ -213,6 +216,7 @@ impl<'p> Sweep<'p> {
         Sweep {
             machine,
             config,
+            prune: None,
             armed,
         }
     }
@@ -294,6 +298,7 @@ fn serial_engine<R: Real>(
     let mut quarantined: Vec<QuarantinedInput> = Vec::new();
     loop {
         let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
+        analysis.set_prune_mask(sweep.prune.clone());
         let mut memory = Vec::new();
         let mut faults: Vec<QuarantinedInput> = Vec::new();
         for (offset, input) in inputs.iter().enumerate() {
@@ -321,234 +326,76 @@ fn serial_engine<R: Real>(
     }
 }
 
-/// One rung of the batched engine's serial retry ladder: a fresh
-/// single-input serial run on one shadow type, at one pipeline stage.
-#[derive(Clone, Copy)]
-struct LadderRung {
-    probe: fn(&Sweep<'_>, &[f64], usize, SweepStage) -> Result<AnalysisState, SweepFault>,
-    stage: SweepStage,
-}
-
-impl LadderRung {
-    /// The rung probing with the `R` shadow.
-    fn on<R: Real>(stage: SweepStage) -> LadderRung {
-        LadderRung {
-            probe: probe_with::<R>,
-            stage,
-        }
-    }
-}
-
-/// A fresh single-input serial run: the canonical per-input verdict for a
-/// batched fault candidate, and (on success) the cached state that replaces
-/// the input's batched execution.
-fn probe_with<R: Real>(
-    sweep: &Sweep<'_>,
-    input: &[f64],
-    global: usize,
-    stage: SweepStage,
-) -> Result<AnalysisState, SweepFault> {
-    let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
-    sweep.run(&mut analysis, &mut Vec::new(), input, global, stage)?;
-    Ok(analysis.into_state())
-}
-
-/// Walks a fault candidate down the serial retry ladder. The first rung
-/// that runs clean heals the input (its state is merged back in input
-/// order); if every rung fails, the input is quarantined with the *last*
-/// rung's fault and stage — the deciding rung — which keeps the record
-/// independent of the batch width or thread count the original fault
-/// surfaced at.
-fn run_ladder(
-    sweep: &Sweep<'_>,
-    input: &[f64],
-    global: usize,
-    rungs: &[LadderRung],
-) -> Result<AnalysisState, QuarantinedInput> {
-    let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
-    let mut last: Option<QuarantinedInput> = None;
-    for rung in rungs {
-        telemetry::QUARANTINE_LADDER_ATTEMPTS.incr();
-        match (rung.probe)(sweep, input, global, rung.stage) {
-            Ok(state) => {
-                telemetry::QUARANTINE_LADDER_HEALS.incr();
-                return Ok(state);
-            }
-            Err(error) => {
-                last = Some(QuarantinedInput {
-                    input_index: global,
-                    stage: rung.stage,
-                    error,
-                });
-            }
-        }
-    }
-    Err(last.unwrap_or(QuarantinedInput {
-        input_index: global,
-        stage: SweepStage::Serial,
-        error: SweepFault::Panic("empty retry ladder".to_string()),
-    }))
-}
-
-/// How each input of a batched chunk is currently executed.
-enum Mode {
-    /// Runs in the lane-parallel batched pass (the fast path).
-    Batched,
-    /// Healed by a ladder probe: the cached single-input state replaces the
-    /// input's batched execution, merged back in input order.
-    Probed(Option<AnalysisState>),
-    /// Quarantined; excluded from the sweep.
-    Quarantined(Option<QuarantinedInput>),
-}
-
 /// Runs the batched isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`, its passes at `stage`
-/// and with tier-0 mask `prune` (`None` outside the tiered driver's
-/// in-region groups).
+/// first input has sweep-global index `index_base`, its passes at `stage`.
 ///
-/// Each iteration partitions the chunk's live batched-mode inputs into
-/// maximal contiguous runs, executes each run with the fault-collecting
-/// batched sweep, and resolves every fault candidate through the serial
-/// retry ladder: healed candidates demote to [`Mode::Probed`] (so a
-/// group-attributed fault cannot recur), failed candidates to
-/// [`Mode::Quarantined`]. A panic in a pass cannot be attributed to a lane,
-/// so every input of the panicking run becomes a candidate and the probes
-/// sort the guilty from the innocent. Every iteration with candidates
-/// resolves at least one input, bounding the loop; a fault-free chunk costs
-/// exactly one batched sweep.
+/// One lane sweep of the chunk; when no lane faults, its state is the
+/// chunk's outcome. A faulted pass cannot be trusted to name its culprit —
+/// the pass's trace interner is shared by every lane, so a trace-budget
+/// fault is collective, and a panic belongs to no lane — so the engine
+/// discards the pass and re-runs the chunk on the serial engine at the same
+/// stage. Serial verdicts are per-input deterministic, which keeps
+/// quarantine lists (and the plain drivers' errors) independent of the
+/// batch width the fault surfaced at.
 fn batched_engine<R: Real>(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
     stage: SweepStage,
-    rungs: &[LadderRung],
-    prune: Option<&Arc<staticerr::PruneMask>>,
 ) -> ChunkOutcome {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = stage;
-    let mut modes: Vec<Mode> = (0..inputs.len()).map(|_| Mode::Batched).collect();
-    loop {
-        // Maximal contiguous runs of batched-mode inputs, by local offset.
-        let mut segments: Vec<(usize, usize)> = Vec::new();
-        let mut cursor = 0;
-        while cursor < inputs.len() {
-            if matches!(modes[cursor], Mode::Batched) {
-                let start = cursor;
-                while cursor < inputs.len() && matches!(modes[cursor], Mode::Batched) {
-                    cursor += 1;
-                }
-                segments.push((start, cursor));
-            } else {
-                cursor += 1;
-            }
-        }
-        let mut states: Vec<AnalysisState> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        for &(start, end) in &segments {
-            let swept = catch_unwind(AssertUnwindSafe(|| {
-                dispatch_sweep_collect::<R>(
-                    &sweep.machine,
-                    width,
-                    &inputs[start..end],
-                    index_base + start,
-                    &sweep.config,
-                    prune,
-                    #[cfg(feature = "fault-injection")]
-                    sweep.inject(stage),
-                )
-            }));
-            match swept {
-                Ok(Ok(state)) => states.push(state),
-                Ok(Err(faults)) => {
-                    candidates.extend(faults.into_iter().map(|(global, _)| global));
-                }
-                // The pass panicked: no lane can be blamed, so every input
-                // of the run is probed and the ladder decides.
-                Err(_) => candidates.extend((start..end).map(|offset| index_base + offset)),
-            }
-        }
-        if candidates.is_empty() {
-            // Assemble: merge segment states and cached probe states in
-            // input order — contiguous chunks, so the merge laws make the
-            // result bit-identical to one continuous sweep of the
-            // survivors.
-            let mut state = AnalysisState::empty(sweep.config.clone());
-            let mut quarantined = Vec::new();
-            let mut next_segment = states.into_iter();
-            let mut position = 0;
-            while position < inputs.len() {
-                match &mut modes[position] {
-                    Mode::Batched => {
-                        if let Some(segment_state) = next_segment.next() {
-                            state.merge(segment_state);
-                        }
-                        while position < inputs.len() && matches!(modes[position], Mode::Batched) {
-                            position += 1;
-                        }
-                    }
-                    Mode::Probed(cached) => {
-                        if let Some(cached) = cached.take() {
-                            state.merge(cached);
-                        }
-                        position += 1;
-                    }
-                    Mode::Quarantined(record) => {
-                        if let Some(record) = record.take() {
-                            quarantined.push(record);
-                        }
-                        position += 1;
-                    }
-                }
-            }
-            return ChunkOutcome::new(state, quarantined);
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        for global in candidates {
-            let offset = global - index_base;
-            match run_ladder(sweep, &inputs[offset], global, rungs) {
-                Ok(state) => modes[offset] = Mode::Probed(Some(state)),
-                Err(record) => modes[offset] = Mode::Quarantined(Some(record)),
-            }
-        }
+    let swept = catch_unwind(AssertUnwindSafe(|| {
+        with_lane_width!(width, W => batched_sweep_collect::<R, W>(
+            &sweep.machine,
+            inputs,
+            &sweep.config,
+            sweep.prune.as_ref(),
+            #[cfg(feature = "fault-injection")]
+            sweep.inject(stage).map(|inject| (index_base, inject)),
+        ))
+    }));
+    if let Ok(Some(state)) = swept {
+        return ChunkOutcome::new(state, Vec::new());
     }
+    let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
+    let outcome = serial_engine::<R>(sweep, inputs, index_base, stage);
+    telemetry::QUARANTINE_LADDER_ATTEMPTS.add(inputs.len() as u64);
+    telemetry::QUARANTINE_LADDER_HEALS.add((inputs.len() - outcome.quarantined.len()) as u64);
+    outcome
 }
 
 /// Runs the tiered isolating engine over one contiguous input chunk whose
 /// first input has sweep-global index `index_base`: certify, partition into
-/// contiguous groups of equal verdict and tier-0 region membership, run
-/// each group through the batched engine on its tier's shadow.
+/// contiguous groups of equal verdict, run each group through the batched
+/// engine on its tier's shadow.
 ///
 /// The certification probe is already fault-tolerant (a failed or injected
 /// run is simply uncertified); a *panicking* certify pass fails closed by
-/// escalating every input to the `BigFloat` tier. Certified groups retry
-/// faulting inputs on two rungs — a serial `DoubleDouble` probe, then a
-/// serial `BigFloat` probe (sound for certified inputs, whose `DoubleDouble`
-/// and `BigFloat` records agree by construction) — so an input is
-/// quarantined only when even the reference tier fails it. Uncertified
-/// groups run on the `BigFloat` shadow directly.
+/// escalating every input to the `BigFloat` tier. Only the `BigFloat` tier
+/// quarantines: an input the `DoubleDouble` tier's serial re-run faults on
+/// is demoted to the `BigFloat` tier (sound for certified inputs, whose
+/// `DoubleDouble` and `BigFloat` records agree by construction) and its
+/// group re-split from the start. Each re-split demotes at least one input,
+/// which bounds the loop. [`TierStats`] counts the probe's verdicts.
 fn tiered_engine(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
     params: Option<&CertParams>,
-    tier0: Option<&Tier0>,
 ) -> ChunkOutcome {
-    let certified: Vec<bool> = match params {
+    let mut certified: Vec<bool> = match params {
         Some(params) => {
             let _certify_span = telemetry::span(telemetry::Phase::Certify);
             catch_unwind(AssertUnwindSafe(|| {
-                certify_dispatch(
+                with_lane_width!(width, W => certify_inputs::<W>(
                     &sweep.machine,
-                    width,
                     inputs,
                     params,
                     sweep.config.detect_compensation,
                     #[cfg(feature = "fault-injection")]
                     sweep.armed.then_some(index_base),
-                )
+                ))
             }))
             .unwrap_or_else(|_| vec![false; inputs.len()])
         }
@@ -564,44 +411,33 @@ fn tiered_engine(
     };
     telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
     telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
-    // Tier 0 applies per input: only inputs inside the statically declared
-    // region may use the prune mask. Out-of-region inputs sweep unpruned,
-    // so a wrong `input_ranges` declaration costs throughput, never report
-    // fidelity.
-    let in_region: Vec<bool> = match tier0 {
-        Some(t) => inputs
-            .iter()
-            .map(|input| input_in_region(input, &t.ranges))
-            .collect(),
-        None => vec![false; inputs.len()],
-    };
-    let dd_rungs = [
-        LadderRung::on::<DoubleDouble>(SweepStage::TieredDoubleDouble),
-        LadderRung::on::<BigFloat>(SweepStage::TieredBigFloat),
-    ];
-    let big_rungs = [LadderRung::on::<BigFloat>(SweepStage::TieredBigFloat)];
     let mut outcome = ChunkOutcome {
         tiers,
         ..ChunkOutcome::new(AnalysisState::empty(sweep.config.clone()), Vec::new())
     };
     let mut start = 0;
     while start < inputs.len() {
-        let (verdict, region) = (certified[start], in_region[start]);
-        let mut end = start + 1;
-        while end < inputs.len() && certified[end] == verdict && in_region[end] == region {
-            end += 1;
-        }
+        let verdict = certified[start];
+        let end = start
+            + certified[start..]
+                .iter()
+                .take_while(|&&c| c == verdict)
+                .count();
         let (group, base) = (&inputs[start..end], index_base + start);
-        let prune = tier0.filter(|_| region).map(|t| &t.mask);
         let group_outcome = if verdict {
             let _tier_span = telemetry::span(telemetry::Phase::TierDoubleDouble);
             let stage = SweepStage::TieredDoubleDouble;
-            batched_engine::<DoubleDouble>(sweep, width, group, base, stage, &dd_rungs, prune)
+            batched_engine::<DoubleDouble>(sweep, width, group, base, stage)
         } else {
             let _tier_span = telemetry::span(telemetry::Phase::TierBigFloat);
-            let stage = SweepStage::TieredBigFloat;
-            batched_engine::<BigFloat>(sweep, width, group, base, stage, &big_rungs, prune)
+            batched_engine::<BigFloat>(sweep, width, group, base, SweepStage::TieredBigFloat)
         };
+        if verdict && !group_outcome.quarantined.is_empty() {
+            for record in &group_outcome.quarantined {
+                certified[record.input_index - index_base] = false;
+            }
+            continue;
+        }
         outcome.absorb(group_outcome);
         start = end;
     }
@@ -762,36 +598,35 @@ pub(crate) fn batched_family<R: Real>(
     let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
     let stage = SweepStage::BatchedLane;
-    let rungs = [LadderRung::on::<R>(stage)];
     assemble(sharded(
         inputs,
         threads,
         &sweep.config,
         stage,
-        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start, stage, &rungs, None),
+        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start, stage),
     ))
 }
 
 /// The tiered family's sweep: tier 0 once per sweep (when
-/// [`AnalysisConfig::input_ranges`] is declared), then the tiered engine per
-/// thread shard.
+/// [`AnalysisConfig::input_ranges`] is declared and covers every input),
+/// then the tiered engine per thread shard.
 pub(crate) fn tiered_family(
     program: &Program,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
     armed: bool,
 ) -> (Report, TierStats) {
-    let sweep = Sweep::new(program, config, armed);
+    let mut sweep = Sweep::new(program, config, armed);
+    sweep.prune = arm_tier0(program, &sweep.config, inputs);
     let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
     let params = CertParams::new(sweep.config.shadow_precision);
-    let tier0 = arm_tier0(program, &sweep.config);
     let outcome = sharded(
         inputs,
         threads,
         &sweep.config,
         SweepStage::TieredBigFloat,
-        |start, chunk| tiered_engine(&sweep, width, chunk, start, params.as_ref(), tier0.as_ref()),
+        |start, chunk| tiered_engine(&sweep, width, chunk, start, params.as_ref()),
     );
     let tiers = outcome.tiers;
     (assemble(outcome), tiers)
@@ -832,9 +667,9 @@ pub fn analyze_parallel_isolated(
 }
 
 /// Fault-isolated batched sweep: the isolating counterpart of
-/// [`analyze_batched`](crate::batched::analyze_batched). Lane-group faults
-/// and pass panics are re-tried on a serial probe per input — the probe's
-/// per-input-deterministic verdict decides the quarantine, which is what
+/// [`analyze_batched`](crate::batched::analyze_batched). A shard whose lane
+/// sweep faults or panics is re-run on the serial engine, whose
+/// per-input-deterministic verdicts decide the quarantine — which is what
 /// keeps quarantine lists identical across batch widths and thread counts.
 pub fn analyze_batched_isolated(
     program: &Program,
@@ -846,7 +681,7 @@ pub fn analyze_batched_isolated(
 
 /// Fault-isolated tiered adaptive-precision sweep: the isolating
 /// counterpart of [`analyze_tiered`](crate::tiered::analyze_tiered); see
-/// the tiered engine's retry ladder in the module documentation.
+/// how the tiered engine recovers in the module documentation.
 pub fn analyze_tiered_isolated(
     program: &Program,
     inputs: &[Vec<f64>],

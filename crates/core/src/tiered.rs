@@ -66,7 +66,7 @@
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::balanced_chunks;
+use crate::batched::lane_passes;
 use crate::config::AnalysisConfig;
 use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
@@ -403,146 +403,97 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
 /// the escalate pass reruns them in the `BigFloat` tier, which quarantines
 /// them with the same error a plain sweep stops at. The failing lane keeps
 /// consuming its chunk: unlike the analysis sweeps, the probe must classify
-/// *every* input.
-fn certify_inputs<const W: usize>(
+/// *every* input. `inject_base` (fault-injection builds only) arms injected
+/// certification verdicts with the sweep-global index of `inputs[0]`;
+/// unarmed sweeps pass `None`.
+pub(crate) fn certify_inputs<const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     params: &CertParams,
     detect_compensation: bool,
     #[cfg(feature = "fault-injection")] inject_base: Option<usize>,
 ) -> Vec<bool> {
-    let lane_count = W.min(inputs.len()).max(1);
-    let chunks = balanced_chunks(inputs, lane_count);
-    let positions = chunks.first().map_or(0, |chunk| chunk.len());
-    // Chunk `l` starts at input index `offsets[l]` (chunks are contiguous).
-    let mut offsets = Vec::with_capacity(chunks.len());
-    let mut start = 0;
-    for chunk in &chunks {
-        offsets.push(start);
-        start += chunk.len();
-    }
     let batch = machine.batched::<W>();
     let mut probe = CertifyProbe::<W>::new(*params, detect_compensation);
     let mut memory = BatchMemory::new();
     let mut certified = vec![false; inputs.len()];
-    for position in 0..positions {
-        let mut lane_inputs: [Option<&[f64]>; W] = [None; W];
-        let mut any = false;
-        for (l, chunk) in chunks.iter().enumerate() {
-            if let Some(input) = chunk.get(position) {
-                lane_inputs[l] = Some(input.as_slice());
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
+    for lanes in lane_passes::<W>(inputs.len()) {
+        let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
         let outcome = batch.run_batch(&lane_inputs, &mut probe, &mut memory);
-        for (l, chunk) in chunks.iter().enumerate() {
-            if chunk.get(position).is_some() {
-                let index = offsets[l] + position;
-                #[allow(unused_mut)]
-                let mut verdict = probe.lane_certified(l) && outcome.errors[l].is_none();
-                if telemetry::enabled() && !verdict {
-                    // Escalation cause: the first failing certificate check,
-                    // or a machine fault when every check passed.
-                    if !probe.lane_certified(l) {
-                        match probe.lane_fail_kind(l) {
-                            Some(CertFailKind::Rounding) => {
-                                telemetry::TIERED_ESCALATE_ROUNDING.incr()
-                            }
-                            Some(CertFailKind::Compensation) => {
-                                telemetry::TIERED_ESCALATE_COMPENSATION.incr()
-                            }
-                            Some(CertFailKind::Branch) => telemetry::TIERED_ESCALATE_BRANCH.incr(),
-                            None => {}
+        for (l, index) in lanes.into_iter().enumerate() {
+            let Some(index) = index else { continue };
+            #[allow(unused_mut)]
+            let mut verdict = probe.lane_certified(l) && outcome.errors[l].is_none();
+            if telemetry::enabled() && !verdict {
+                // Escalation cause: the first failing certificate check, or
+                // a machine fault when every check passed.
+                if !probe.lane_certified(l) {
+                    match probe.lane_fail_kind(l) {
+                        Some(CertFailKind::Rounding) => telemetry::TIERED_ESCALATE_ROUNDING.incr(),
+                        Some(CertFailKind::Compensation) => {
+                            telemetry::TIERED_ESCALATE_COMPENSATION.incr()
                         }
-                    } else {
-                        telemetry::TIERED_ESCALATE_MACHINE_FAULT.incr();
+                        Some(CertFailKind::Branch) => telemetry::TIERED_ESCALATE_BRANCH.incr(),
+                        None => {}
                     }
+                } else {
+                    telemetry::TIERED_ESCALATE_MACHINE_FAULT.incr();
                 }
-                // An injected tier-escalation failure forces the input out of
-                // the certified tier at verdict time, so the escalation tier
-                // (where the same injection panics) is exercised. Armed only
-                // by the fault-isolated driver.
-                #[cfg(feature = "fault-injection")]
-                if let Some(base) = inject_base {
-                    use crate::faultinject::{self, InjectKind, InjectStage};
-                    if faultinject::query(base + index, 0, InjectStage::TieredCertify)
-                        == Some(InjectKind::TierEscalation)
-                    {
-                        if verdict {
-                            telemetry::TIERED_ESCALATE_INJECTED.incr();
-                        }
-                        verdict = false;
-                    }
-                }
-                certified[index] = verdict;
             }
+            // An injected tier-escalation failure forces the input out of the
+            // certified tier at verdict time, so the escalation tier (where
+            // the same injection panics) is exercised. Armed only by the
+            // fault-isolated driver.
+            #[cfg(feature = "fault-injection")]
+            if let Some(base) = inject_base {
+                use crate::faultinject::{self, InjectKind, InjectStage};
+                if faultinject::query(base + index, 0, InjectStage::TieredCertify)
+                    == Some(InjectKind::TierEscalation)
+                {
+                    if verdict {
+                        telemetry::TIERED_ESCALATE_INJECTED.incr();
+                    }
+                    verdict = false;
+                }
+            }
+            certified[index] = verdict;
         }
     }
     certified
 }
 
-/// [`certify_inputs`] dispatched to the compiled batch width. `inject_base`
-/// (fault-injection builds only) arms injected certification verdicts with
-/// the sweep-global index of `inputs[0]`; unarmed sweeps pass `None`.
-pub(crate) fn certify_dispatch(
-    machine: &Machine<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    params: &CertParams,
-    detect_compensation: bool,
-    #[cfg(feature = "fault-injection")] inject_base: Option<usize>,
-) -> Vec<bool> {
-    macro_rules! go {
-        ($w:literal) => {
-            certify_inputs::<$w>(
-                machine,
-                inputs,
-                params,
-                detect_compensation,
-                #[cfg(feature = "fault-injection")]
-                inject_base,
-            )
-        };
-    }
-    match width {
-        2 => go!(2),
-        4 => go!(4),
-        8 => go!(8),
-        13 => go!(13),
-        16 => go!(16),
-        _ => go!(1),
-    }
-}
-
-/// The armed tier 0 of a tiered sweep: the static prune mask plus the
-/// declared input region it is valid for.
+/// Arms tier 0 for a tiered sweep: the static prune mask of the program
+/// over the declared [`AnalysisConfig::input_ranges`].
 ///
 /// Tier 0 runs *before any input executes*: [`staticerr::analyze_program`]
-/// abstractly interprets the compiled tape over
-/// [`AnalysisConfig::input_ranges`] and certifies statements whose dynamic
-/// error can never trip the thresholds for any in-region input. Certified
-/// statements (filtered to the report-invisible subset by
-/// [`staticerr::prune_mask`]) skip dynamic shadowing in **both** dynamic
-/// tiers — the certificate bounds the exact value, not a particular shadow,
-/// so it holds under `DoubleDouble` and `BigFloat` alike. The driver checks
-/// every input against the declared region and sweeps out-of-region inputs
-/// unpruned, so the bit-identity contract holds unconditionally even when
-/// the declared ranges are wrong.
-pub(crate) struct Tier0 {
-    pub(crate) mask: Arc<staticerr::PruneMask>,
-    pub(crate) ranges: Vec<(f64, f64)>,
-}
-
-/// Runs the static tier-0 pass when the configuration declares input
-/// ranges. Returns `None` when disarmed (`input_ranges: None`), when the
-/// declared ranges do not match the program's arity (fail closed: no
-/// pruning), or when nothing prunable was certified.
-pub(crate) fn arm_tier0(program: &Program, config: &AnalysisConfig) -> Option<Tier0> {
+/// abstractly interprets the compiled tape over the declared region and
+/// certifies statements whose dynamic error can never trip the thresholds
+/// for any in-region input. Certified statements (filtered to the
+/// report-invisible subset by [`staticerr::prune_mask`]) skip dynamic
+/// shadowing in **both** dynamic tiers — the certificate bounds the exact
+/// value, not a particular shadow, so it holds under `DoubleDouble` and
+/// `BigFloat` alike.
+///
+/// The mask is armed per sweep: only when every swept input lies inside the
+/// region (NaN coordinates never do). Otherwise the whole sweep runs
+/// unpruned and the static pass is skipped, so the bit-identity contract
+/// holds even when the declared ranges are wrong. Returns `None` as well
+/// when no ranges are declared, when they do not match the program's arity
+/// (fail closed), or when nothing prunable was certified.
+pub(crate) fn arm_tier0(
+    program: &Program,
+    config: &AnalysisConfig,
+    inputs: &[Vec<f64>],
+) -> Option<Arc<staticerr::PruneMask>> {
     let ranges = config.input_ranges.as_ref()?;
-    if ranges.len() != program.arg_addrs.len() {
+    let inside = |input: &Vec<f64>| {
+        input.len() == ranges.len()
+            && input
+                .iter()
+                .zip(ranges)
+                .all(|(&x, &(lo, hi))| lo <= x && x <= hi)
+    };
+    if ranges.len() != program.arg_addrs.len() || !inputs.iter().all(inside) {
         return None;
     }
     let _span = telemetry::span(telemetry::Phase::Tier0Static);
@@ -555,23 +506,7 @@ pub(crate) fn arm_tier0(program: &Program, config: &AnalysisConfig) -> Option<Ti
     let mask = staticerr::prune_mask(program, &analysis);
     telemetry::TIER0_STATEMENTS_CERTIFIED.add(analysis.certified_computes as u64);
     telemetry::TIER0_STATEMENTS_PRUNED.add(mask.pruned_computes() as u64);
-    if mask.is_empty() {
-        return None;
-    }
-    Some(Tier0 {
-        mask: Arc::new(mask),
-        ranges: ranges.clone(),
-    })
-}
-
-/// Whether an input vector lies inside the declared tier-0 region (NaN
-/// coordinates are never in range).
-pub(crate) fn input_in_region(input: &[f64], ranges: &[(f64, f64)]) -> bool {
-    input.len() == ranges.len()
-        && input
-            .iter()
-            .zip(ranges)
-            .all(|(&x, &(lo, hi))| lo <= x && x <= hi)
+    (!mask.is_empty()).then(|| Arc::new(mask))
 }
 
 /// Runs the tiered adaptive-precision analysis and returns the report
@@ -582,8 +517,9 @@ pub(crate) fn input_in_region(input: &[f64], ranges: &[(f64, f64)]) -> bool {
 /// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
 /// with the shard-merge exception the batched and parallel drivers share
 /// (DESIGN.md, "Parallel engine"). With [`AnalysisConfig::input_ranges`]
-/// set, tier 0 runs first and in-region inputs skip shadowing for
-/// statically certified statements. This is the fail-fast view of
+/// set and every input inside the declared region, tier 0 runs first and
+/// the sweep skips shadowing for statically certified statements. This is
+/// the fail-fast view of
 /// [`analyze_tiered_isolated_with_stats`](crate::quarantine::analyze_tiered_isolated_with_stats),
 /// run without fault injection.
 ///
@@ -776,10 +712,10 @@ mod tests {
 
     #[test]
     fn tier0_out_of_region_inputs_sweep_unpruned_and_identical() {
-        // The declared region covers only part of the sweep: out-of-region
-        // inputs (including one far outside, where the certificate would be
-        // meaningless) must run unpruned and the merged report must still be
-        // bit-identical.
+        // The declared region covers only part of the sweep (one input lies
+        // far outside, where the certificate would be meaningless): tier 0
+        // disarms for the whole sweep, which runs unpruned, and the report
+        // must still be bit-identical.
         let p = program("(FPCore (x) (+ (* x x) (+ x 2)))");
         let mut inputs: Vec<Vec<f64>> = (0..10).map(|i| vec![1.0 + f64::from(i)]).collect();
         inputs.push(vec![1e200]);
@@ -789,8 +725,11 @@ mod tests {
             .with_threads(1)
             .with_input_ranges(vec![(1.0, 16.0)]);
         let serial = analyze(&p, &inputs, &AnalysisConfig::default().with_threads(1)).unwrap();
+        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
         let (tiered, _) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
+        let snap = capture.finish();
         assert_eq!(format!("{serial:?}"), format!("{tiered:?}"));
+        assert_eq!(snap.counter("tier0.pruned_executions"), 0, "{snap:?}");
     }
 
     #[test]

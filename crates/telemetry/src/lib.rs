@@ -325,9 +325,9 @@ declare_counters! {
     (QUARANTINE_INPUTS, "quarantine.inputs_quarantined", true,
      "Inputs quarantined in the final report."),
     (QUARANTINE_LADDER_ATTEMPTS, "quarantine.ladder_attempts", false,
-     "Heal-ladder rungs attempted across all quarantine candidates."),
+     "Inputs the serial engine re-ran after a faulted batched or tiered pass."),
     (QUARANTINE_LADDER_HEALS, "quarantine.ladder_heals", false,
-     "Heal-ladder rungs that produced a clean re-run (candidate healed)."),
+     "Serially re-run inputs that came back clean (not quarantined)."),
     // Fault injection (test harness).
     (FAULTINJECT_FIRED, "faultinject.fired", false,
      "Injected fault sites that actually fired."),
@@ -391,7 +391,7 @@ pub enum Phase {
     TierDoubleDouble,
     /// Tiered driver: escalated BigFloat sweep segments.
     TierBigFloat,
-    /// Quarantine heal-ladder re-runs.
+    /// Serial re-runs of faulted batched or tiered passes.
     Ladder,
     /// Report assembly and merging.
     Report,

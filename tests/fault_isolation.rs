@@ -11,16 +11,19 @@
 //!    across all four drivers.
 //! 3. **Typed faults** — injected budget faults surface as the same typed
 //!    [`MachineError`] the real budget produces.
-//! 4. **Retry ladder** — tier-scoped faults heal through the ladder
-//!    (`DoubleDouble` probe, then `BigFloat` probe); faults that survive
-//!    the whole ladder quarantine with the last rung's stage.
+//! 4. **Serial recovery** — a faulted batched or tiered pass re-runs its
+//!    chunk on the serial engine, whose per-input verdicts decide; an input
+//!    the `DoubleDouble` tier faults on is demoted to the `BigFloat` tier,
+//!    so tier-scoped faults heal, and faults the `BigFloat` tier also hits
+//!    quarantine at that stage.
 #![cfg(feature = "fault-injection")]
 
 use fpvm::MachineError;
 use herbgrind::faultinject::{self, FaultPlan, FaultSpec, InjectKind, InjectStage, SeededFaults};
 use herbgrind::{
     analyze, analyze_batched_isolated, analyze_isolated, analyze_parallel_isolated,
-    analyze_tiered_isolated, AnalysisConfig, QuarantinedInput, Report, SweepStage,
+    analyze_tiered_isolated, analyze_tiered_isolated_with_stats, AnalysisConfig, QuarantinedInput,
+    Report, SweepStage,
 };
 
 fn assert_degraded_matches_survivors(degraded: &Report, survivors: &Report, context: &str) {
@@ -406,4 +409,69 @@ fn stage_scoped_plan_fires_only_in_that_stage() {
         "serial-stage plan fired during a batched sweep: {:?}",
         faultinject::fired_sites()
     );
+}
+
+#[test]
+fn nan_poison_stays_out_of_serial_recovery() {
+    // NaN poisoning is defined for the serial stages only. A panic at input
+    // 5 sends its batched chunk back through the serial engine at the
+    // batched stage, and that re-run must not poison input 2: the report
+    // must equal the plain analysis of the survivors at every width.
+    let _guard = faultinject::install(FaultPlan::sites(vec![
+        FaultSpec::input(2, InjectKind::NanPoison),
+        FaultSpec::input(5, InjectKind::Panic),
+    ]));
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 12, 7).expect("prepare");
+    let config = AnalysisConfig::default().with_threads(1);
+    let survivors_inputs: Vec<Vec<f64>> = prepared
+        .inputs
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != 5)
+        .map(|(_, input)| input.clone())
+        .collect();
+    let survivors = analyze(&prepared.program, &survivors_inputs, &config).expect("oracle");
+    for width in [1usize, 8] {
+        let report = analyze_batched_isolated(
+            &prepared.program,
+            &prepared.inputs,
+            &config.clone().with_batch_width(width),
+        );
+        let indices: Vec<usize> = report.quarantined.iter().map(|q| q.input_index).collect();
+        assert_eq!(indices, vec![5], "width={width}");
+        assert_degraded_matches_survivors(&report, &survivors, &format!("poison w={width}"));
+    }
+}
+
+#[test]
+fn tiered_verdicts_do_not_depend_on_grouping() {
+    // Every input certifies. Input 5's DoubleDouble-scoped panic demotes it
+    // alone to the BigFloat tier; input 4 stays in the DoubleDouble tier and
+    // never meets its BigFloat-scoped panic. Were a faulted certified group
+    // to fall back to BigFloat as a whole, input 4 would be quarantined.
+    let _guard = faultinject::install(FaultPlan::sites(vec![
+        FaultSpec::input(4, InjectKind::Panic).in_stage(InjectStage::TieredBigFloat),
+        FaultSpec::input(5, InjectKind::Panic).in_stage(InjectStage::TieredDoubleDouble),
+    ]));
+    let core = fpcore::parse_core("(FPCore (x) (+ (* x x) (+ x 2)))").expect("parses");
+    let program = fpvm::compile_core(&core, Default::default()).expect("compiles");
+    let inputs: Vec<Vec<f64>> = (0..12).map(|i| vec![1.0 + 0.25 * f64::from(i)]).collect();
+    let full = analyze(&program, &inputs, &AnalysisConfig::default()).expect("full oracle");
+    for (threads, width) in [(1usize, 1usize), (1, 8), (2, 4)] {
+        let config = AnalysisConfig::default()
+            .with_threads(threads)
+            .with_batch_width(width);
+        let (report, stats) = analyze_tiered_isolated_with_stats(&program, &inputs, &config);
+        assert_eq!(
+            stats.certified_inputs, 12,
+            "threads={threads} width={width}"
+        );
+        assert!(
+            report.quarantined.is_empty(),
+            "threads={threads} width={width}: {:?}",
+            report.quarantined
+        );
+        assert_degraded_matches_survivors(&report, &full, &format!("tiered t={threads} w={width}"));
+    }
 }
