@@ -243,8 +243,8 @@ fn main() {
     // --- telemetry capture overhead on the batched dd sweep ---------------
     // Same sweep as the batched w=8 row, run through a telemetry capture:
     // `Off` (the default) must cost nothing measurable — every recording
-    // site in the pipeline reduces to one relaxed atomic load — and `On`
-    // shows the full-recording cost for reference. The committed baseline
+    // site in the pipeline reduces to one thread-local load and a branch —
+    // and `On` shows the full-recording cost for reference. The committed baseline
     // asserts the off-mode row stays within 2% of the plain batched row.
     let config_w8 = base.clone().with_batch_width(8);
     for (engine, mode) in [

@@ -87,4 +87,4 @@ pub use trace::{ConcreteExpr, ExprInterner};
 
 pub use staticerr;
 pub use telemetry;
-pub use telemetry::{telemetry_to_json, SweepCapture, SweepTelemetry, TelemetryMode};
+pub use telemetry::{SweepCapture, SweepTelemetry, TelemetryMode};

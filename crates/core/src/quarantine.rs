@@ -448,10 +448,10 @@ fn tiered_engine(
 /// `inputs`, one thread per chunk, and folds the chunk outcomes in input
 /// order — by the merge laws, the outcome of one continuous sweep. This is
 /// the only place a sweep spawns threads; each shard thread records
-/// telemetry exactly when the calling thread does. The engines catch panics
-/// per input, so a shard thread dying is out of model (a panic while
-/// panicking, say); it fails closed by quarantining its whole chunk at
-/// `stage`.
+/// telemetry exactly when the calling thread does, into a tally folded into
+/// the calling thread's at join. The engines catch panics per input, so a
+/// shard thread dying is out of model (a panic while panicking, say); it
+/// fails closed by quarantining its whole chunk at `stage`, tally lost.
 fn sharded(
     inputs: &[Vec<f64>],
     threads: usize,
@@ -472,17 +472,19 @@ fn sharded(
             .map(|chunk| {
                 let first = start;
                 start += chunk.len();
-                let handle = scope.spawn(move || {
-                    telemetry::set_thread_enabled(recording);
-                    engine(first, chunk)
-                });
+                let handle =
+                    scope.spawn(move || telemetry::shard(recording, || engine(first, chunk)));
                 (first..start, handle)
             })
             .collect();
         handles
             .into_iter()
-            .map(|(indices, handle)| {
-                handle.join().unwrap_or_else(|payload| {
+            .map(|(indices, handle)| match handle.join() {
+                Ok((outcome, tally)) => {
+                    telemetry::absorb(&tally);
+                    outcome
+                }
+                Err(payload) => {
                     let message = panic_message(payload);
                     let lost = indices
                         .map(|input_index| QuarantinedInput {
@@ -492,7 +494,7 @@ fn sharded(
                         })
                         .collect();
                     ChunkOutcome::new(AnalysisState::empty(config.clone()), lost)
-                })
+                }
             })
             .collect()
     });

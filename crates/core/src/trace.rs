@@ -580,7 +580,7 @@ impl ExprInterner {
     /// dropping — and the empty blocks are kept (up to `POOL_CAP`) for
     /// the next run's nodes to be written into.
     pub fn clear(&mut self) {
-        telemetry::INTERNER_PEAK_NODES.record((self.leaves.len() + self.nodes.len()) as u64);
+        telemetry::INTERNER_PEAK_NODES.record(self.len() as u64);
         let ExprInterner {
             leaves,
             nodes,
@@ -606,6 +606,13 @@ impl ExprInterner {
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.leaves.is_empty() && self.nodes.is_empty()
+    }
+}
+
+impl Drop for ExprInterner {
+    /// A run's last table is never cleared, so the peak gauge reads it here.
+    fn drop(&mut self) {
+        telemetry::INTERNER_PEAK_NODES.record(self.len() as u64);
     }
 }
 

@@ -111,7 +111,10 @@ impl PreparedBenchmark {
     ///
     /// The input sweep is sharded across [`AnalysisConfig::threads`] analysis
     /// threads; the report is bit-identical to a serial sweep regardless of
-    /// the thread count.
+    /// the thread count, with the one known exception of
+    /// [`herbgrind::analyze_parallel`]: a shard whose loop runs are shorter
+    /// than [`AnalysisConfig::max_expression_depth`] can lose input-range
+    /// contributions in the merge.
     ///
     /// # Errors
     ///

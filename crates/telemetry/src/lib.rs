@@ -1,39 +1,53 @@
 //! Zero-cost-when-off sweep telemetry.
 //!
-//! A dependency-free registry of atomic counters, max gauges, and coarse
-//! log2-bucket histograms, plus RAII phase-timing spans, that every layer of
-//! the analysis pipeline reports into: the `fpvm` interpreters, the batched
-//! engine, the tiered driver, `shadowreal`, the expression interner, and the
-//! quarantine machinery.
+//! Counters, max gauges, coarse log2-bucket histograms, and RAII
+//! phase-timing spans that every layer of the analysis pipeline reports
+//! into: the `fpvm` interpreters, the batched engine, the tiered driver,
+//! `shadowreal`, the expression interner, and the quarantine machinery. The
+//! crate holds no process-global state: every metric lands in a tally that
+//! belongs to the capture wrapping the sweep.
 //!
 //! # Cost model
 //!
-//! All metrics live in process-global statics. Recording is gated behind
-//! [`enabled`]; while no capture is active (the default) every recording
-//! site is one relaxed atomic load and one predictable branch, and the hot
+//! Each thread has two thread-locals: a recording flag and a tally (a
+//! [`SweepTelemetry`]). A metric handle such as [`FPVM_STEPS`] is a `const`
+//! index into the tally. Every recording site checks [`enabled`], which
+//! reads the calling thread's flag: while no capture is active (the
+//! default) a site costs one thread-local load and one predictable branch.
+//! While recording, a site does a plain add into its own thread's tally — no
+//! atomics, and no cache lines shared with other threads. The hot
 //! interpreter loops batch their counts into plain locals that are flushed
 //! once per run or per batch pass, so the off-mode overhead is not visible
 //! on the committed `batch_sweep` baseline (CI asserts ≤2%).
 //!
-//! # Capture discipline
+//! # How a capture works
 //!
 //! A capture records the sweep it wraps and nothing else.
-//! [`SweepCapture::begin`] with [`TelemetryMode::On`] takes a global lock,
-//! zeroes every metric, starts timing [`Phase::Sweep`], and sets the
-//! recording flag of the *calling thread*; [`SweepCapture::finish`] reads
-//! everything into an owned [`SweepTelemetry`] snapshot and clears the flag.
-//! Concurrent captures serialize on the lock. A driver that shards a sweep
-//! across threads copies the flag into each ([`set_thread_enabled`]), so the
-//! capture sees the whole sweep, while uncaptured sweeps on other threads
-//! record nothing into it.
+//! [`SweepCapture::begin`] with [`TelemetryMode::On`] sets the calling
+//! thread's flag, swaps a fresh tally in, keeps the flag and tally it
+//! replaced, and starts timing [`Phase::Sweep`]; [`SweepCapture::finish`]
+//! stops the timer, swaps the kept flag and tally back, and returns the
+//! capture's tally as the snapshot. So:
+//!
+//! * Captures on different threads neither wait for each other nor share a
+//!   cell, and uncaptured sweeps on other threads record nothing.
+//! * Captures on one thread nest. The inner snapshot holds the inner sweep
+//!   alone; `finish` also folds it into the enclosing capture's tally.
+//! * A driver that shards a sweep across threads runs each shard thread
+//!   under [`shard`], which gives it the caller's flag and a fresh tally,
+//!   and folds each returned tally into the caller's with [`absorb`] at
+//!   join. Counters, histograms, phases and faults add, and gauges keep the
+//!   maximum; both commute, so the fold order cannot change a snapshot.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
 use std::time::Instant;
 
 /// Whether a sweep records telemetry. The default is [`TelemetryMode::Off`],
-/// under which every recording site reduces to one relaxed load and a
+/// under which every recording site reduces to one thread-local load and a
 /// predictable branch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryMode {
@@ -44,98 +58,58 @@ pub enum TelemetryMode {
     On,
 }
 
-/// True while some thread holds an on-mode [`SweepCapture`].
-static CAPTURING: AtomicBool = AtomicBool::new(false);
-
 thread_local! {
+    /// This thread's recording flag: the gate [`enabled`] reads.
     static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's tally: where its recording sites add.
+    static TALLY: RefCell<SweepTelemetry> = const { RefCell::new(SweepTelemetry::disabled()) };
 }
 
 /// True while this thread records: inside a [`SweepCapture`] with
-/// [`TelemetryMode::On`], or on a shard thread of the captured sweep.
+/// [`TelemetryMode::On`], or in a [`shard`] of the captured sweep.
 ///
-/// This is the single gate every recording site checks. Outside captures it
-/// is one relaxed load of a global (the thread's own flag is read only while
-/// a capture is active), so the off path stays branch-predictable.
+/// This is the single gate every recording site checks: one load of the
+/// thread's own flag, so the off path stays branch-predictable.
 #[inline(always)]
 pub fn enabled() -> bool {
-    CAPTURING.load(Ordering::Relaxed) && RECORDING.with(Cell::get)
+    RECORDING.with(Cell::get)
 }
 
-/// Sets this thread's recording flag: a sweep driver passes the spawning
-/// thread's [`enabled`] to each shard thread it spawns.
-pub fn set_thread_enabled(on: bool) {
-    RECORDING.with(|flag| flag.set(on));
+/// Applies `update` to this thread's tally if this thread records.
+#[inline(always)]
+fn with_tally(update: impl FnOnce(&mut SweepTelemetry)) {
+    if enabled() {
+        TALLY.with(|tally| update(&mut tally.borrow_mut()));
+    }
 }
 
-/// A monotonically increasing `u64` counter (also used as a sum gauge).
-pub struct Counter(AtomicU64);
+/// A monotonically increasing `u64` counter (also used as a sum gauge): a
+/// handle to one cell of the recording thread's tally.
+pub struct Counter(usize);
 
 impl Counter {
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
     /// Add `n` if telemetry is enabled. Call sites that already batched into a
     /// local should use this once per run/pass rather than per event.
     #[inline(always)]
     pub fn add(&self, n: u64) {
-        if enabled() && n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
+        with_tally(|tally| tally.counters[self.0] += n);
     }
 
     /// Increment by one if telemetry is enabled.
     #[inline(always)]
     pub fn incr(&self) {
-        if enabled() {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
+        self.add(1);
     }
 }
 
 /// A gauge that keeps the maximum value observed during the capture.
-pub struct MaxGauge(AtomicU64);
+pub struct MaxGauge(usize);
 
 impl MaxGauge {
-    pub const fn new() -> Self {
-        MaxGauge(AtomicU64::new(0))
-    }
-
     /// Record `v`, keeping the capture-wide maximum, if telemetry is enabled.
     #[inline(always)]
     pub fn record(&self, v: u64) {
-        if enabled() {
-            self.0.fetch_max(v, Ordering::Relaxed);
-        }
-    }
-
-    fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Default for MaxGauge {
-    fn default() -> Self {
-        MaxGauge::new()
+        with_tally(|tally| tally.gauges[self.0] = tally.gauges[self.0].max(v));
     }
 }
 
@@ -154,67 +128,39 @@ pub fn hist_bucket(v: u64) -> usize {
 }
 
 /// A coarse log2-bucket histogram with total count and sum.
-pub struct Histogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
+pub struct Histogram(usize);
 
 impl Histogram {
-    pub const fn new() -> Self {
-        Histogram {
-            buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-
     /// Record one observation if telemetry is enabled.
     #[inline(always)]
     pub fn observe(&self, v: u64) {
-        if enabled() {
-            self.buckets[hist_bucket(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-        }
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HIST_BUCKETS];
-        for (out, b) in buckets.iter_mut().zip(self.buckets.iter()) {
-            *out = b.load(Ordering::Relaxed);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
+        with_tally(|tally| {
+            let h = &mut tally.histograms[self.0];
+            h.buckets[hist_bucket(v)] += 1;
+            h.count += 1;
+            h.sum += v;
+        });
     }
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-/// Point-in-time copy of a [`Histogram`].
+/// The observations one [`Histogram`] recorded during a capture.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
+    /// Observation counts by [`hist_bucket`].
     pub buckets: [u64; HIST_BUCKETS],
+    /// Number of observations.
     pub count: u64,
+    /// Sum of the observed values.
     pub sum: u64,
 }
 
 impl HistogramSnapshot {
+    const EMPTY: HistogramSnapshot = HistogramSnapshot {
+        buckets: [0; HIST_BUCKETS],
+        count: 0,
+        sum: 0,
+    };
+
     /// Mean of the observed values, if any were recorded.
     pub fn mean(&self) -> Option<f64> {
         (self.count != 0).then(|| self.sum as f64 / self.count as f64)
@@ -227,9 +173,13 @@ impl HistogramSnapshot {
 
 macro_rules! declare_counters {
     ($( ($ident:ident, $name:literal, $stable:literal, $doc:literal) ),* $(,)?) => {
+        /// Tally positions of the counters, in registry order.
+        #[allow(non_camel_case_types)]
+        enum CounterIndex { $($ident),* }
+
         $(
             #[doc = $doc]
-            pub static $ident: Counter = Counter::new();
+            pub const $ident: Counter = Counter(CounterIndex::$ident as usize);
         )*
 
         /// Names of every registered counter, in registry order. This order is
@@ -242,10 +192,6 @@ macro_rules! declare_counters {
         /// (schedule-, width-, or clock-dependent) are excluded from the
         /// determinism contract.
         pub const COUNTER_STABLE: &[bool] = &[ $($stable),* ];
-
-        fn counter_refs() -> [&'static Counter; COUNTER_NAMES.len()] {
-            [ $( &$ident ),* ]
-        }
     };
 }
 
@@ -333,42 +279,34 @@ declare_counters! {
      "Injected fault sites that actually fired."),
 }
 
-macro_rules! declare_gauges {
-    ($( ($ident:ident, $name:literal, $doc:literal) ),* $(,)?) => {
+/// Declares the max gauges or the histograms: a `const` handle per entry,
+/// indexing the tally in registry order, and the name table.
+macro_rules! declare_metrics {
+    ($handle:ident, $index:ident, $names:ident, $names_doc:literal,
+     $( ($ident:ident, $name:literal, $doc:literal) ),* $(,)?) => {
+        #[allow(non_camel_case_types)]
+        enum $index { $($ident),* }
         $(
             #[doc = $doc]
-            pub static $ident: MaxGauge = MaxGauge::new();
+            pub const $ident: $handle = $handle($index::$ident as usize);
         )*
-        /// Names of every registered max gauge, in registry order.
-        pub const GAUGE_NAMES: &[&str] = &[ $($name),* ];
-        fn gauge_refs() -> [&'static MaxGauge; GAUGE_NAMES.len()] {
-            [ $( &$ident ),* ]
-        }
+        #[doc = $names_doc]
+        pub const $names: &[&str] = &[ $($name),* ];
     };
 }
 
-declare_gauges! {
+declare_metrics! {
+    MaxGauge, GaugeIndex, GAUGE_NAMES,
+    "Names of every registered max gauge, in registry order.",
     (INTERNER_PEAK_NODES, "interner.peak_nodes",
-     "Largest interned-node count observed in any single analysis run."),
+     "Largest interned-node count observed in any single run or batched lane pass."),
     (INTERNER_NODE_BUDGET, "interner.node_budget",
      "Configured trace-node budget (0 = unlimited); headroom = budget - peak."),
 }
 
-macro_rules! declare_histograms {
-    ($( ($ident:ident, $name:literal, $doc:literal) ),* $(,)?) => {
-        $(
-            #[doc = $doc]
-            pub static $ident: Histogram = Histogram::new();
-        )*
-        /// Names of every registered histogram, in registry order.
-        pub const HISTOGRAM_NAMES: &[&str] = &[ $($name),* ];
-        fn histogram_refs() -> [&'static Histogram; HISTOGRAM_NAMES.len()] {
-            [ $( &$ident ),* ]
-        }
-    };
-}
-
-declare_histograms! {
+declare_metrics! {
+    Histogram, HistogramIndex, HISTOGRAM_NAMES,
+    "Names of every registered histogram, in registry order.",
     (HIST_RUN_STEPS, "hist.run_steps",
      "Steps per completed interpreter run (per lane in batch mode)."),
     (HIST_BATCH_GROUP_SIZE, "hist.batch_group_size",
@@ -421,18 +359,6 @@ pub const PHASE_NAMES: &[&str] = &[
     "tier0_static",
 ];
 
-struct PhaseCell {
-    count: Counter,
-    nanos: Counter,
-}
-
-static PHASE_CELLS: [PhaseCell; 7] = [const {
-    PhaseCell {
-        count: Counter::new(),
-        nanos: Counter::new(),
-    }
-}; 7];
-
 /// RAII span that records one entry and its wall-clock duration for a phase.
 /// Inert (no clock read) when telemetry is disabled at construction time.
 pub struct PhaseSpan {
@@ -442,9 +368,12 @@ pub struct PhaseSpan {
 impl Drop for PhaseSpan {
     fn drop(&mut self) {
         if let Some((phase, start)) = self.start.take() {
-            let cell = &PHASE_CELLS[phase as usize];
-            cell.count.add(1);
-            cell.nanos.add(start.elapsed().as_nanos() as u64);
+            let nanos = start.elapsed().as_nanos() as u64;
+            with_tally(|tally| {
+                let cell = &mut tally.phases[phase as usize];
+                cell.count += 1;
+                cell.nanos += nanos;
+            });
         }
     }
 }
@@ -474,10 +403,15 @@ pub struct PhaseSnapshot {
 /// Sweep stage a quarantine fault was attributed to (rows of the fault table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultStage {
+    /// The serial driver's sweep loop.
     Serial,
+    /// A thread shard of the parallel driver.
     ParallelShard,
+    /// The batched driver's lane passes and their serial re-runs.
     BatchedLane,
+    /// The tiered driver's certified `DoubleDouble` tier.
     TieredDoubleDouble,
+    /// The tiered driver's `BigFloat` tier.
     TieredBigFloat,
 }
 
@@ -493,10 +427,15 @@ pub const FAULT_STAGE_NAMES: &[&str] = &[
 /// Kind of quarantine fault (columns of the fault table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
+    /// The analysis observer panicked.
     Panic,
+    /// The run exhausted its step budget.
     StepBudget,
+    /// The run passed its wall-clock deadline.
     Deadline,
+    /// The run outgrew its trace-node budget.
     TraceBudget,
+    /// Any other machine error.
     Other,
 }
 
@@ -507,67 +446,68 @@ pub const FAULT_KIND_NAMES: &[&str] =
 const FAULT_STAGES: usize = FAULT_STAGE_NAMES.len();
 const FAULT_KINDS: usize = FAULT_KIND_NAMES.len();
 
-static FAULT_TABLE: [[Counter; FAULT_KINDS]; FAULT_STAGES] =
-    [const { [const { Counter::new() }; FAULT_KINDS] }; FAULT_STAGES];
-
 /// Count one quarantined fault at `stage` of `kind` (if telemetry is enabled).
 #[inline]
 pub fn record_fault(stage: FaultStage, kind: FaultKind) {
-    FAULT_TABLE[stage as usize][kind as usize].incr();
+    with_tally(|tally| tally.faults[stage as usize][kind as usize] += 1);
 }
 
 // ---------------------------------------------------------------------------
 // Capture & snapshot
 // ---------------------------------------------------------------------------
 
-static CAPTURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn reset_all() {
-    for c in counter_refs() {
-        c.reset();
-    }
-    for g in gauge_refs() {
-        g.reset();
-    }
-    for h in histogram_refs() {
-        h.reset();
-    }
-    for cell in &PHASE_CELLS {
-        cell.count.reset();
-        cell.nanos.reset();
-    }
-    for row in &FAULT_TABLE {
-        for c in row {
-            c.reset();
-        }
-    }
+/// Sets this thread's recording flag and tally, returning the ones they
+/// replace: a capture or a shard swaps its own in, and back out when done.
+fn swap_in(recording: bool, tally: SweepTelemetry) -> (bool, SweepTelemetry) {
+    (RECORDING.replace(recording), TALLY.replace(tally))
 }
 
-/// Exclusive telemetry capture around one sweep.
+/// Runs `work` as one shard of a sweep on this thread, recording exactly when
+/// `recording` — the spawning thread's [`enabled`] — is set, into a fresh
+/// tally. Returns the result and the shard's tally, which the spawning
+/// thread folds into its own with [`absorb`].
+pub fn shard<T>(recording: bool, work: impl FnOnce() -> T) -> (T, SweepTelemetry) {
+    let (outer_recording, outer) = swap_in(recording, SweepTelemetry::fresh(recording));
+    let out = work();
+    (out, swap_in(outer_recording, outer).1)
+}
+
+/// Folds `part` — a tally returned by [`shard`] or a finished inner capture —
+/// into this thread's tally, if this thread records. Counters, histograms,
+/// phases and faults add; gauges keep the maximum.
+pub fn absorb(part: &SweepTelemetry) {
+    with_tally(|tally| tally.fold(part));
+}
+
+/// Telemetry capture around one sweep, owning the sweep's tally.
 ///
-/// `begin(TelemetryMode::On)` acquires the process-global capture lock, zeroes
-/// the registry, starts the [`Phase::Sweep`] timer, and enables recording on
-/// the calling thread; [`SweepCapture::finish`] stops the timer, snapshots the
-/// registry into a [`SweepTelemetry`], and disables recording. Dropping an
-/// unfinished capture also disables recording. `begin(TelemetryMode::Off)` is
-/// free: no lock, no reset, and `finish` returns a disabled snapshot.
+/// `begin(TelemetryMode::On)` swaps a fresh tally in on the calling thread,
+/// enables recording there, and starts the [`Phase::Sweep`] timer;
+/// [`SweepCapture::finish`] stops the timer, restores the thread's previous
+/// flag and tally, folds the snapshot into that tally if it was recording
+/// (an enclosing capture), and returns the snapshot. Dropping an unfinished
+/// capture restores the same way. Captures on one thread nest; finish them
+/// in reverse order of `begin`. A capture stays on the thread that began it
+/// (it is not `Send`). `begin(TelemetryMode::Off)` is free: it touches
+/// nothing, and `finish` returns a disabled snapshot.
 pub struct SweepCapture {
-    /// The capture lock and the running sweep timer; `None` when off.
-    active: Option<(MutexGuard<'static, ()>, PhaseSpan)>,
+    /// The flag and tally `begin` replaced, and the running sweep timer;
+    /// `None` when off.
+    active: Option<(bool, SweepTelemetry, PhaseSpan)>,
+    /// Keeps the capture on the thread whose tally it installed.
+    _not_send: PhantomData<*const ()>,
 }
 
 impl SweepCapture {
     /// Start a capture. With [`TelemetryMode::Off`] this is a no-op handle.
     pub fn begin(mode: TelemetryMode) -> Self {
-        if mode == TelemetryMode::Off {
-            return SweepCapture { active: None };
-        }
-        let guard = CAPTURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        reset_all();
-        CAPTURING.store(true, Ordering::SeqCst);
-        set_thread_enabled(true);
+        let active = (mode == TelemetryMode::On).then(|| {
+            let (recording, outer) = swap_in(true, SweepTelemetry::fresh(true));
+            (recording, outer, span(Phase::Sweep))
+        });
         SweepCapture {
-            active: Some((guard, span(Phase::Sweep))),
+            active,
+            _not_send: PhantomData,
         }
     }
 
@@ -576,16 +516,14 @@ impl SweepCapture {
         self.stop().unwrap_or_else(SweepTelemetry::disabled)
     }
 
-    /// Stops the sweep timer and recording, and reads the registry before
-    /// releasing the capture lock; `None` for an off-mode capture.
+    /// Stops the sweep timer, restores what `begin` replaced, and folds the
+    /// snapshot into an enclosing capture; `None` for an off-mode capture.
     fn stop(&mut self) -> Option<SweepTelemetry> {
-        let (guard, sweep) = self.active.take()?;
+        let (recording, outer, sweep) = self.active.take()?;
         drop(sweep);
-        set_thread_enabled(false);
-        CAPTURING.store(false, Ordering::SeqCst);
-        let snap = SweepTelemetry::read_registry();
-        drop(guard);
-        Some(snap)
+        let (_, snapshot) = swap_in(recording, outer);
+        absorb(&snapshot);
+        Some(snapshot)
     }
 }
 
@@ -595,49 +533,60 @@ impl Drop for SweepCapture {
     }
 }
 
-/// Owned snapshot of the full metric registry for one sweep.
+/// Every metric of one sweep: the tally a capture records into, and the
+/// snapshot it returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepTelemetry {
     /// Whether recording was enabled; a disabled snapshot is all zeros.
     pub enabled: bool,
-    counters: Vec<u64>,
-    gauges: Vec<u64>,
-    histograms: Vec<HistogramSnapshot>,
-    phases: Vec<PhaseSnapshot>,
-    faults: Vec<Vec<u64>>,
+    counters: [u64; COUNTER_NAMES.len()],
+    gauges: [u64; GAUGE_NAMES.len()],
+    histograms: [HistogramSnapshot; HISTOGRAM_NAMES.len()],
+    phases: [PhaseSnapshot; PHASES.len()],
+    faults: [[u64; FAULT_KINDS]; FAULT_STAGES],
 }
 
 impl SweepTelemetry {
     /// The snapshot returned when telemetry was off: all zeros, `enabled: false`.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
+        SweepTelemetry::fresh(false)
+    }
+
+    /// An all-zero tally.
+    const fn fresh(enabled: bool) -> Self {
         SweepTelemetry {
-            enabled: false,
-            counters: vec![0; COUNTER_NAMES.len()],
-            gauges: vec![0; GAUGE_NAMES.len()],
-            histograms: vec![HistogramSnapshot::default(); HISTOGRAM_NAMES.len()],
-            phases: vec![PhaseSnapshot::default(); PHASE_NAMES.len()],
-            faults: vec![vec![0; FAULT_KINDS]; FAULT_STAGES],
+            enabled,
+            counters: [0; COUNTER_NAMES.len()],
+            gauges: [0; GAUGE_NAMES.len()],
+            histograms: [HistogramSnapshot::EMPTY; HISTOGRAM_NAMES.len()],
+            phases: [PhaseSnapshot { count: 0, nanos: 0 }; PHASES.len()],
+            faults: [[0; FAULT_KINDS]; FAULT_STAGES],
         }
     }
 
-    fn read_registry() -> Self {
-        SweepTelemetry {
-            enabled: true,
-            counters: counter_refs().iter().map(|c| c.get()).collect(),
-            gauges: gauge_refs().iter().map(|g| g.get()).collect(),
-            histograms: histogram_refs().iter().map(|h| h.snapshot()).collect(),
-            phases: PHASE_CELLS
-                .iter()
-                .map(|cell| PhaseSnapshot {
-                    count: cell.count.get(),
-                    nanos: cell.nanos.get(),
-                })
-                .collect(),
-            faults: FAULT_TABLE
-                .iter()
-                .map(|row| row.iter().map(|c| c.get()).collect())
-                .collect(),
+    /// Adds `part` into this tally: gauges keep the maximum, everything else
+    /// adds.
+    fn fold(&mut self, part: &SweepTelemetry) {
+        fn add(totals: &mut [u64], part: &[u64]) {
+            totals
+                .iter_mut()
+                .zip(part)
+                .for_each(|(total, n)| *total += n);
         }
+        add(&mut self.counters, &part.counters);
+        for (peak, v) in self.gauges.iter_mut().zip(part.gauges) {
+            *peak = (*peak).max(v);
+        }
+        for (h, p) in self.histograms.iter_mut().zip(&part.histograms) {
+            add(&mut h.buckets, &p.buckets);
+            h.count += p.count;
+            h.sum += p.sum;
+        }
+        for (cell, p) in self.phases.iter_mut().zip(part.phases) {
+            cell.count += p.count;
+            cell.nanos += p.nanos;
+        }
+        add(self.faults.as_flattened_mut(), part.faults.as_flattened());
     }
 
     /// Value of the counter with this registry name. Panics on unknown names
@@ -762,8 +711,9 @@ impl SweepTelemetry {
         out
     }
 
-    /// Render the snapshot as the stable machine-readable JSON artifact.
-    /// See [`telemetry_to_json`].
+    /// Render the snapshot as the stable `herbgrind-sweep-telemetry` v1 JSON
+    /// artifact: fixed key order (registry order), all metrics present even
+    /// when zero, integers only. This is the schema CI validates.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -835,19 +785,12 @@ impl SweepTelemetry {
     }
 }
 
-/// Serialize a snapshot as the stable `herbgrind-sweep-telemetry` v1 JSON
-/// artifact: fixed key order (registry order), all metrics present even when
-/// zero, integers only. This is the schema CI validates.
-pub fn telemetry_to_json(snapshot: &SweepTelemetry) -> String {
-    snapshot.to_json()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // Every test that enables recording must hold a SweepCapture, which
-    // serializes them on the capture lock.
+    // Every test that enables recording holds a SweepCapture on its own test
+    // thread, so no two tests ever share a tally.
 
     #[test]
     fn disabled_by_default_and_sites_are_inert() {
@@ -914,6 +857,65 @@ mod tests {
     }
 
     #[test]
+    fn nested_capture_folds_into_the_enclosing_one() {
+        let outer = SweepCapture::begin(TelemetryMode::On);
+        FPVM_STEPS.add(2);
+        INTERNER_PEAK_NODES.record(3);
+        let inner = SweepCapture::begin(TelemetryMode::On);
+        FPVM_STEPS.add(5);
+        INTERNER_PEAK_NODES.record(9);
+        record_fault(FaultStage::Serial, FaultKind::Deadline);
+        let inner = inner.finish();
+        assert!(enabled());
+        let outer = outer.finish();
+        assert!(!enabled());
+        assert_eq!(inner.counter("fpvm.steps"), 5);
+        assert_eq!(inner.gauge("interner.peak_nodes"), 9);
+        assert_eq!(outer.counter("fpvm.steps"), 7);
+        assert_eq!(outer.gauge("interner.peak_nodes"), 9);
+        assert_eq!(outer.fault(FaultStage::Serial, FaultKind::Deadline), 1);
+        assert_eq!(inner.phase(Phase::Sweep).count, 1);
+        assert_eq!(outer.phase(Phase::Sweep).count, 2);
+    }
+
+    #[test]
+    fn shard_tallies_fold_into_the_spawning_capture() {
+        let cap = SweepCapture::begin(TelemetryMode::On);
+        FPVM_STEPS.add(1);
+        let recording = enabled();
+        let tallies: Vec<SweepTelemetry> = std::thread::scope(|scope| {
+            let shards: Vec<_> = [4u64, 6]
+                .into_iter()
+                .map(|n| {
+                    scope.spawn(move || {
+                        shard(recording, || {
+                            FPVM_STEPS.add(n);
+                            INTERNER_PEAK_NODES.record(n);
+                            HIST_RUN_STEPS.observe(n);
+                        })
+                        .1
+                    })
+                })
+                .collect();
+            shards.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(tallies[0].counter("fpvm.steps"), 4);
+        for tally in &tallies {
+            absorb(tally);
+        }
+        let snap = cap.finish();
+        assert_eq!(snap.counter("fpvm.steps"), 11);
+        assert_eq!(snap.gauge("interner.peak_nodes"), 6);
+        assert_eq!(snap.histogram("hist.run_steps").sum, 10);
+
+        // Outside a capture, a shard records nothing and absorbing is inert.
+        let ((), idle) = shard(enabled(), || FPVM_STEPS.add(3));
+        assert_eq!(idle, SweepTelemetry::disabled());
+        absorb(&snap);
+        TALLY.with(|tally| assert_eq!(*tally.borrow(), SweepTelemetry::disabled()));
+    }
+
+    #[test]
     fn hist_buckets_cover_ranges() {
         assert_eq!(hist_bucket(0), 0);
         assert_eq!(hist_bucket(1), 1);
@@ -927,7 +929,6 @@ mod tests {
     fn registry_tables_line_up() {
         assert_eq!(COUNTER_NAMES.len(), COUNTER_STABLE.len());
         assert_eq!(PHASES.len(), PHASE_NAMES.len());
-        assert_eq!(PHASE_CELLS.len(), PHASE_NAMES.len());
         // Names must be unique (they key the JSON objects).
         for names in [COUNTER_NAMES, GAUGE_NAMES, HISTOGRAM_NAMES, PHASE_NAMES] {
             let mut sorted: Vec<&str> = names.to_vec();
@@ -942,7 +943,7 @@ mod tests {
         let cap = SweepCapture::begin(TelemetryMode::On);
         FPVM_STEPS.add(42);
         let snap = cap.finish();
-        let json = telemetry_to_json(&snap);
+        let json = snap.to_json();
         assert!(json.contains("\"schema\": \"herbgrind-sweep-telemetry\""));
         assert!(json.contains("\"version\": 1"));
         assert!(json.contains("\"fpvm.steps\": 42"));

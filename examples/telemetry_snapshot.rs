@@ -1,19 +1,37 @@
 //! Sweep telemetry snapshots from every driver family: the same golden
 //! sweep run through the serial, parallel, batched, and tiered drivers
 //! (plus the tiered fault-isolated driver), each inside its own
-//! [`SweepCapture`], printing the human-readable snapshot for the tiered
-//! sweep and the stable JSON rendering for all of them between
-//! machine-parseable markers — CI runs this example and schema-validates
-//! every JSON block.
+//! [`SweepCapture`] on its own thread, all five at the same time. It prints
+//! the human-readable snapshot for the tiered sweep and the stable JSON
+//! rendering for all of them, in a fixed order, between machine-parseable
+//! markers — CI runs this example, schema-validates every JSON block, and
+//! checks that the order-independent metrics agree across drivers, which
+//! would fail if one capture's events leaked into another's.
 //!
 //! Run with `cargo run --release --example telemetry_snapshot`.
 
 use fpcore::parse_core;
-use fpvm::compile_core;
+use fpvm::{compile_core, Program};
 use herbgrind::{
     analyze, analyze_batched, analyze_parallel, analyze_tiered, analyze_tiered_isolated,
-    telemetry_to_json, AnalysisConfig, SweepCapture, SweepTelemetry, TelemetryMode,
+    AnalysisConfig, Report, SweepCapture, SweepTelemetry, TelemetryMode,
 };
+
+/// The driver families, in the order their snapshots are printed.
+const DRIVERS: [&str; 5] = ["serial", "parallel", "batched", "tiered", "tiered_isolated"];
+
+/// Runs one driver family to its report; the fail-fast drivers must succeed.
+fn run(driver: &str, program: &Program, inputs: &[Vec<f64>], config: &AnalysisConfig) -> Report {
+    let report = match driver {
+        "serial" => analyze(program, inputs, config),
+        "parallel" => analyze_parallel(program, inputs, config),
+        "batched" => analyze_batched(program, inputs, config),
+        "tiered" => analyze_tiered(program, inputs, config),
+        "tiered_isolated" => return analyze_tiered_isolated(program, inputs, config),
+        other => unreachable!("unknown driver {other}"),
+    };
+    report.expect(driver)
+}
 
 /// Runs `sweep` inside a telemetry capture and pairs its result with the
 /// snapshot.
@@ -33,40 +51,41 @@ fn main() {
         .collect();
     let config = AnalysisConfig::default();
 
-    let mut snapshots: Vec<(&str, SweepTelemetry)> = Vec::new();
-
-    let (serial_report, tel) = captured(|| analyze(&program, &inputs, &config));
-    let serial_report = serial_report.expect("serial");
-    snapshots.push(("serial", tel));
-    let drivers: [(&str, fn(_, _, _) -> _); 3] = [
-        ("parallel", analyze_parallel),
-        ("batched", analyze_batched),
-        ("tiered", analyze_tiered),
-    ];
-    for (driver, run) in drivers {
-        let (report, tel) = captured(|| run(&program, &inputs, &config));
-        let report = report.expect(driver);
-        assert_eq!(format!("{serial_report:?}"), format!("{report:?}"));
-        snapshots.push((driver, tel));
+    // All five captures are open at once, one per thread.
+    let (program, inputs, config) = (&program, &inputs, &config);
+    let runs: Vec<(&str, Report, SweepTelemetry)> = std::thread::scope(|scope| {
+        let sweeps = DRIVERS
+            .map(|driver| scope.spawn(move || captured(|| run(driver, program, inputs, config))));
+        let snapshots = sweeps.map(|sweep| sweep.join().expect("driver thread"));
+        DRIVERS
+            .into_iter()
+            .zip(snapshots)
+            .map(|(driver, (report, tel))| (driver, report, tel))
+            .collect()
+    });
+    let serial_report = &runs[0].1;
+    for (driver, report, _) in &runs {
+        assert!(report.quarantined.is_empty(), "{driver}");
+        assert_eq!(
+            format!("{serial_report:?}"),
+            format!("{report:?}"),
+            "{driver}"
+        );
     }
-    let (report, tel) = captured(|| analyze_tiered_isolated(&program, &inputs, &config));
-    assert!(report.quarantined.is_empty());
-    snapshots.push(("tiered_isolated", tel));
 
     // Human-readable snapshot for one driver; the report's summary footer
     // rides along via the tier split captured in the snapshot.
-    let tiered = &snapshots[3].1;
-    println!("{}", tiered.to_text());
+    println!("{}", runs[3].2.to_text());
     println!(
         "lane utilization (batched driver): {:?}",
-        snapshots[2].1.lane_utilization()
+        runs[2].2.lane_utilization()
     );
 
     // Stable JSON between markers, one block per driver, for CI to extract
     // and schema-validate.
-    for (driver, tel) in &snapshots {
+    for (driver, _, tel) in &runs {
         println!("--- TELEMETRY JSON BEGIN {driver} ---");
-        println!("{}", telemetry_to_json(tel));
+        println!("{}", tel.to_json());
         println!("--- TELEMETRY JSON END {driver} ---");
     }
 }

@@ -158,8 +158,9 @@ fn assert_isolation_contract(
 
 #[test]
 fn injected_panic_quarantines_only_that_input_across_drivers() {
-    // A stage-agnostic panic at input 7: every driver (and every retry
-    // probe) re-observes it, so exactly input 7 is quarantined everywhere.
+    // A stage-agnostic panic at input 7: every driver (and every serial
+    // re-run of a faulted lane pass) re-observes it, so exactly input 7 is
+    // quarantined everywhere.
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         7,
         InjectKind::Panic,
@@ -252,10 +253,10 @@ fn seeded_background_faults_lose_no_surviving_records() {
 #[test]
 fn tier_escalation_exercises_the_full_retry_ladder() {
     // A TierEscalation fault at input 5: the certify probe forces it out of
-    // the certified tier, the BigFloat tier's pass panics on it, and the
-    // BigFloat retry probe — the ladder's last rung — panics again, so it
-    // is quarantined with the TieredBigFloat stage. Every other input's
-    // records survive.
+    // the certified tier, the BigFloat tier's lane pass panics on it, and
+    // the serial re-run of that pass's chunk panics again on input 5 alone,
+    // so it is quarantined with the TieredBigFloat stage. Every other
+    // input's records survive.
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         5,
         InjectKind::TierEscalation,
@@ -302,11 +303,12 @@ fn tier_escalation_exercises_the_full_retry_ladder() {
 
 #[test]
 fn stage_scoped_faults_heal_through_the_retry_ladder() {
-    // A panic scoped to the DoubleDouble tier only: the tier pass and the
-    // DoubleDouble probe both fail, but the BigFloat probe rung runs clean,
-    // so the input *heals* — nothing is quarantined, and the report equals
-    // the plain analysis of every input (sound because certified inputs
-    // have identical DoubleDouble and BigFloat records).
+    // A panic scoped to the DoubleDouble tier only: the tier's lane pass
+    // and its serial re-run both fail, so the tiered engine demotes the
+    // input to the BigFloat tier, which runs clean. The input *heals* —
+    // nothing is quarantined, and the report equals the plain analysis of
+    // every input (sound because certified inputs have identical
+    // DoubleDouble and BigFloat records).
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         2,
         InjectKind::Panic,

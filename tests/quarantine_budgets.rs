@@ -141,7 +141,7 @@ fn step_budget_mid_sweep_quarantines_only_the_runaway_input() {
         let config = config.clone().with_batch_width(width);
         let report = analyze_tiered_isolated(&program, &inputs, &config);
         // The certify probe fails on the runaway too, so it lands in the
-        // BigFloat tier, whose probe — the ladder's last rung — decides.
+        // BigFloat tier, whose serial re-run of the faulted pass decides.
         assert_eq!(
             report.quarantined,
             vec![QuarantinedInput {
@@ -196,8 +196,8 @@ fn deadline_mid_sweep_quarantines_the_runaway_input() {
     assert_degraded_matches_survivors(&parallel, &survivors, "parallel isolated, deadline");
 
     // In a batched pass the deadline faults every still-running lane of the
-    // pass; the serial retry probes heal the innocent lanes, so only the
-    // runaway input is quarantined regardless of lane grouping.
+    // pass; the serial re-run of the chunk heals the innocent inputs, so
+    // only the runaway input is quarantined regardless of lane grouping.
     let batched = analyze_batched_isolated(
         &program,
         &inputs,
@@ -265,8 +265,8 @@ fn trace_budget_mid_sweep_quarantines_heavy_trace_inputs_across_widths() {
     }
 
     // The batched group interner is shared by a whole lane group, so at
-    // wide widths the budget faults the *group* — the serial retry probes
-    // then heal the light-trace inputs, leaving a quarantine list
+    // wide widths the budget faults the *group* — the serial re-run of the
+    // chunk then heals the light-trace inputs, leaving a quarantine list
     // independent of the width the fault surfaced at.
     for width in [1usize, 2, 8] {
         let report = analyze_batched_isolated(

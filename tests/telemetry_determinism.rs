@@ -12,16 +12,25 @@
 //!    families, and a driver run inside an off-mode capture returns the
 //!    same report as the bare driver.
 //! 3. **A capture records its own sweep only** — uncaptured sweeps running
-//!    on other threads at the same time do not leak into the snapshot.
+//!    on other threads at the same time do not leak into the snapshot, a
+//!    capture overlapping another capture on another thread sees only its
+//!    own sweep, and a capture nested inside another on one thread sees its
+//!    own sweep while the enclosing one sees both.
 //! 4. **The JSON rendering is schema-stable** — fixed schema name and
 //!    version, every registered metric present.
+//! 5. **The interner peak sees every run** — the last run of a serial
+//!    sweep, of each thread shard and of each batched pass included.
 
+use fpbench::PreparedBenchmark;
+use fpvm::{MachineError, Program};
+use herbgrind::telemetry::Phase;
 use herbgrind::{
     analyze, analyze_batched, analyze_parallel, analyze_tiered, analyze_tiered_isolated,
-    analyze_tiered_with_stats, telemetry_to_json, AnalysisConfig, Report, SweepCapture,
-    SweepTelemetry, TelemetryMode,
+    analyze_tiered_with_stats, AnalysisConfig, Report, SweepCapture, SweepTelemetry, TelemetryMode,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Runs `sweep` inside a capture in `mode` and pairs its result with the
 /// snapshot.
@@ -243,6 +252,109 @@ fn uncaptured_sweeps_on_other_threads_do_not_leak_into_a_capture() {
     assert_stable_counters_match(&alone, &concurrent, "capture alone vs beside uncaptured");
 }
 
+/// Benchmark `name` with 32 inputs at seed 2026, and the snapshot of its
+/// sweep captured alone ([`sweep_in_capture`]).
+fn parallel_capture(name: &str) -> (PreparedBenchmark, SweepTelemetry) {
+    let core = fpbench::by_name(name).expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
+    let tel = sweep_in_capture(&prepared);
+    (prepared, tel)
+}
+
+/// Sweeps `prepared` with the parallel driver at 2 threads inside an on-mode
+/// capture.
+fn sweep_in_capture(prepared: &PreparedBenchmark) -> SweepTelemetry {
+    let config = AnalysisConfig::default().with_threads(2);
+    let (report, tel) = captured(TelemetryMode::On, || {
+        analyze_parallel(&prepared.program, &prepared.inputs, &config)
+    });
+    report.expect("captured sweep");
+    tel
+}
+
+#[test]
+fn overlapping_captures_on_two_threads_each_see_their_own_sweep() {
+    let (first, first_alone) = parallel_capture("NMSE example 3.1");
+    let (second, second_alone) = parallel_capture("harmonic sum loop");
+    let (opened, open) = mpsc::channel();
+    let (finished, done) = mpsc::channel();
+    let (first_tel, second_tel) = std::thread::scope(|scope| {
+        let (first, second) = (&first, &second);
+        let first_thread = scope.spawn(move || {
+            let capture = SweepCapture::begin(TelemetryMode::On);
+            opened.send(()).expect("second thread waiting");
+            let config = AnalysisConfig::default().with_threads(2);
+            analyze_parallel(&first.program, &first.inputs, &config).expect("first sweep");
+            // Hold this capture open until the other thread has begun,
+            // swept and finished a capture of its own.
+            done.recv_timeout(Duration::from_secs(60))
+                .expect("a second capture completes while the first is open");
+            capture.finish()
+        });
+        let second_thread = scope.spawn(move || {
+            open.recv().expect("first capture opened");
+            let tel = sweep_in_capture(second);
+            finished.send(()).expect("first thread waiting");
+            tel
+        });
+        let second_tel = second_thread.join().expect("second thread");
+        (first_thread.join().expect("first thread"), second_tel)
+    });
+    assert_stable_counters_match(&first_alone, &first_tel, "first capture, overlapped");
+    assert_stable_counters_match(&second_alone, &second_tel, "second capture, overlapped");
+}
+
+#[test]
+fn nested_capture_sees_its_own_sweep_and_the_outer_sees_both() {
+    let (outer_bench, outer_alone) = parallel_capture("NMSE example 3.1");
+    let (inner_bench, inner_alone) = parallel_capture("harmonic sum loop");
+    let outer = SweepCapture::begin(TelemetryMode::On);
+    let config = AnalysisConfig::default().with_threads(2);
+    analyze_parallel(&outer_bench.program, &outer_bench.inputs, &config).expect("outer");
+    let inner = sweep_in_capture(&inner_bench);
+    let outer = outer.finish();
+    assert_stable_counters_match(&inner_alone, &inner, "inner capture vs alone");
+    let both: Vec<(&str, u64)> = outer_alone
+        .stable_counters()
+        .into_iter()
+        .zip(inner_alone.stable_counters())
+        .map(|((name, a), (_, b))| (name, a + b))
+        .collect();
+    assert_eq!(
+        outer.stable_counters(),
+        both,
+        "outer capture vs both sweeps"
+    );
+    assert_eq!(outer.phase(Phase::Sweep).count, 2);
+}
+
+#[test]
+fn interner_peak_counts_the_last_run_of_every_shard_and_pass() {
+    type Driver = fn(&Program, &[Vec<f64>], &AnalysisConfig) -> Result<Report, MachineError>;
+    let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").expect("parses");
+    let program = fpvm::compile_core(&core, Default::default()).expect("compiles");
+    let peak = |driver: Driver, inputs: &[Vec<f64>], config: AnalysisConfig| {
+        let (report, tel) = captured(TelemetryMode::On, || driver(&program, inputs, &config));
+        report.expect("sweep");
+        tel.gauge("interner.peak_nodes")
+    };
+    let serial = AnalysisConfig::default();
+    assert!(
+        peak(analyze, &[vec![1.0e6]], serial.clone()) > 0,
+        "one serial run"
+    );
+    let two = [vec![1.0e6], vec![3.0e12]];
+    let serial_peak = peak(analyze, &two, serial.clone());
+    let parallel = serial.clone().with_threads(2);
+    assert_eq!(
+        peak(analyze_parallel, &two, parallel),
+        serial_peak,
+        "2 threads vs serial"
+    );
+    let batched = serial.with_batch_width(8);
+    assert!(peak(analyze_batched, &two, batched) > 0, "one batched pass");
+}
+
 #[test]
 fn json_rendering_is_schema_stable() {
     let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
@@ -252,7 +364,7 @@ fn json_rendering_is_schema_stable() {
         analyze_tiered(&prepared.program, &prepared.inputs, &config)
     });
     report.expect("tiered");
-    let json = telemetry_to_json(&tel);
+    let json = tel.to_json();
     assert!(
         json.contains("\"schema\": \"herbgrind-sweep-telemetry\""),
         "{json}"
@@ -272,7 +384,7 @@ fn json_rendering_is_schema_stable() {
         );
     }
     // A disabled snapshot renders the same schema with enabled: false.
-    let disabled = telemetry_to_json(&SweepTelemetry::disabled());
+    let disabled = SweepTelemetry::disabled().to_json();
     assert!(disabled.contains("\"schema\": \"herbgrind-sweep-telemetry\""));
     assert!(disabled.contains("\"enabled\": false"));
 }
