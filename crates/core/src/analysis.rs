@@ -371,17 +371,14 @@ impl<R: Real> Herbgrind<R> {
         put_shadow(&mut self.shadow_slots, self.shadow_gen, dest, None);
     }
 
-    /// Arms deterministic fault injection for the next run: `input_index` is
-    /// the sweep-global index of the input about to run and `stage` the
-    /// pipeline stage executing it. Consulted by every compute observation
-    /// against the installed [`crate::faultinject`] plan.
+    /// Arms deterministic fault injection for the next run with the
+    /// sweep-global index of the input about to run and the pipeline stage
+    /// executing it, or disarms it with `None` (an idle batch lane, an
+    /// unarmed sweep). Consulted by every compute observation against the
+    /// installed [`crate::faultinject`] plan.
     #[cfg(feature = "fault-injection")]
-    pub(crate) fn arm_injection(
-        &mut self,
-        input_index: usize,
-        stage: crate::faultinject::InjectStage,
-    ) {
-        self.inject = Some((input_index, stage));
+    pub(crate) fn arm_injection(&mut self, site: Option<(usize, crate::faultinject::InjectStage)>) {
+        self.inject = site;
     }
 
     /// Consults the installed fault plan for the current (input, pc, stage)
@@ -389,7 +386,7 @@ impl<R: Real> Herbgrind<R> {
     /// [`Herbgrind::pending_fault`], and returns `true` when the exact
     /// shadow result should be NaN-poisoned.
     #[cfg(feature = "fault-injection")]
-    fn consult_injection(&mut self, pc: usize) -> bool {
+    pub(crate) fn consult_injection(&mut self, pc: usize) -> bool {
         use crate::faultinject::{self, InjectKind, InjectStage};
         let Some((input_index, stage)) = self.inject else {
             return false;
@@ -692,11 +689,17 @@ impl<R: Real> Herbgrind<R> {
 
     /// Extracts the accumulated analysis results, dropping the shadow-real
     /// state. The returned [`AnalysisState`] carries no trace of which
-    /// shadow representation produced it — which is what lets the tiered
-    /// driver ([`crate::tiered::analyze_tiered`]) fold `DoubleDouble`-tier
-    /// and `BigFloat`-tier sweeps into one report.
+    /// shadow representation produced it.
     pub fn into_state(self) -> AnalysisState {
         self.state
+    }
+
+    /// Exchanges record states with an analysis on another shadow type, in
+    /// O(1). The tiered driver ([`crate::tiered::analyze_tiered`]) hands one
+    /// sweep's records back and forth this way, so `DoubleDouble`-tier and
+    /// `BigFloat`-tier runs accumulate into one state in input order.
+    pub(crate) fn swap_state<S: Real>(&mut self, other: &mut Herbgrind<S>) {
+        std::mem::swap(&mut self.state, &mut other.state);
     }
 }
 
@@ -704,11 +707,11 @@ impl<R: Real> Herbgrind<R> {
 /// per-statement record tables and counters of a [`Herbgrind`], without the
 /// shadow memory or the shadow-real type parameter.
 ///
-/// Records combine associatively and index-wise, so states extracted from
-/// sweeps over *different shadow representations* merge cleanly — the
-/// foundation of the tiered analysis, where certified input groups run on
-/// the `DoubleDouble` shadow and the rest on [`BigFloat`], and the groups'
-/// states are folded back in input order.
+/// Nothing in it depends on the shadow representation, so one state can
+/// accumulate runs on different shadows: the tiered analysis runs certified
+/// inputs on the `DoubleDouble` shadow and the rest on [`BigFloat`], handing
+/// one state between the two analyses in input order. States of contiguous
+/// shards combine associatively and index-wise ([`AnalysisState::merge`]).
 #[derive(Debug)]
 pub struct AnalysisState {
     config: AnalysisConfig,

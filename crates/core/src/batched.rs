@@ -159,12 +159,6 @@ pub struct BatchHerbgrind<R: Real, const W: usize> {
     /// injected failures) awaiting delivery through the batch scheduler's
     /// per-group [`BatchTracer::lane_fault`] poll, which masks the lane out.
     lane_faults: [Option<MachineError>; MAX_LANES],
-    /// Per-lane fault-injection context for the current pass: each lane's
-    /// sweep-global input index, plus the pipeline stage.
-    #[cfg(feature = "fault-injection")]
-    inject_lanes: [Option<usize>; W],
-    #[cfg(feature = "fault-injection")]
-    inject_stage: crate::faultinject::InjectStage,
     /// Tier-0 static prune mask, shared by all lanes (pruning is a
     /// per-statement decision, identical across lanes). Installed only by
     /// tiered sweeps whose inputs all lie inside the declared static region.
@@ -183,10 +177,6 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
             config,
             interner: ExprInterner::new(),
             lane_faults: std::array::from_fn(|_| None),
-            #[cfg(feature = "fault-injection")]
-            inject_lanes: [None; W],
-            #[cfg(feature = "fault-injection")]
-            inject_stage: crate::faultinject::InjectStage::Batched,
             prune: None,
         }
     }
@@ -201,19 +191,6 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
             lane.set_prune_mask(mask.clone());
         }
         self.prune = mask;
-    }
-
-    /// Arms deterministic fault injection for the next pass: `lanes[l]` is
-    /// lane `l`'s sweep-global input index (`None` for idle lanes), `stage`
-    /// the pipeline stage executing the pass.
-    #[cfg(feature = "fault-injection")]
-    pub(crate) fn arm_lane_injection(
-        &mut self,
-        lanes: [Option<usize>; W],
-        stage: crate::faultinject::InjectStage,
-    ) {
-        self.inject_lanes = lanes;
-        self.inject_stage = stage;
     }
 
     /// Folds the lane shards in lane order — with contiguous-chunk lane
@@ -259,42 +236,17 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
         results: &[f64; W],
         mask: LaneMask,
     ) {
-        // Deterministic fault injection, consulted per lane before any
-        // analysis work: an injected panic unwinds the whole pass (like a
-        // real crashing shadow op would); budget kinds latch into the lane's
-        // fault slot, delivered through the scheduler's per-group poll.
+        // Deterministic fault injection, consulted through each active
+        // lane's shard before any analysis work: an injected panic unwinds
+        // the whole pass (like a real crashing shadow op would), and a budget
+        // fault the shard latches moves to the lane's fault slot, delivered
+        // through the scheduler's per-group poll. The shards are armed only
+        // at lane stages, where NaN poisoning is a no-op.
         #[cfg(feature = "fault-injection")]
         for l in lane_indices(mask) {
-            if let Some(ix) = self.inject_lanes[l] {
-                use crate::faultinject::{self, InjectKind, InjectStage};
-                match faultinject::query(ix, pc, self.inject_stage) {
-                    Some(InjectKind::Panic) => {
-                        panic!("injected analysis panic: input {ix}, pc {pc}, lane {l}")
-                    }
-                    Some(InjectKind::TierEscalation)
-                        if self.inject_stage == InjectStage::TieredBigFloat =>
-                    {
-                        panic!("injected tier-escalation failure: input {ix}, pc {pc}, lane {l}")
-                    }
-                    Some(InjectKind::StepBudget) => {
-                        self.lane_faults[l] = Some(MachineError::StepBudgetExceeded {
-                            limit: self.config.step_limit,
-                        });
-                    }
-                    Some(InjectKind::Deadline) => {
-                        self.lane_faults[l] = Some(MachineError::DeadlineExceeded {
-                            millis: self.config.deadline_millis.max(1),
-                        });
-                    }
-                    Some(InjectKind::TraceBudget) => {
-                        self.lane_faults[l] = Some(MachineError::TraceBudgetExceeded {
-                            limit: self.config.trace_node_budget.max(1),
-                        });
-                    }
-                    // NaN poisoning is defined for the serial stages only
-                    // (`InjectKind::NanPoison`), so it is a no-op here.
-                    Some(InjectKind::NanPoison) | Some(InjectKind::TierEscalation) | None => {}
-                }
+            self.lanes[l].consult_injection(pc);
+            if let Some(fault) = self.lanes[l].fault() {
+                self.lane_faults[l] = Some(fault);
             }
         }
         // Tier 0: a statically certified statement skips the group's shadow
@@ -507,7 +459,9 @@ pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     for lanes in lane_passes::<W>(inputs.len()) {
         #[cfg(feature = "fault-injection")]
         if let Some((index_base, stage)) = inject {
-            tracer.arm_lane_injection(lanes.map(|ix| ix.map(|ix| index_base + ix)), stage);
+            for (shard, ix) in tracer.lanes.iter_mut().zip(lanes) {
+                shard.arm_injection(ix.map(|ix| (index_base + ix, stage)));
+            }
         }
         let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
         let outcome = batch.run_batch(&lane_inputs, &mut tracer, &mut memory);

@@ -36,8 +36,8 @@ pub enum InjectKind {
     NanPoison,
     /// Force the input out of the certified tier at certify time, then fail
     /// the `BigFloat` escalation tier itself (a panic at the injection
-    /// site), so the tier's lane pass and its serial re-run both fail and
-    /// the input ends up quarantined.
+    /// site), so every `BigFloat` run of the input fails and it ends up
+    /// quarantined.
     TierEscalation,
 }
 
@@ -55,8 +55,8 @@ pub enum InjectStage {
     TieredCertify,
     /// The tiered driver's certified (`DoubleDouble`) tier.
     TieredDoubleDouble,
-    /// The tiered driver's escalation (`BigFloat`) tier — also armed for
-    /// its serial re-runs.
+    /// The tiered driver's escalation (`BigFloat`) tier, in lane passes
+    /// and serial runs alike.
     TieredBigFloat,
 }
 

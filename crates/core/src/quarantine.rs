@@ -59,13 +59,13 @@
 //! plain drivers' errors — independent of the batch width the fault
 //! happened to occur at.
 //!
-//! The tiered engine certifies each shard's inputs, splits them into
-//! contiguous groups of equal verdict, and runs every group through the
-//! batched engine on its tier's shadow. Only the `BigFloat` tier
-//! quarantines: an input the `DoubleDouble` tier faults on is demoted to the
-//! `BigFloat` tier and its group re-split, so a fault scoped to the
-//! `DoubleDouble` tier heals, and one the `BigFloat` tier also hits is
-//! quarantined at [`SweepStage::TieredBigFloat`].
+//! The tiered engine certifies each shard's inputs. A shard whose inputs
+//! share one verdict runs through the batched engine on that tier's shadow;
+//! a mixed shard runs on the serial engine, which picks each input's shadow
+//! and hands one record state between the two analyses. Only the `BigFloat`
+//! tier quarantines: the serial engine demotes an input the `DoubleDouble`
+//! tier faults on, so a fault scoped to that tier heals, and one the
+//! `BigFloat` tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engine catches them per input, the
@@ -104,7 +104,9 @@ pub enum SweepStage {
     /// The batched driver (a lane pass, or the serial re-run of a faulted
     /// one — the re-run is part of the same pipeline stage).
     BatchedLane,
-    /// The tiered driver's certified `DoubleDouble` tier.
+    /// The tiered driver's certified `DoubleDouble` tier. It never
+    /// quarantines (a fault there demotes the input to the `BigFloat` tier);
+    /// it is the stage `DoubleDouble` runs inject faults at.
     TieredDoubleDouble,
     /// The tiered driver's `BigFloat` tier — the only tier that quarantines,
     /// so tiered quarantines report this stage.
@@ -165,9 +167,19 @@ impl std::fmt::Display for QuarantinedInput {
     }
 }
 
-#[cfg(feature = "fault-injection")]
 impl SweepStage {
+    /// The telemetry phase that times runs and lane passes at this stage:
+    /// each tier's own, none outside tiered sweeps.
+    fn phase(self) -> Option<telemetry::Phase> {
+        match self {
+            SweepStage::TieredDoubleDouble => Some(telemetry::Phase::TierDoubleDouble),
+            SweepStage::TieredBigFloat => Some(telemetry::Phase::TierBigFloat),
+            _ => None,
+        }
+    }
+
     /// The fault-injection stage a run at this pipeline stage is armed with.
+    #[cfg(feature = "fault-injection")]
     fn inject(self) -> InjectStage {
         match self {
             SweepStage::Serial => InjectStage::Serial,
@@ -228,7 +240,7 @@ impl<'p> Sweep<'p> {
     }
 
     /// One run of `input` (sweep-global index `global`) under `analysis`,
-    /// with observer panics caught and typed.
+    /// with observer panics caught and typed, timed as its stage's phase.
     fn run<R: Real>(
         &self,
         analysis: &mut Herbgrind<R>,
@@ -237,12 +249,11 @@ impl<'p> Sweep<'p> {
         global: usize,
         stage: SweepStage,
     ) -> Result<(), SweepFault> {
+        let _tier_span = stage.phase().map(telemetry::span);
         #[cfg(feature = "fault-injection")]
-        if let Some(inject) = self.inject(stage) {
-            analysis.arm_injection(global, inject);
-        }
+        analysis.arm_injection(self.inject(stage).map(|inject| (global, inject)));
         #[cfg(not(feature = "fault-injection"))]
-        let _ = (global, stage);
+        let _ = global;
         match catch_unwind(AssertUnwindSafe(|| {
             self.machine.run_traced_reusing(input, analysis, memory)
         })) {
@@ -279,46 +290,66 @@ impl ChunkOutcome {
 }
 
 /// Runs the serial isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`.
+/// first input has sweep-global index `index_base`: a `certified` input on
+/// the `DoubleDouble` shadow at [`SweepStage::TieredDoubleDouble`], borrowing
+/// the chunk's one record state for the run (an O(1) swap), every other
+/// input on the `R` shadow at `stage`.
 ///
 /// Optimistic collect: one accumulating pass over the live inputs records
 /// every machine fault as a final verdict (faults are per-input
 /// deterministic — the interner is per-run). A panic stops the pass, since
 /// a half-observed run leaves the tracer in an untrusted state. If anything
 /// faulted, the contaminated state is discarded and the pass rebuilt over
-/// the survivors; each rebuild quarantines at least one more input, so the
-/// loop runs at most `inputs.len() + 1` passes and exactly one pass when
-/// nothing faults.
+/// the survivors. A `DoubleDouble` fault instead demotes its input to the
+/// `R` shadow (sound: certified inputs record the same under both). Each
+/// rebuild quarantines or demotes one more input at least, so the loop ends,
+/// after exactly one pass when nothing faults.
 fn serial_engine<R: Real>(
     sweep: &Sweep<'_>,
     inputs: &[Vec<f64>],
     index_base: usize,
     stage: SweepStage,
+    mut certified: Vec<bool>,
 ) -> ChunkOutcome {
     let mut quarantined: Vec<QuarantinedInput> = Vec::new();
     loop {
         let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
+        let mut certified_tier = Herbgrind::<DoubleDouble>::new(sweep.config.clone());
         analysis.set_prune_mask(sweep.prune.clone());
+        certified_tier.set_prune_mask(sweep.prune.clone());
         let mut memory = Vec::new();
-        let mut faults: Vec<QuarantinedInput> = Vec::new();
+        let (mut faults, mut demoted) = (Vec::new(), false);
         for (offset, input) in inputs.iter().enumerate() {
             let global = index_base + offset;
             if quarantined.iter().any(|q| q.input_index == global) {
                 continue;
             }
-            if let Err(error) = sweep.run(&mut analysis, &mut memory, input, global, stage) {
-                let panicked = matches!(error, SweepFault::Panic(_));
+            let run = if certified[offset] {
+                let dd_stage = SweepStage::TieredDoubleDouble;
+                analysis.swap_state(&mut certified_tier);
+                let run = sweep.run(&mut certified_tier, &mut memory, input, global, dd_stage);
+                analysis.swap_state(&mut certified_tier);
+                run
+            } else {
+                sweep.run(&mut analysis, &mut memory, input, global, stage)
+            };
+            let Err(error) = run else { continue };
+            let panicked = matches!(error, SweepFault::Panic(_));
+            if certified[offset] {
+                certified[offset] = false;
+                demoted = true;
+            } else {
                 faults.push(QuarantinedInput {
                     input_index: global,
                     stage,
                     error,
                 });
-                if panicked {
-                    break;
-                }
+            }
+            if panicked {
+                break;
             }
         }
-        if faults.is_empty() {
+        if faults.is_empty() && !demoted {
             quarantined.sort_by_key(|q| q.input_index);
             return ChunkOutcome::new(analysis.into_state(), quarantined);
         }
@@ -327,56 +358,62 @@ fn serial_engine<R: Real>(
 }
 
 /// Runs the batched isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`, its passes at `stage`.
+/// first input has sweep-global index `index_base`: one lane pass on the `R`
+/// shadow at `stage`, timed as the stage's phase.
 ///
-/// One lane sweep of the chunk; when no lane faults, its state is the
-/// chunk's outcome. A faulted pass cannot be trusted to name its culprit —
-/// the pass's trace interner is shared by every lane, so a trace-budget
-/// fault is collective, and a panic belongs to no lane — so the engine
-/// discards the pass and re-runs the chunk on the serial engine at the same
-/// stage. Serial verdicts are per-input deterministic, which keeps
-/// quarantine lists (and the plain drivers' errors) independent of the
-/// batch width the fault surfaced at.
+/// When no lane faults, the pass's state is the chunk's outcome. A faulted
+/// pass cannot be trusted to name its culprit — the pass's trace interner is
+/// shared by every lane, so a trace-budget fault is collective, and a panic
+/// belongs to no lane — so the engine discards the pass and `rerun`, the
+/// serial engine over the same chunk, decides it. Serial verdicts are
+/// per-input deterministic, which keeps quarantine lists (and the plain
+/// drivers' errors) independent of the batch width the fault surfaced at.
 fn batched_engine<R: Real>(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
     stage: SweepStage,
+    rerun: impl FnOnce() -> ChunkOutcome,
 ) -> ChunkOutcome {
-    let swept = catch_unwind(AssertUnwindSafe(|| {
-        with_lane_width!(width, W => batched_sweep_collect::<R, W>(
-            &sweep.machine,
-            inputs,
-            &sweep.config,
-            sweep.prune.as_ref(),
-            #[cfg(feature = "fault-injection")]
-            sweep.inject(stage).map(|inject| (index_base, inject)),
-        ))
-    }));
+    #[cfg(not(feature = "fault-injection"))]
+    let _ = index_base;
+    let swept = {
+        let _tier_span = stage.phase().map(telemetry::span);
+        catch_unwind(AssertUnwindSafe(|| {
+            with_lane_width!(width, W => batched_sweep_collect::<R, W>(
+                &sweep.machine,
+                inputs,
+                &sweep.config,
+                sweep.prune.as_ref(),
+                #[cfg(feature = "fault-injection")]
+                sweep.inject(stage).map(|inject| (index_base, inject)),
+            ))
+        }))
+    };
     if let Ok(Some(state)) = swept {
         return ChunkOutcome::new(state, Vec::new());
     }
     let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
-    let outcome = serial_engine::<R>(sweep, inputs, index_base, stage);
+    let outcome = rerun();
     telemetry::QUARANTINE_LADDER_ATTEMPTS.add(inputs.len() as u64);
     telemetry::QUARANTINE_LADDER_HEALS.add((inputs.len() - outcome.quarantined.len()) as u64);
     outcome
 }
 
 /// Runs the tiered isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`: certify, partition into
-/// contiguous groups of equal verdict, run each group through the batched
-/// engine on its tier's shadow.
+/// first input has sweep-global index `index_base`: certify, then analyze
+/// the chunk on the shadows its verdicts pick.
 ///
 /// The certification probe is already fault-tolerant (a failed or injected
 /// run is simply uncertified); a *panicking* certify pass fails closed by
-/// escalating every input to the `BigFloat` tier. Only the `BigFloat` tier
-/// quarantines: an input the `DoubleDouble` tier's serial re-run faults on
-/// is demoted to the `BigFloat` tier (sound for certified inputs, whose
-/// `DoubleDouble` and `BigFloat` records agree by construction) and its
-/// group re-split from the start. Each re-split demotes at least one input,
-/// which bounds the loop. [`TierStats`] counts the probe's verdicts.
+/// escalating every input to the `BigFloat` tier. A chunk whose inputs all
+/// share one verdict runs as one lane pass on that tier; a faulted pass
+/// re-runs the chunk on the serial engine with the verdicts. A mixed chunk
+/// runs on the serial engine directly, which picks each input's shadow in
+/// input order. Either way only the `BigFloat` tier quarantines: the serial
+/// engine demotes an input the `DoubleDouble` tier faults on, so a fault
+/// scoped to that tier heals. [`TierStats`] counts the probe's verdicts.
 fn tiered_engine(
     sweep: &Sweep<'_>,
     width: usize,
@@ -384,7 +421,7 @@ fn tiered_engine(
     index_base: usize,
     params: Option<&CertParams>,
 ) -> ChunkOutcome {
-    let mut certified: Vec<bool> = match params {
+    let certified: Vec<bool> = match params {
         Some(params) => {
             let _certify_span = telemetry::span(telemetry::Phase::Certify);
             catch_unwind(AssertUnwindSafe(|| {
@@ -411,37 +448,24 @@ fn tiered_engine(
     };
     telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
     telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
-    let mut outcome = ChunkOutcome {
-        tiers,
-        ..ChunkOutcome::new(AnalysisState::empty(sweep.config.clone()), Vec::new())
-    };
-    let mut start = 0;
-    while start < inputs.len() {
-        let verdict = certified[start];
-        let end = start
-            + certified[start..]
-                .iter()
-                .take_while(|&&c| c == verdict)
-                .count();
-        let (group, base) = (&inputs[start..end], index_base + start);
-        let group_outcome = if verdict {
-            let _tier_span = telemetry::span(telemetry::Phase::TierDoubleDouble);
-            let stage = SweepStage::TieredDoubleDouble;
-            batched_engine::<DoubleDouble>(sweep, width, group, base, stage)
-        } else {
-            let _tier_span = telemetry::span(telemetry::Phase::TierBigFloat);
-            batched_engine::<BigFloat>(sweep, width, group, base, SweepStage::TieredBigFloat)
-        };
-        if verdict && !group_outcome.quarantined.is_empty() {
-            for record in &group_outcome.quarantined {
-                certified[record.input_index - index_base] = false;
+    let stage = SweepStage::TieredBigFloat;
+    let shared_verdict = certified
+        .first()
+        .copied()
+        .filter(|&verdict| certified.iter().all(|&c| c == verdict));
+    let outcome = match shared_verdict {
+        None => serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified),
+        Some(verdict) => {
+            let rerun = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified);
+            if verdict {
+                let dd_stage = SweepStage::TieredDoubleDouble;
+                batched_engine::<DoubleDouble>(sweep, width, inputs, index_base, dd_stage, rerun)
+            } else {
+                batched_engine::<BigFloat>(sweep, width, inputs, index_base, stage, rerun)
             }
-            continue;
         }
-        outcome.absorb(group_outcome);
-        start = end;
-    }
-    outcome
+    };
+    ChunkOutcome { tiers, ..outcome }
 }
 
 /// Runs `engine` over at most `threads` balanced contiguous chunks of
@@ -584,7 +608,7 @@ pub(crate) fn serial_family<R: Real>(
         threads,
         &sweep.config,
         stage,
-        |start, chunk| serial_engine::<R>(&sweep, chunk, start, stage),
+        |start, chunk| serial_engine::<R>(&sweep, chunk, start, stage, vec![false; chunk.len()]),
     ))
 }
 
@@ -605,7 +629,11 @@ pub(crate) fn batched_family<R: Real>(
         threads,
         &sweep.config,
         stage,
-        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start, stage),
+        |start, chunk| {
+            let rerun =
+                || serial_engine::<R>(&sweep, chunk, start, stage, vec![false; chunk.len()]);
+            batched_engine::<R>(&sweep, width, chunk, start, stage, rerun)
+        },
     ))
 }
 

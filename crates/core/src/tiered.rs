@@ -14,17 +14,17 @@
 //!    widened bound cannot flip the decision. A lane where any check fails
 //!    is marked uncertified for that input.
 //!
-//! 2. **Escalate pass.** Inputs are partitioned, in input order, into
-//!    maximal contiguous groups of equal certification. Certified groups run
-//!    the full record-keeping analysis with the `DoubleDouble` shadow;
-//!    uncertified groups escalate to the `BigFloat` shadow. The per-group
-//!    [`AnalysisState`](crate::AnalysisState)s are folded in input order —
-//!    the same contiguous in-order merge the parallel and batched drivers
-//!    use.
+//! 2. **Escalate pass.** Every input runs the full record-keeping analysis
+//!    on the shadow its verdict picks, in input order: certified inputs on
+//!    the `DoubleDouble` shadow, uncertified ones escalated to the
+//!    `BigFloat` shadow. A chunk whose inputs all share one verdict runs as
+//!    one batched lane pass on that tier. A mixed chunk runs on the serial
+//!    engine, where the two analyses hand one
+//!    [`AnalysisState`](crate::AnalysisState) back and forth, so its records
+//!    accumulate in input order with no merge between tiers.
 //!
 //! Both passes run per thread shard on the tiered fault-isolating engine in
-//! [`crate::quarantine`], every group through the batched engine;
-//! [`analyze_tiered`] is its fail-fast view.
+//! [`crate::quarantine`]; [`analyze_tiered`] is its fail-fast view.
 //!
 //! # Why the report is bit-identical to the all-`BigFloat` analysis
 //!
@@ -44,10 +44,10 @@
 //!   pass-through equality — is certified separation-or-exactness
 //!   ([`cert::compare_certified`]), so the `Ordering` agrees.
 //!
-//! Identical doubles and identical decisions mean each lane shard of the
-//! full analysis accumulates identical records under either shadow, and the
-//! in-order merge of the two passes' groups reproduces one serial
-//! `BigFloat` sweep bit for bit. The probe is **conservative**: every bound
+//! Identical doubles and identical decisions mean a certified run
+//! accumulates identical records under either shadow, so one record state
+//! that runs each input on its own tier, in input order, reproduces one
+//! serial `BigFloat` sweep bit for bit. The probe is **conservative**: every bound
 //! carries the explicit widening margin [`cert::WIDENING`], and anything the
 //! certificate cannot prove (IEEE specials, out-of-domain library calls,
 //! unsupported operations, values near a rounding boundary) fails closed
@@ -515,10 +515,11 @@ pub(crate) fn arm_tier0(
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and the other
 /// drivers: the report is bit-identical for every batch width and thread
 /// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
-/// with the shard-merge exception the batched and parallel drivers share
-/// (DESIGN.md, "Parallel engine"). With [`AnalysisConfig::input_ranges`]
-/// set and every input inside the declared region, tier 0 runs first and
-/// the sweep skips shadowing for statically certified statements. This is
+/// with the shard-merge exception of its thread shards and single-verdict
+/// lane passes (DESIGN.md, "Parallel engine"). With
+/// [`AnalysisConfig::input_ranges`] set and every input inside the declared
+/// region, tier 0 runs first and the sweep skips shadowing for statically
+/// certified statements. This is
 /// the fail-fast view of
 /// [`analyze_tiered_isolated_with_stats`](crate::quarantine::analyze_tiered_isolated_with_stats),
 /// run without fault injection.
@@ -651,6 +652,53 @@ mod tests {
                 "threads={threads} width={width}"
             );
             assert_eq!(stats.total_inputs, inputs.len());
+        }
+    }
+
+    /// `(- (sqrt (+ x 1)) (sqrt x))` over 24 inputs with interleaved
+    /// verdicts: `x = 1 + i` certifies, while every third input,
+    /// `x = 10^(15+i)`, cancels past what the certificate can vouch for.
+    fn mixed_sweep() -> (Program, Vec<Vec<f64>>) {
+        let p = program("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))");
+        let inputs = (0..24)
+            .map(|i| match i % 3 {
+                2 => vec![10f64.powi(15 + i)],
+                _ => vec![1.0 + f64::from(i)],
+            })
+            .collect();
+        (p, inputs)
+    }
+
+    #[test]
+    fn mixed_chunks_run_on_the_serial_engine() {
+        // A chunk whose verdicts differ runs on the serial engine, handing
+        // one record state between the tiers: no lane pass shares an
+        // interner across inputs (so the peak is the serial one), no faulted
+        // pass is re-run, and both tiers are timed.
+        let (p, inputs) = mixed_sweep();
+        let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
+        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+        let serial = analyze(&p, &inputs, &AnalysisConfig::default()).unwrap();
+        let serial_peak = peak(&capture.finish());
+        assert!(serial_peak > 0);
+        for width in [1, 8] {
+            let config = AnalysisConfig::default()
+                .with_threads(1)
+                .with_batch_width(width);
+            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+            let (tiered, stats) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
+            let snap = capture.finish();
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{tiered:?}"),
+                "width={width}"
+            );
+            assert!(stats.certified_inputs > 0, "{stats:?}");
+            assert!(stats.escalated_inputs() > 0, "{stats:?}");
+            assert_eq!(peak(&snap), serial_peak, "width={width}");
+            assert_eq!(snap.counter("quarantine.ladder_attempts"), 0);
+            assert!(snap.phase(telemetry::Phase::TierDoubleDouble).count > 0);
+            assert!(snap.phase(telemetry::Phase::TierBigFloat).count > 0);
         }
     }
 

@@ -325,9 +325,9 @@ pub enum Phase {
     Sweep,
     /// Tiered driver: DoubleDouble certify-probe pass.
     Certify,
-    /// Tiered driver: certified DoubleDouble sweep segments.
+    /// Tiered driver: certified DoubleDouble lane passes and runs.
     TierDoubleDouble,
-    /// Tiered driver: escalated BigFloat sweep segments.
+    /// Tiered driver: escalated BigFloat lane passes and runs.
     TierBigFloat,
     /// Serial re-runs of faulted batched or tiered passes.
     Ladder,

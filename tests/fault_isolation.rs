@@ -253,10 +253,10 @@ fn seeded_background_faults_lose_no_surviving_records() {
 #[test]
 fn tier_escalation_exercises_the_full_retry_ladder() {
     // A TierEscalation fault at input 5: the certify probe forces it out of
-    // the certified tier, the BigFloat tier's lane pass panics on it, and
-    // the serial re-run of that pass's chunk panics again on input 5 alone,
-    // so it is quarantined with the TieredBigFloat stage. Every other
-    // input's records survive.
+    // the certified tier, and the BigFloat tier panics on it — in a lane
+    // pass whose serial re-run panics again on input 5 alone, or directly on
+    // the serial engine when its chunk mixes verdicts — so it is quarantined
+    // with the TieredBigFloat stage. Every other input's records survive.
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         5,
         InjectKind::TierEscalation,
@@ -303,12 +303,13 @@ fn tier_escalation_exercises_the_full_retry_ladder() {
 
 #[test]
 fn stage_scoped_faults_heal_through_the_retry_ladder() {
-    // A panic scoped to the DoubleDouble tier only: the tier's lane pass
-    // and its serial re-run both fail, so the tiered engine demotes the
-    // input to the BigFloat tier, which runs clean. The input *heals* —
-    // nothing is quarantined, and the report equals the plain analysis of
-    // every input (sound because certified inputs have identical
-    // DoubleDouble and BigFloat records).
+    // A panic scoped to the DoubleDouble tier only: the input's DoubleDouble
+    // run fails on the serial engine (directly in a mixed chunk, or in the
+    // re-run of a faulted lane pass), which demotes the input to the
+    // BigFloat tier, where it runs clean. The input *heals* — nothing is
+    // quarantined, and the report equals the plain analysis of every input
+    // (sound because certified inputs have identical DoubleDouble and
+    // BigFloat records).
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         2,
         InjectKind::Panic,
@@ -475,5 +476,97 @@ fn tiered_verdicts_do_not_depend_on_grouping() {
             report.quarantined
         );
         assert_degraded_matches_survivors(&report, &full, &format!("tiered t={threads} w={width}"));
+    }
+}
+
+/// `(- (sqrt (+ x 1)) (sqrt x))` over 24 inputs with interleaved verdicts:
+/// `x = 1 + i` certifies, while every third input, `x = 10^(15+i)`,
+/// cancels past what the certificate can vouch for, so every thread shard
+/// mixes verdicts and runs on the serial engine.
+fn mixed_sweep() -> (fpvm::Program, Vec<Vec<f64>>) {
+    let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").expect("parses");
+    let inputs = (0..24)
+        .map(|i| match i % 3 {
+            2 => vec![10f64.powi(15 + i)],
+            _ => vec![1.0 + f64::from(i)],
+        })
+        .collect();
+    let program = fpvm::compile_core(&core, Default::default()).expect("compiles");
+    (program, inputs)
+}
+
+#[test]
+fn doubledouble_faults_on_a_mixed_sweep_demote_and_heal() {
+    // Input 3 certifies. The serial engine runs it on the DoubleDouble
+    // shadow, a fault scoped to that tier demotes it, and the rebuilt pass
+    // runs it on BigFloat, clean: nothing is quarantined.
+    let (program, inputs) = mixed_sweep();
+    let full = analyze(&program, &inputs, &AnalysisConfig::default()).expect("full oracle");
+    for kind in [InjectKind::Panic, InjectKind::StepBudget] {
+        let _guard = faultinject::install(FaultPlan::sites(vec![
+            FaultSpec::input(3, kind).in_stage(InjectStage::TieredDoubleDouble)
+        ]));
+        for (threads, width) in [(1usize, 1usize), (1, 8), (2, 1), (2, 8)] {
+            let config = AnalysisConfig::default()
+                .with_threads(threads)
+                .with_batch_width(width);
+            let context = format!("{kind:?} threads={threads} width={width}");
+            let report = analyze_tiered_isolated(&program, &inputs, &config);
+            assert!(
+                report.quarantined.is_empty(),
+                "{context}: {:?}",
+                report.quarantined
+            );
+            assert_degraded_matches_survivors(&report, &full, &context);
+        }
+        let fired = faultinject::fired_sites();
+        assert!(
+            fired
+                .iter()
+                .any(|site| site.input_index == 3 && site.stage == InjectStage::TieredDoubleDouble),
+            "{kind:?} never fired: {fired:?}"
+        );
+    }
+}
+
+#[test]
+fn tier_escalation_on_a_mixed_sweep_quarantines_only_that_input() {
+    // Input 4 certifies; the injected escalation takes it out of the
+    // certified tier, and the BigFloat tier panics on it on the serial
+    // engine. Only input 4 is quarantined, at the BigFloat stage.
+    let (program, inputs) = mixed_sweep();
+    let survivors_inputs: Vec<Vec<f64>> = inputs
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != 4)
+        .map(|(_, input)| input.clone())
+        .collect();
+    let config = AnalysisConfig::default();
+    let survivors = analyze(&program, &survivors_inputs, &config).expect("oracle");
+    let (_, uninjected) =
+        herbgrind::analyze_tiered_with_stats(&program, &inputs, &config).expect("plain tiered");
+    let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
+        4,
+        InjectKind::TierEscalation,
+    )]));
+    for (threads, width) in [(1usize, 1usize), (1, 8), (2, 8)] {
+        let config = config.clone().with_threads(threads).with_batch_width(width);
+        let context = format!("threads={threads} width={width}");
+        let (report, stats) = analyze_tiered_isolated_with_stats(&program, &inputs, &config);
+        assert_eq!(
+            stats.certified_inputs + 1,
+            uninjected.certified_inputs,
+            "{context}"
+        );
+        assert_eq!(
+            report
+                .quarantined
+                .iter()
+                .map(|q| (q.input_index, q.stage))
+                .collect::<Vec<_>>(),
+            vec![(4, SweepStage::TieredBigFloat)],
+            "{context}"
+        );
+        assert_degraded_matches_survivors(&report, &survivors, &context);
     }
 }

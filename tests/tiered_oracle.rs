@@ -184,3 +184,48 @@ fn tiered_matches_across_configuration_knobs() {
     }
     analyze(&sampled.0, &sampled.1, &cases[cases.len() - 1].0).expect("budget fits every input");
 }
+
+/// `(- (sqrt (+ x 1)) (sqrt x))` over 24 inputs with interleaved verdicts:
+/// `x = 1 + i` certifies, while every third input, `x = 10^(15+i)`,
+/// cancels past what the certificate can vouch for.
+fn mixed_sweep() -> (fpvm::Program, Vec<Vec<f64>>) {
+    let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").unwrap();
+    let inputs = (0..24)
+        .map(|i| match i % 3 {
+            2 => vec![10f64.powi(15 + i)],
+            _ => vec![1.0 + f64::from(i)],
+        })
+        .collect();
+    (
+        fpvm::compile_core(&core, Default::default()).unwrap(),
+        inputs,
+    )
+}
+
+#[test]
+fn mixed_verdicts_match_the_oracles_at_every_split() {
+    // Every thread shard of this sweep mixes verdicts, so its records come
+    // from the serial engine handing one state between the tiers. The
+    // verdicts are the ones each input gets when certified alone.
+    let (program, inputs) = mixed_sweep();
+    let certified_alone: usize = inputs
+        .iter()
+        .map(|input| {
+            let one = std::slice::from_ref(input);
+            let (_, stats) =
+                analyze_tiered_with_stats(&program, one, &AnalysisConfig::default()).unwrap();
+            stats.certified_inputs
+        })
+        .sum();
+    assert!(0 < certified_alone && certified_alone < inputs.len());
+    for threads in [1, 2, 3] {
+        for width in [1, 8] {
+            let config = AnalysisConfig::default()
+                .with_threads(threads)
+                .with_batch_width(width);
+            let context = format!("mixed sweep, threads={threads} width={width}");
+            let stats = assert_tiered_matches_oracles(&program, &inputs, &config, &context);
+            assert_eq!(stats.certified_inputs, certified_alone, "{context}");
+        }
+    }
+}
