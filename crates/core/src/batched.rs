@@ -9,7 +9,7 @@
 //! threads, but across SIMD lanes of one
 //! [`BatchMachine`](fpvm::batch::BatchMachine) pass. Each lane owns a full
 //! per-lane [`Herbgrind`] shard (its own shadow slot table and record slots,
-//! indexed by lane), and the [`BatchHerbgrind`] tracer fans every per-group
+//! indexed by lane), and the engine's lane tracer fans every per-group
 //! callback out to the lanes of the group, so **each lane shard observes
 //! exactly the serial callback sequence for its inputs**. Folding the lane
 //! shards in lane order is then the same contiguous in-input-order merge the
@@ -25,8 +25,8 @@
 //! arithmetic once per group) and cross-lane trace sharing: one trace
 //! interner per pass instead of one per lane, and deep trace nodes (past the
 //! interning depth bound) built once per group for lanes that observed the
-//! same value over the same operand traces. [`DdErrorProbe`] shows the
-//! engine's throughput with all record bookkeeping stripped to
+//! same value over the same operand traces. [`probe_local_error`] shows
+//! the engine's throughput with all record bookkeeping stripped to
 //! FpDebug-style per-statement error counters.
 //!
 //! Threads compose with lanes: `config.threads` shards the sweep exactly as
@@ -145,7 +145,7 @@ pub fn effective_batch_width(requested: usize) -> usize {
 /// exactly the serial per-input state and the lane-order merge stays
 /// bit-identical to serial [`analyze`](crate::analysis::analyze).
 #[derive(Debug)]
-pub struct BatchHerbgrind<R: Real, const W: usize> {
+pub(crate) struct BatchHerbgrind<R: Real, const W: usize> {
     lanes: Vec<Herbgrind<R>>,
     config: AnalysisConfig,
     /// The group-level trace interner: one hash-consing table shared by all
@@ -170,7 +170,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
     /// ([`AnalysisConfig::normalize`]) like the serial analysis does, so the
     /// group-level trace construction and the lane shards agree on every
     /// clamped parameter.
-    pub fn new(config: &AnalysisConfig) -> Self {
+    fn new(config: &AnalysisConfig) -> Self {
         let config = config.normalize();
         BatchHerbgrind {
             lanes: (0..W).map(|_| Herbgrind::new(config.clone())).collect(),
@@ -186,7 +186,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
     /// through its serial [`Tracer`] interface prunes identically. The
     /// caller guarantees every input in the pass lies inside the mask's
     /// declared region.
-    pub(crate) fn set_prune_mask(&mut self, mask: Option<Arc<staticerr::PruneMask>>) {
+    fn set_prune_mask(&mut self, mask: Option<Arc<staticerr::PruneMask>>) {
         for lane in &mut self.lanes {
             lane.set_prune_mask(mask.clone());
         }
@@ -197,19 +197,13 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
     /// assignment this is the in-input-order merge whose result is
     /// bit-identical to one serial sweep. The merged analysis can be merged
     /// further (thread shards) before reporting.
-    pub fn into_merged(self) -> Herbgrind<R> {
+    fn into_merged(self) -> Herbgrind<R> {
         let mut lanes = self.lanes.into_iter();
         let mut merged = lanes.next().expect("at least one lane");
         for lane in lanes {
             merged.merge(lane);
         }
         merged
-    }
-
-    /// Folds the lane shards ([`BatchHerbgrind::into_merged`]) and builds
-    /// the report.
-    pub fn into_report(self) -> Report {
-        self.into_merged().report()
     }
 }
 
@@ -534,7 +528,7 @@ fn branchless_ordinal(x: f64) -> i64 {
     }
 }
 
-/// Per-statement summary produced by [`DdErrorProbe`]: FpDebug-style
+/// Per-statement summary produced by [`probe_local_error`]: FpDebug-style
 /// local-error counters without traces, influences, or symbolic records.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LocalErrorSummary {
@@ -569,7 +563,7 @@ pub struct LocalErrorRow {
 /// without root-cause traces, which is exactly the per-op work the full
 /// analysis adds on top.
 #[derive(Debug)]
-pub struct DdErrorProbe<const W: usize> {
+pub(crate) struct DdErrorProbe<const W: usize> {
     shadows: Vec<DdLanes<W>>,
     executions: Vec<u64>,
     erroneous: Vec<u64>,
@@ -608,7 +602,7 @@ impl<const W: usize> DdErrorProbe<W> {
     /// boundary). Thresholds at or above [`shadowreal::MAX_ERROR_BITS`] (or
     /// NaN) flag nothing, exactly like the analysis, whose bits are clamped
     /// to that maximum; negative thresholds flag every execution.
-    pub fn new(threshold_bits: f64) -> Self {
+    fn new(threshold_bits: f64) -> Self {
         let exceeds = |ulps: u64| bits_of_ulps(ulps) > threshold_bits;
         let threshold_ulps =
             if threshold_bits.is_nan() || threshold_bits >= shadowreal::MAX_ERROR_BITS {
@@ -651,7 +645,7 @@ impl<const W: usize> DdErrorProbe<W> {
     }
 
     /// Folds the counters into an ordered summary.
-    pub fn summary(&self) -> LocalErrorSummary {
+    fn summary(&self) -> LocalErrorSummary {
         let statements = self
             .executions
             .iter()
@@ -852,9 +846,10 @@ impl<const W: usize> BatchTracer<W> for DdErrorProbe<W> {
     }
 }
 
-/// Sweeps `inputs` through the [`DdErrorProbe`] at compile-time width `W`
-/// with the same balanced contiguous lane chunking as [`analyze_batched`],
-/// and returns the per-statement local-error summary.
+/// Sweeps `inputs` through the lane-vectorized `DoubleDouble` local-error
+/// probe at compile-time width `W`, with the same balanced contiguous lane
+/// chunking as [`analyze_batched`], and returns the per-statement
+/// local-error summary.
 ///
 /// # Errors
 ///

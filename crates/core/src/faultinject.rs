@@ -55,8 +55,8 @@ pub enum InjectStage {
     TieredCertify,
     /// The tiered driver's certified (`DoubleDouble`) tier.
     TieredDoubleDouble,
-    /// The tiered driver's escalation (`BigFloat`) tier, in lane passes
-    /// and serial runs alike.
+    /// The tiered driver's escalation (`BigFloat`) tier, whose runs are
+    /// always serial.
     TieredBigFloat,
 }
 

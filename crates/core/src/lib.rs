@@ -70,8 +70,8 @@ pub use analysis::{
     analyze, analyze_parallel, analyze_parallel_with_shadow, analyze_with_shadow, Herbgrind,
 };
 pub use batched::{
-    analyze_batched, analyze_batched_with_shadow, probe_local_error, BatchHerbgrind, DdErrorProbe,
-    LocalErrorSummary, SUPPORTED_BATCH_WIDTHS,
+    analyze_batched, analyze_batched_with_shadow, probe_local_error, LocalErrorSummary,
+    SUPPORTED_BATCH_WIDTHS,
 };
 pub use config::{AnalysisConfig, RangeKind};
 pub use errsum::ErrorBitsSum;
@@ -82,7 +82,7 @@ pub use quarantine::{
 };
 pub use report::{Report, RootCauseReport, SpotReport};
 pub use symbolic::SymbolicExpr;
-pub use tiered::{analyze_tiered, analyze_tiered_with_stats, CertifyProbe, TierStats};
+pub use tiered::{analyze_tiered, analyze_tiered_with_stats, TierStats};
 pub use trace::{ConcreteExpr, ExprInterner};
 
 pub use staticerr;

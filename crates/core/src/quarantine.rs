@@ -60,12 +60,13 @@
 //! happened to occur at.
 //!
 //! The tiered engine certifies each shard's inputs. A shard whose inputs
-//! share one verdict runs through the batched engine on that tier's shadow;
-//! a mixed shard runs on the serial engine, which picks each input's shadow
-//! and hands one record state between the two analyses. Only the `BigFloat`
-//! tier quarantines: the serial engine demotes an input the `DoubleDouble`
-//! tier faults on, so a fault scoped to that tier heals, and one the
-//! `BigFloat` tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
+//! all certified runs through the batched engine on the `DoubleDouble`
+//! shadow; every other shard runs on the serial engine, which picks each
+//! input's shadow and hands one record state between the two analyses, so
+//! the `BigFloat` tier never runs as a lane pass. Only the `BigFloat` tier
+//! quarantines: the serial engine demotes an input the `DoubleDouble` tier
+//! faults on, so a fault scoped to that tier heals, and one the `BigFloat`
+//! tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engine catches them per input, the
@@ -108,8 +109,9 @@ pub enum SweepStage {
     /// quarantines (a fault there demotes the input to the `BigFloat` tier);
     /// it is the stage `DoubleDouble` runs inject faults at.
     TieredDoubleDouble,
-    /// The tiered driver's `BigFloat` tier — the only tier that quarantines,
-    /// so tiered quarantines report this stage.
+    /// The tiered driver's `BigFloat` tier, whose runs are always serial —
+    /// the only tier that quarantines, so tiered quarantines report this
+    /// stage.
     TieredBigFloat,
 }
 
@@ -407,13 +409,14 @@ fn batched_engine<R: Real>(
 ///
 /// The certification probe is already fault-tolerant (a failed or injected
 /// run is simply uncertified); a *panicking* certify pass fails closed by
-/// escalating every input to the `BigFloat` tier. A chunk whose inputs all
-/// share one verdict runs as one lane pass on that tier; a faulted pass
-/// re-runs the chunk on the serial engine with the verdicts. A mixed chunk
-/// runs on the serial engine directly, which picks each input's shadow in
-/// input order. Either way only the `BigFloat` tier quarantines: the serial
-/// engine demotes an input the `DoubleDouble` tier faults on, so a fault
-/// scoped to that tier heals. [`TierStats`] counts the probe's verdicts.
+/// escalating every input to the `BigFloat` tier. A non-empty chunk whose
+/// inputs all certified runs as one lane pass on the `DoubleDouble` tier; a
+/// faulted pass re-runs the chunk on the serial engine with the verdicts.
+/// Every other chunk runs on the serial engine directly, which picks each
+/// input's shadow in input order. Either way only the `BigFloat` tier
+/// quarantines: the serial engine demotes an input the `DoubleDouble` tier
+/// faults on, so a fault scoped to that tier heals. [`TierStats`] counts the
+/// probe's verdicts.
 fn tiered_engine(
     sweep: &Sweep<'_>,
     width: usize,
@@ -448,22 +451,14 @@ fn tiered_engine(
     };
     telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
     telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
+    let lane_pass = tiers.total_inputs > 0 && tiers.escalated_inputs() == 0;
     let stage = SweepStage::TieredBigFloat;
-    let shared_verdict = certified
-        .first()
-        .copied()
-        .filter(|&verdict| certified.iter().all(|&c| c == verdict));
-    let outcome = match shared_verdict {
-        None => serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified),
-        Some(verdict) => {
-            let rerun = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified);
-            if verdict {
-                let dd_stage = SweepStage::TieredDoubleDouble;
-                batched_engine::<DoubleDouble>(sweep, width, inputs, index_base, dd_stage, rerun)
-            } else {
-                batched_engine::<BigFloat>(sweep, width, inputs, index_base, stage, rerun)
-            }
-        }
+    let serial = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified);
+    let outcome = if lane_pass {
+        let dd_stage = SweepStage::TieredDoubleDouble;
+        batched_engine::<DoubleDouble>(sweep, width, inputs, index_base, dd_stage, serial)
+    } else {
+        serial()
     };
     ChunkOutcome { tiers, ..outcome }
 }

@@ -4,10 +4,12 @@
 //!
 //! [`analyze_tiered`] runs the input sweep in two passes:
 //!
-//! 1. **Certify pass.** Every input runs once under [`CertifyProbe`] — the
+//! 1. **Certify pass.** Every input runs once under the certify probe — the
 //!    lane-parallel engine with a `DoubleDouble` shadow plane plus a
 //!    per-value certificate bound `E` with the invariant
-//!    `|value_dd − value_big| ≤ E` ([`shadowreal::cert`]). At every point
+//!    `|value_dd − value_big| ≤ E` ([`shadowreal::cert`]). Its planes start
+//!    zeroed, like machine memory, so a location nothing wrote already
+//!    holds the leaf the analysis would lazily shadow. At every point
 //!    where the full analysis makes a *decision* from a shadow value — the
 //!    double rounding feeding local and total error, the compensation
 //!    equality test (§5.3), a branch comparison — the probe checks that the
@@ -17,9 +19,9 @@
 //! 2. **Escalate pass.** Every input runs the full record-keeping analysis
 //!    on the shadow its verdict picks, in input order: certified inputs on
 //!    the `DoubleDouble` shadow, uncertified ones escalated to the
-//!    `BigFloat` shadow. A chunk whose inputs all share one verdict runs as
-//!    one batched lane pass on that tier. A mixed chunk runs on the serial
-//!    engine, where the two analyses hand one
+//!    `BigFloat` shadow. A chunk whose inputs all certified runs as one
+//!    batched lane pass on the `DoubleDouble` tier. Every other chunk runs
+//!    on the serial engine, where the two analyses hand one
 //!    [`AnalysisState`](crate::AnalysisState) back and forth, so its records
 //!    accumulate in input order with no merge between tiers.
 //!
@@ -71,7 +73,7 @@ use crate::config::AnalysisConfig;
 use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
 use fpcore::CmpOp;
-use fpvm::batch::{lane_active, lane_indices, BatchMemory, BatchTracer, LaneMask};
+use fpvm::batch::{lane_indices, BatchMemory, BatchTracer, LaneMask};
 use fpvm::{Addr, Machine, MachineError, Program, Value, MAX_ARITY};
 use shadowreal::cert::{self, CertParams};
 use shadowreal::{dd_batch, DdLanes, DoubleDouble, RealOp};
@@ -116,27 +118,27 @@ enum CertFailKind {
 /// that carries a certificate bound per shadow value and a sticky per-lane
 /// verdict per run.
 ///
-/// The shadow semantics mirror the full analysis exactly — the same lazy
-/// leaf creation ([`Herbgrind::ensure_shadow`](crate::analysis::Herbgrind)
-/// creates a leaf from the client double the first time an unshadowed
-/// location is read), the same copy sharing, the same clearing on integer
-/// stores — evaluated through the vectorized [`shadowreal::dd_batch`]
-/// kernels, which are bit-identical per lane to the scalar kernels the full
-/// `DoubleDouble` analysis uses. The certificate layer rides on top:
-/// leaves are exact (`E = 0`), computes propagate bounds through
-/// [`cert::propagate`] and certify the result's rounding, and every
+/// Its shadow memory follows the local-error probe's rule: the planes are
+/// zeroed at the start of every pass, leaves (arguments, constants, integer
+/// stores and float→int casts) write the exact double, a copy copies the
+/// value and its bound, and a read past the table reads zero. Machine memory
+/// starts at `0.0` too and changes only through those statements and
+/// computes, so a plane nothing wrote holds exactly the double the full
+/// analysis would lazily shadow ([`Herbgrind`](crate::analysis::Herbgrind),
+/// §6), and an integer's plane holds the `i as f64` leaf the analysis makes
+/// when it reads it. Computes evaluate through the vectorized
+/// [`shadowreal::dd_batch`] kernels, which are bit-identical per lane to the
+/// scalar kernels the full `DoubleDouble` analysis uses. The certificate
+/// layer rides on top: leaves are exact (`E = 0`), computes propagate bounds
+/// through [`cert::propagate`] and certify the result's rounding, and every
 /// comparison decision the full analysis would make is certified or the
 /// lane's verdict drops.
 #[derive(Debug)]
-pub struct CertifyProbe<const W: usize> {
+pub(crate) struct CertifyProbe<const W: usize> {
     /// `DoubleDouble` shadow planes, one per address (struct-of-arrays).
     values: Vec<DdLanes<W>>,
     /// Certificate bound per address per lane: `|dd − big| ≤ errs[a][l]`.
     errs: Vec<[f64; W]>,
-    /// Which lanes of each address hold a shadow — the plane analogue of the
-    /// slot table's `Some`/`None`, so lazy leaf creation mirrors the
-    /// analysis exactly.
-    written: Vec<LaneMask>,
     /// Per-lane verdict for the current run; sticky until the next pass.
     certified: [bool; W],
     /// The check that first dropped each lane's verdict this run (telemetry
@@ -151,11 +153,10 @@ pub struct CertifyProbe<const W: usize> {
 impl<const W: usize> CertifyProbe<W> {
     /// A probe certifying against `params`, mirroring an analysis configured
     /// with `detect_compensation`.
-    pub fn new(params: CertParams, detect_compensation: bool) -> Self {
+    fn new(params: CertParams, detect_compensation: bool) -> Self {
         CertifyProbe {
             values: Vec::new(),
             errs: Vec::new(),
-            written: Vec::new(),
             certified: [true; W],
             fail_kinds: [None; W],
             params,
@@ -163,42 +164,35 @@ impl<const W: usize> CertifyProbe<W> {
         }
     }
 
-    /// The verdict for lane `l` of the last batch pass: true when every
-    /// decision of that lane's run was certified.
-    pub fn lane_certified(&self, l: usize) -> bool {
-        self.certified[l]
-    }
-
-    /// The certificate check that first failed lane `l` this run, if any.
-    fn lane_fail_kind(&self, l: usize) -> Option<CertFailKind> {
-        self.fail_kinds[l]
-    }
-
-    /// Grows the planes on the cold path, like the analysis's `put_shadow` —
-    /// statements may address beyond the space announced at `on_start`.
+    /// The plane of `addr` and its bounds; past the table, the zero plane
+    /// with exact bounds, which is what a grown slot holds.
     #[inline]
-    fn grow(&mut self, addr: Addr) {
-        if addr >= self.values.len() {
-            self.values.resize(addr + 1, DdLanes::zero());
-            self.errs.resize(addr + 1, [0.0; W]);
-            self.written.resize(addr + 1, 0);
+    fn read(&self, addr: Addr) -> (DdLanes<W>, [f64; W]) {
+        match self.values.get(addr) {
+            Some(&values) => (values, self.errs[addr]),
+            None => (DdLanes::zero(), [0.0; W]),
         }
     }
 
-    /// Installs an exact leaf shadow (the client double, `E = 0`).
+    /// Writes lane `l` of `addr`, growing the planes on the cold path like
+    /// the analysis's `put_shadow` (statements may address beyond the space
+    /// announced at `on_start`).
     #[inline]
-    fn seed(&mut self, addr: Addr, l: usize, value: f64) {
-        self.values[addr].set(l, DoubleDouble::from_f64(value));
-        self.errs[addr][l] = 0.0;
-        self.written[addr] |= 1 << l;
+    fn write(&mut self, addr: Addr, l: usize, value: DoubleDouble, err: f64) {
+        if addr >= self.values.len() {
+            self.values.resize(addr + 1, DdLanes::zero());
+            self.errs.resize(addr + 1, [0.0; W]);
+        }
+        self.values[addr].set(l, value);
+        self.errs[addr][l] = err;
     }
 
-    /// Lazy leaf creation: the probe's `ensure_shadow`. Exact both tiers
-    /// (same double), so no certificate check is needed.
+    /// Writes the exact leaf `value(l)` (`E = 0`) to `dest` for every lane in
+    /// `mask`: both tiers shadow the same double exactly.
     #[inline]
-    fn ensure(&mut self, addr: Addr, l: usize, value: f64) {
-        if !lane_active(self.written[addr], l) {
-            self.seed(addr, l, value);
+    fn write_leaves(&mut self, dest: Addr, mask: LaneMask, value: impl Fn(usize) -> f64) {
+        for l in lane_indices(mask) {
+            self.write(dest, l, DoubleDouble::from_f64(value(l)), 0.0);
         }
     }
 }
@@ -209,14 +203,12 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
         self.values.resize(program.num_addrs, DdLanes::zero());
         self.errs.clear();
         self.errs.resize(program.num_addrs, [0.0; W]);
-        self.written.clear();
-        self.written.resize(program.num_addrs, 0);
         self.certified = [true; W];
         self.fail_kinds = [None; W];
         for l in lane_indices(mask) {
             if let Some(args) = lane_inputs[l] {
                 for (&addr, &value) in program.arg_addrs.iter().zip(args) {
-                    self.seed(addr, l, value);
+                    self.write(addr, l, DoubleDouble::from_f64(value), 0.0);
                 }
             }
         }
@@ -228,25 +220,18 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
         op: RealOp,
         dest: Addr,
         args: &[Addr],
-        arg_values: &[[f64; W]],
+        _arg_values: &[[f64; W]],
         _results: &[f64; W],
         mask: LaneMask,
     ) {
         let n = args.len();
-        for (i, &addr) in args.iter().enumerate() {
-            self.grow(addr);
-            for l in lane_indices(mask) {
-                self.ensure(addr, l, arg_values[i][l]);
-            }
-        }
         // One vectorized exact evaluation for the group: `dd_batch` is
         // pinned bit-identical, lane by lane, to the scalar kernels the full
         // DoubleDouble tier runs.
         let mut operands = [DdLanes::zero(); MAX_ARITY];
         let mut operand_errs = [[0.0f64; W]; MAX_ARITY];
         for (i, &addr) in args.iter().enumerate() {
-            operands[i] = self.values[addr];
-            operand_errs[i] = self.errs[addr];
+            (operands[i], operand_errs[i]) = self.read(addr);
         }
         let exact = dd_batch::apply(op, &operands[..n]);
         let mut result_errs = [f64::INFINITY; W];
@@ -290,46 +275,23 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
                 self.fail_kinds[l].get_or_insert(fail_kind);
             }
         }
-        self.grow(dest);
         for l in lane_indices(mask) {
-            self.values[dest].set(l, exact.get(l));
-            self.errs[dest][l] = result_errs[l];
-            self.written[dest] |= 1 << l;
+            self.write(dest, l, exact.get(l), result_errs[l]);
         }
     }
 
     fn on_const_f(&mut self, _pc: usize, dest: Addr, value: f64, mask: LaneMask) {
-        self.grow(dest);
-        for l in lane_indices(mask) {
-            self.seed(dest, l, value);
-        }
+        self.write_leaves(dest, mask, |_| value);
     }
 
-    fn on_const_i(&mut self, _pc: usize, dest: Addr, _value: i64, mask: LaneMask) {
-        // The analysis clears the shadow: an integer store's consumer will
-        // lazily shadow the client value, which the probe mirrors through
-        // the written bit.
-        self.grow(dest);
-        for l in lane_indices(mask) {
-            self.written[dest] &= !(1 << l);
-        }
+    fn on_const_i(&mut self, _pc: usize, dest: Addr, value: i64, mask: LaneMask) {
+        self.write_leaves(dest, mask, |_| value as f64);
     }
 
-    fn on_copy(&mut self, _pc: usize, dest: Addr, src: Addr, values: &[Value; W], mask: LaneMask) {
-        self.grow(src.max(dest));
+    fn on_copy(&mut self, _pc: usize, dest: Addr, src: Addr, _values: &[Value; W], mask: LaneMask) {
+        let (values, errs) = self.read(src);
         for l in lane_indices(mask) {
-            if !lane_active(self.written[src], l) {
-                if let Value::F(v) = values[l] {
-                    self.seed(src, l, v);
-                } else {
-                    self.written[dest] &= !(1 << l);
-                    continue;
-                }
-            }
-            let value = self.values[src].get(l);
-            self.values[dest].set(l, value);
-            self.errs[dest][l] = self.errs[src][l];
-            self.written[dest] |= 1 << l;
+            self.write(dest, l, values.get(l), errs[l]);
         }
     }
 
@@ -337,20 +299,15 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
         &mut self,
         _pc: usize,
         dest: Addr,
-        src: Addr,
-        values: &[f64; W],
-        _results: &[i64; W],
+        _src: Addr,
+        _values: &[f64; W],
+        results: &[i64; W],
         mask: LaneMask,
     ) {
         // The divergence decision truncates `shadow.to_f64()`, whose
         // rounding was certified where the shadow was defined (leaves are
-        // exact); nothing further to check. The destination shadow is
-        // cleared, like the analysis.
-        self.grow(src.max(dest));
-        for l in lane_indices(mask) {
-            self.ensure(src, l, values[l]);
-            self.written[dest] &= !(1 << l);
-        }
+        // exact); nothing further to check.
+        self.write_leaves(dest, mask, |l| results[l] as f64);
     }
 
     fn on_branch(
@@ -359,15 +316,14 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
         _cmp: CmpOp,
         lhs: Addr,
         rhs: Addr,
-        lhs_values: &[Value; W],
-        rhs_values: &[Value; W],
+        _lhs_values: &[Value; W],
+        _rhs_values: &[Value; W],
         _taken: LaneMask,
         mask: LaneMask,
     ) {
-        self.grow(lhs.max(rhs));
+        let (lhs_values, lhs_errs) = self.read(lhs);
+        let (rhs_values, rhs_errs) = self.read(rhs);
         for l in lane_indices(mask) {
-            self.ensure(lhs, l, lhs_values[l].as_f64());
-            self.ensure(rhs, l, rhs_values[l].as_f64());
             if !self.certified[l] {
                 continue;
             }
@@ -375,23 +331,11 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
             // semantics to detect divergence; certified separation (or joint
             // exactness) makes the `Ordering` agree across tiers for every
             // comparison operator.
-            let lv = self.values[lhs].get(l);
-            let rv = self.values[rhs].get(l);
-            if !cert::compare_certified(&lv, self.errs[lhs][l], &rv, self.errs[rhs][l]) {
+            let (lv, rv) = (lhs_values.get(l), rhs_values.get(l));
+            if !cert::compare_certified(&lv, lhs_errs[l], &rv, rhs_errs[l]) {
                 self.certified[l] = false;
                 self.fail_kinds[l].get_or_insert(CertFailKind::Branch);
             }
-        }
-    }
-
-    fn on_output(&mut self, _pc: usize, src: Addr, values: &[f64; W], mask: LaneMask) {
-        // Total error at the output rounds the shadow (`to_f64`), certified
-        // at its definition; a never-shadowed output lazily becomes an exact
-        // leaf in both tiers. Mirror the lazy creation so later statements
-        // agree on what is shadowed.
-        self.grow(src);
-        for l in lane_indices(mask) {
-            self.ensure(src, l, values[l]);
         }
     }
 }
@@ -423,12 +367,12 @@ pub(crate) fn certify_inputs<const W: usize>(
         for (l, index) in lanes.into_iter().enumerate() {
             let Some(index) = index else { continue };
             #[allow(unused_mut)]
-            let mut verdict = probe.lane_certified(l) && outcome.errors[l].is_none();
+            let mut verdict = probe.certified[l] && outcome.errors[l].is_none();
             if telemetry::enabled() && !verdict {
                 // Escalation cause: the first failing certificate check, or
                 // a machine fault when every check passed.
-                if !probe.lane_certified(l) {
-                    match probe.lane_fail_kind(l) {
+                if !probe.certified[l] {
+                    match probe.fail_kinds[l] {
                         Some(CertFailKind::Rounding) => telemetry::TIERED_ESCALATE_ROUNDING.incr(),
                         Some(CertFailKind::Compensation) => {
                             telemetry::TIERED_ESCALATE_COMPENSATION.incr()
@@ -515,7 +459,7 @@ pub(crate) fn arm_tier0(
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and the other
 /// drivers: the report is bit-identical for every batch width and thread
 /// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
-/// with the shard-merge exception of its thread shards and single-verdict
+/// with the shard-merge exception of its thread shards and certified-tier
 /// lane passes (DESIGN.md, "Parallel engine"). With
 /// [`AnalysisConfig::input_ranges`] set and every input inside the declared
 /// region, tier 0 runs first and the sweep skips shadowing for statically
@@ -699,6 +643,39 @@ mod tests {
             assert_eq!(snap.counter("quarantine.ladder_attempts"), 0);
             assert!(snap.phase(telemetry::Phase::TierDoubleDouble).count > 0);
             assert!(snap.phase(telemetry::Phase::TierBigFloat).count > 0);
+        }
+    }
+
+    #[test]
+    fn all_escalated_chunks_run_on_the_serial_engine() {
+        // Below the tier threshold the precision gate escalates every input,
+        // so no chunk runs a lane pass: each input is one serial `BigFloat`
+        // run, the interner peak is the serial one, and nothing is re-run.
+        let (p, inputs) = mixed_sweep();
+        let config = AnalysisConfig {
+            shadow_precision: 128,
+            ..AnalysisConfig::default().with_threads(1)
+        };
+        let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
+        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+        let serial = analyze(&p, &inputs, &config).unwrap();
+        let serial_peak = peak(&capture.finish());
+        for width in [1, 8] {
+            let config = config.clone().with_batch_width(width);
+            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+            let (tiered, stats) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
+            let snap = capture.finish();
+            assert_eq!(
+                format!("{serial:?}"),
+                format!("{tiered:?}"),
+                "width={width}"
+            );
+            assert_eq!(stats.certified_inputs, 0, "{stats:?}");
+            assert_eq!(peak(&snap), serial_peak, "width={width}");
+            let phase = |phase| snap.phase(phase).count;
+            assert_eq!(phase(telemetry::Phase::TierBigFloat), inputs.len() as u64);
+            assert_eq!(phase(telemetry::Phase::TierDoubleDouble), 0);
+            assert_eq!(snap.counter("quarantine.ladder_attempts"), 0);
         }
     }
 

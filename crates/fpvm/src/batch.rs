@@ -27,7 +27,7 @@
 //! [`BatchOutcome`], while the surviving lanes continue — mirroring how the
 //! sharded analysis driver treats per-input failures.
 
-use crate::interp::{Inst, Machine, MachineError, RunResult, Tracer, MAX_ARITY};
+use crate::interp::{Inst, Machine, MachineError, RunResult, MAX_ARITY};
 use crate::program::{Addr, Program, Value};
 use fpcore::CmpOp;
 use shadowreal::RealOp;
@@ -79,13 +79,14 @@ pub fn lane_active(mask: LaneMask, l: usize) -> bool {
     (mask >> l) & 1 == 1
 }
 
-/// A batched execution observer: the lane-parallel analogue of [`Tracer`].
+/// A batched execution observer: the lane-parallel analogue of
+/// [`Tracer`](crate::Tracer).
 ///
 /// Every hook receives the whole lane group that executed the statement —
 /// per-lane values in `[_; W]` arrays plus the group's [`LaneMask`] — in one
 /// call. **Entries of lanes outside the mask are unspecified** (they hold
 /// whatever the struct-of-arrays memory held); observers must consult the
-/// mask. As with [`Tracer`], hooks run *after* the statement's effect on
+/// mask. As with `Tracer`, hooks run *after* the statement's effect on
 /// machine memory.
 #[allow(unused_variables)]
 pub trait BatchTracer<const W: usize> {
@@ -142,8 +143,6 @@ pub trait BatchTracer<const W: usize> {
     }
     /// A value was output by a lane group (a spot).
     fn on_output(&mut self, pc: usize, src: Addr, values: &[f64; W], mask: LaneMask) {}
-    /// The batch pass finished (every lane halted or failed).
-    fn on_finish(&mut self, outcome: &BatchOutcome<W>) {}
     /// Cheap pass-level poll, checked once per scheduled lane group: `true`
     /// when at least one lane has a pending fault to report through
     /// [`BatchTracer::lane_fault`]. Must stay `true` until every pending
@@ -164,130 +163,6 @@ pub trait BatchTracer<const W: usize> {
 pub struct NullBatchTracer;
 
 impl<const W: usize> BatchTracer<W> for NullBatchTracer {}
-
-/// Adapts a serial [`Tracer`] to one lane of a batch: every group callback
-/// is forwarded for the watched lane (when it is in the group's mask) with
-/// that lane's values, reproducing exactly the callback sequence the serial
-/// interpreter would deliver for that lane's input.
-#[derive(Debug)]
-pub struct LaneTracer<'t, T: ?Sized> {
-    lane: usize,
-    inner: &'t mut T,
-}
-
-impl<'t, T: Tracer + ?Sized> LaneTracer<'t, T> {
-    /// Watches `lane` through the serial tracer `inner`.
-    pub fn new(lane: usize, inner: &'t mut T) -> Self {
-        LaneTracer { lane, inner }
-    }
-}
-
-impl<T: Tracer + ?Sized, const W: usize> BatchTracer<W> for LaneTracer<'_, T> {
-    fn on_start(&mut self, program: &Program, lane_inputs: &[Option<&[f64]>; W], mask: LaneMask) {
-        if lane_active(mask, self.lane) {
-            if let Some(args) = lane_inputs[self.lane] {
-                self.inner.on_start(program, args);
-            }
-        }
-    }
-    fn on_compute(
-        &mut self,
-        pc: usize,
-        op: RealOp,
-        dest: Addr,
-        args: &[Addr],
-        arg_values: &[[f64; W]],
-        results: &[f64; W],
-        mask: LaneMask,
-    ) {
-        if lane_active(mask, self.lane) {
-            let mut lane_args = [0.0f64; MAX_ARITY];
-            for (slot, lanes) in lane_args.iter_mut().zip(arg_values) {
-                *slot = lanes[self.lane];
-            }
-            self.inner.on_compute(
-                pc,
-                op,
-                dest,
-                args,
-                &lane_args[..args.len()],
-                results[self.lane],
-            );
-        }
-    }
-    fn on_const_f(&mut self, pc: usize, dest: Addr, value: f64, mask: LaneMask) {
-        if lane_active(mask, self.lane) {
-            self.inner.on_const_f(pc, dest, value);
-        }
-    }
-    fn on_const_i(&mut self, pc: usize, dest: Addr, value: i64, mask: LaneMask) {
-        if lane_active(mask, self.lane) {
-            self.inner.on_const_i(pc, dest, value);
-        }
-    }
-    fn on_copy(&mut self, pc: usize, dest: Addr, src: Addr, values: &[Value; W], mask: LaneMask) {
-        if lane_active(mask, self.lane) {
-            self.inner.on_copy(pc, dest, src, values[self.lane]);
-        }
-    }
-    fn on_cast_to_int(
-        &mut self,
-        pc: usize,
-        dest: Addr,
-        src: Addr,
-        values: &[f64; W],
-        results: &[i64; W],
-        mask: LaneMask,
-    ) {
-        if lane_active(mask, self.lane) {
-            self.inner
-                .on_cast_to_int(pc, dest, src, values[self.lane], results[self.lane]);
-        }
-    }
-    fn on_branch(
-        &mut self,
-        pc: usize,
-        cmp: CmpOp,
-        lhs: Addr,
-        rhs: Addr,
-        lhs_values: &[Value; W],
-        rhs_values: &[Value; W],
-        taken: LaneMask,
-        mask: LaneMask,
-    ) {
-        if lane_active(mask, self.lane) {
-            self.inner.on_branch(
-                pc,
-                cmp,
-                lhs,
-                rhs,
-                lhs_values[self.lane],
-                rhs_values[self.lane],
-                lane_active(taken, self.lane),
-            );
-        }
-    }
-    fn on_output(&mut self, pc: usize, src: Addr, values: &[f64; W], mask: LaneMask) {
-        if lane_active(mask, self.lane) {
-            self.inner.on_output(pc, src, values[self.lane]);
-        }
-    }
-    fn on_finish(&mut self, outcome: &BatchOutcome<W>) {
-        if outcome.errors[self.lane].is_none() {
-            self.inner.on_finish(&outcome.lanes[self.lane]);
-        }
-    }
-    fn any_fault(&self) -> bool {
-        self.inner.has_fault()
-    }
-    fn lane_fault(&mut self, lane: usize) -> Option<MachineError> {
-        if lane == self.lane {
-            self.inner.fault()
-        } else {
-            None
-        }
-    }
-}
 
 /// Struct-of-arrays lane memory: one `[_; W]` lane array per address.
 ///
@@ -786,7 +661,6 @@ impl<'p, const W: usize> BatchMachine<'p, W> {
                 telemetry::HIST_RUN_STEPS.observe(steps[l]);
             }
         }
-        tracer.on_finish(&outcome);
         outcome
     }
 }
@@ -1023,60 +897,6 @@ mod tests {
         assert_eq!(outcome.lanes[0].outputs, vec![3.0]);
         assert_eq!(outcome.lanes[1].outputs, vec![-2.0]);
         assert_eq!(tracer.0[0], [Value::I(3), Value::I(-2)]);
-    }
-
-    #[test]
-    fn lane_tracer_adapts_serial_tracers_per_lane() {
-        // Attaching a serial tracer to one lane through `LaneTracer` must
-        // reproduce the exact event stream of a serial run of that input.
-        #[derive(Default, PartialEq, Debug)]
-        struct Events(Vec<String>);
-        impl Tracer for Events {
-            fn on_compute(
-                &mut self,
-                pc: usize,
-                op: RealOp,
-                _d: Addr,
-                _a: &[Addr],
-                args: &[f64],
-                result: f64,
-            ) {
-                self.0.push(format!("c{pc}:{op}:{args:?}={result}"));
-            }
-            fn on_output(&mut self, pc: usize, _src: Addr, value: f64) {
-                self.0.push(format!("o{pc}:{value}"));
-            }
-            fn on_branch(
-                &mut self,
-                pc: usize,
-                _cmp: CmpOp,
-                _l: Addr,
-                _r: Addr,
-                lv: Value,
-                rv: Value,
-                taken: bool,
-            ) {
-                self.0
-                    .push(format!("b{pc}:{}:{}:{taken}", lv.as_f64(), rv.as_f64()));
-            }
-        }
-        let p = compile("(FPCore (n) (while (< i n) ((s 0 (+ s (/ 1 i))) (i 1 (+ i 1))) s))");
-        let machine = Machine::new(&p);
-        let inputs: Vec<Vec<f64>> = vec![vec![2.0], vec![5.0], vec![0.0]];
-        for (lane, input) in inputs.iter().enumerate() {
-            let mut serial = Events::default();
-            machine.run_traced(input, &mut serial).unwrap();
-            let mut batched = Events::default();
-            let lane_inputs: [Option<&[f64]>; 4] =
-                std::array::from_fn(|l| inputs.get(l).map(|v| v.as_slice()));
-            let mut memory = BatchMemory::new();
-            machine.batched::<4>().run_batch(
-                &lane_inputs,
-                &mut LaneTracer::new(lane, &mut batched),
-                &mut memory,
-            );
-            assert_eq!(batched, serial, "lane {lane}");
-        }
     }
 
     #[test]

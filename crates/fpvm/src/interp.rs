@@ -121,8 +121,6 @@ pub trait Tracer {
     fn on_output(&mut self, pc: usize, src: Addr, value: f64) {}
     /// The program produced its arguments (called once, before execution).
     fn on_start(&mut self, program: &Program, args: &[f64]) {}
-    /// Execution finished.
-    fn on_finish(&mut self, result: &RunResult) {}
     /// Polled once per executed statement: a tracer that has exhausted one
     /// of its own resource budgets (e.g. trace memory) returns the error
     /// here and the interpreter aborts the run with it. Take semantics: the
@@ -130,10 +128,9 @@ pub trait Tracer {
     fn fault(&mut self) -> Option<MachineError> {
         None
     }
-    /// Non-mutating peek used by adapters (e.g.
-    /// [`LaneTracer`](crate::batch::LaneTracer)) that must know whether
-    /// [`Tracer::fault`] would report without taking it. Must agree with
-    /// `fault`: `true` iff a fault is pending.
+    /// Non-mutating peek, polled by the interpreter before every statement
+    /// so the common no-fault case never calls [`Tracer::fault`]. Must agree
+    /// with `fault`: `true` iff a fault is pending.
     fn has_fault(&self) -> bool {
         false
     }
@@ -452,7 +449,6 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-        tracer.on_finish(&result);
         flush_run_telemetry(result.steps);
         Ok(result)
     }

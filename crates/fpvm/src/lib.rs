@@ -47,7 +47,7 @@ pub mod program;
 
 pub use batch::{
     full_mask, lane_active, lane_indices, BatchMachine, BatchMemory, BatchOutcome, BatchTracer,
-    LaneMask, LaneTracer, NullBatchTracer, MAX_LANES,
+    LaneMask, NullBatchTracer, MAX_LANES,
 };
 pub use compile::{compile_core, CompileError, CompileOptions};
 pub use interp::{Machine, MachineError, NullTracer, RunResult, Tracer, MAX_ARITY};

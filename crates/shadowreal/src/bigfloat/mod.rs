@@ -2,9 +2,10 @@
 //!
 //! [`BigFloat`] plays the role of MPFR in the original Herbgrind: every
 //! double in the client program is shadowed by a `BigFloat` with a much wider
-//! mantissa (256 bits by default, configurable via
-//! [`set_default_precision`]), so that rounding error in the client is
-//! visible as a difference between the client value and the rounded shadow.
+//! mantissa ([`DEFAULT_PRECISION`] bits unless a constructor such as
+//! [`BigFloat::from_f64_prec`] names another), so that rounding error in the
+//! client is visible as a difference between the client value and the
+//! rounded shadow.
 //!
 //! The implementation is self-contained (no external bignum dependency). A
 //! finite value is `(-1)^sign * f * 2^exp` with the fraction `f` in
@@ -24,30 +25,19 @@ mod newton;
 
 use limbs::{Limbs, Scratch};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
-/// The default mantissa precision, in bits, for newly created values.
-static DEFAULT_PRECISION: AtomicU32 = AtomicU32::new(256);
+/// The mantissa precision, in bits, of values made by [`BigFloat::from_f64`]
+/// and the other constructors that take no precision.
+///
+/// Herbgrind's `--precision` flag defaults to 1000 bits in the paper; 256 is
+/// ample for measuring error in 53-bit clients. Analyses pick their own
+/// precision per value through [`BigFloat::from_f64_prec`].
+pub const DEFAULT_PRECISION: u32 = 256;
 
 /// Smallest supported mantissa precision in bits.
 pub const MIN_PRECISION: u32 = 64;
 /// Largest supported mantissa precision in bits.
 pub const MAX_PRECISION: u32 = 16384;
-
-/// Sets the default mantissa precision (in bits) used by [`BigFloat::from_f64`]
-/// and friends. Clamped to `[MIN_PRECISION, MAX_PRECISION]`.
-///
-/// This mirrors Herbgrind's `--precision` flag (default 1000 bits in the
-/// paper; 256 here, which is ample for measuring error in 53-bit clients).
-pub fn set_default_precision(bits: u32) {
-    let clamped = bits.clamp(MIN_PRECISION, MAX_PRECISION);
-    DEFAULT_PRECISION.store(clamped, AtomicOrdering::Relaxed);
-}
-
-/// Returns the current default mantissa precision in bits.
-pub fn default_precision() -> u32 {
-    DEFAULT_PRECISION.load(AtomicOrdering::Relaxed)
-}
 
 /// Test support (debug builds only): forces every newly created limb buffer
 /// onto the heap, so the inline (≤ 256-bit) and heap-fallback code paths can
@@ -228,7 +218,7 @@ impl BigFloat {
 
     /// Creates a value from a double, exactly, at the default precision.
     pub fn from_f64(x: f64) -> Self {
-        Self::from_f64_prec(x, default_precision())
+        Self::from_f64_prec(x, DEFAULT_PRECISION)
     }
 
     /// Creates a value from a double, exactly, at the given precision.
@@ -278,10 +268,10 @@ impl BigFloat {
         }
     }
 
-    /// Creates a value from a signed 64-bit integer, exactly (precision is at
-    /// least the default, widened if needed to hold the integer).
+    /// Creates a value from a signed 64-bit integer, exactly, at the default
+    /// precision (which holds every 64-bit integer).
     pub fn from_i64(x: i64) -> Self {
-        let prec = default_precision().max(64);
+        let prec = DEFAULT_PRECISION;
         if x == i64::MIN {
             // Avoid overflow on abs(): -2^63 is exactly representable in f64.
             return Self::from_f64_prec(x as f64, prec);
@@ -309,7 +299,7 @@ impl BigFloat {
 
     /// Positive zero at the default precision.
     pub fn zero() -> Self {
-        BigFloat::zero_at(false, default_precision())
+        BigFloat::zero_at(false, DEFAULT_PRECISION)
     }
 
     /// The value one at the default precision.
@@ -319,12 +309,12 @@ impl BigFloat {
 
     /// Not-a-number.
     pub fn nan() -> Self {
-        BigFloat::nan_at(default_precision())
+        BigFloat::nan_at(DEFAULT_PRECISION)
     }
 
     /// Positive or negative infinity.
     pub fn infinity(negative: bool) -> Self {
-        BigFloat::inf_at(negative, default_precision())
+        BigFloat::inf_at(negative, DEFAULT_PRECISION)
     }
 
     /// NaN carrying an explicit precision: operations stamp their result
@@ -1292,15 +1282,6 @@ mod tests {
         let wide = x.with_precision(512);
         assert_eq!(wide.precision(), 512);
         assert_eq!(wide.to_f64(), 1.0 / 3.0);
-    }
-
-    #[test]
-    fn default_precision_is_configurable() {
-        let before = default_precision();
-        set_default_precision(512);
-        assert_eq!(default_precision(), 512);
-        assert_eq!(BigFloat::from_f64(2.0).precision(), 512);
-        set_default_precision(before);
     }
 
     #[test]

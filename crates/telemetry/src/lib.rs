@@ -327,9 +327,9 @@ pub enum Phase {
     Certify,
     /// Tiered driver: certified DoubleDouble lane passes and runs.
     TierDoubleDouble,
-    /// Tiered driver: escalated BigFloat lane passes and runs.
+    /// Tiered driver: escalated BigFloat runs, one span each.
     TierBigFloat,
-    /// Serial re-runs of faulted batched or tiered passes.
+    /// Serial re-runs of faulted batched or tiered `DoubleDouble` passes.
     Ladder,
     /// Report assembly and merging.
     Report,

@@ -253,10 +253,9 @@ fn seeded_background_faults_lose_no_surviving_records() {
 #[test]
 fn tier_escalation_exercises_the_full_retry_ladder() {
     // A TierEscalation fault at input 5: the certify probe forces it out of
-    // the certified tier, and the BigFloat tier panics on it — in a lane
-    // pass whose serial re-run panics again on input 5 alone, or directly on
-    // the serial engine when its chunk mixes verdicts — so it is quarantined
-    // with the TieredBigFloat stage. Every other input's records survive.
+    // the certified tier, and the BigFloat tier, which runs on the serial
+    // engine, panics on it, so it is quarantined with the TieredBigFloat
+    // stage. Every other input's records survive.
     let _guard = faultinject::install(FaultPlan::sites(vec![FaultSpec::input(
         5,
         InjectKind::TierEscalation,

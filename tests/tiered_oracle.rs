@@ -202,18 +202,20 @@ fn mixed_sweep() -> (fpvm::Program, Vec<Vec<f64>>) {
     )
 }
 
-#[test]
-fn mixed_verdicts_match_the_oracles_at_every_split() {
-    // Every thread shard of this sweep mixes verdicts, so its records come
-    // from the serial engine handing one state between the tiers. The
-    // verdicts are the ones each input gets when certified alone.
-    let (program, inputs) = mixed_sweep();
+/// Checks a mixed-verdict sweep against the oracles at threads {1, 2, 3} ×
+/// widths {1, 8}: both tiers run, and the verdicts are the ones each input
+/// gets when certified alone.
+fn assert_mixed_sweep_matches_the_oracles(
+    label: &str,
+    program: &fpvm::Program,
+    inputs: &[Vec<f64>],
+) {
     let certified_alone: usize = inputs
         .iter()
         .map(|input| {
             let one = std::slice::from_ref(input);
             let (_, stats) =
-                analyze_tiered_with_stats(&program, one, &AnalysisConfig::default()).unwrap();
+                analyze_tiered_with_stats(program, one, &AnalysisConfig::default()).unwrap();
             stats.certified_inputs
         })
         .sum();
@@ -223,9 +225,75 @@ fn mixed_verdicts_match_the_oracles_at_every_split() {
             let config = AnalysisConfig::default()
                 .with_threads(threads)
                 .with_batch_width(width);
-            let context = format!("mixed sweep, threads={threads} width={width}");
-            let stats = assert_tiered_matches_oracles(&program, &inputs, &config, &context);
+            let context = format!("{label}, threads={threads} width={width}");
+            let stats = assert_tiered_matches_oracles(program, inputs, &config, &context);
             assert_eq!(stats.certified_inputs, certified_alone, "{context}");
         }
     }
+}
+
+#[test]
+fn mixed_verdicts_match_the_oracles_at_every_split() {
+    // Every thread shard of this sweep mixes verdicts, so its records come
+    // from the serial engine handing one state between the tiers.
+    let (program, inputs) = mixed_sweep();
+    assert_mixed_sweep_matches_the_oracles("mixed sweep", &program, &inputs);
+}
+
+/// A hand-built program over the statements the FPCore compiler never
+/// emits: an integer store read as a float operand, a float→int cast whose
+/// integer is copied, compared and output, and a read of a cell nothing
+/// wrote. Each integer supplies the `1` of one `sqrt(x + 1) - sqrt(x)`, so a
+/// wrong integer leaf in the certify probe would cancel to an uncertifiable
+/// zero; a large `x` escalates.
+fn integer_cells_program() -> fpvm::Program {
+    use fpvm::{Pred, SourceLoc, Statement};
+    use shadowreal::RealOp::{Add, Div, Sqrt, Sub};
+    let compute = |dest, op, args: &[usize]| Statement::Compute {
+        dest,
+        op,
+        args: args.to_vec(),
+    };
+    let statements = vec![
+        Statement::ConstI { dest: 1, value: 1 },
+        compute(2, Add, &[0, 1]),
+        compute(3, Sqrt, &[2]),
+        compute(4, Sqrt, &[0]),
+        compute(5, Sub, &[3, 4]),
+        compute(6, Div, &[0, 0]),
+        Statement::CastToInt { dest: 7, src: 6 },
+        Statement::Copy { dest: 8, src: 7 },
+        // Cell 10 is never written: it reads as the machine's initial 0.
+        compute(9, Add, &[8, 10]),
+        compute(11, Add, &[0, 9]),
+        compute(12, Sqrt, &[11]),
+        compute(13, Sub, &[12, 4]),
+        compute(14, Add, &[5, 13]),
+        Statement::Branch {
+            pred: Pred::Cmp(fpcore::CmpOp::Lt, 8, 0),
+            target: 15,
+        },
+        Statement::Output { src: 8 },
+        Statement::Output { src: 14 },
+        Statement::Halt,
+    ];
+    let locations = (1..=statements.len() as u32)
+        .map(|line| SourceLoc::new("cells.c", line, "cells"))
+        .collect();
+    let program = fpvm::Program {
+        name: "integer cells".into(),
+        statements,
+        locations,
+        num_addrs: 15,
+        arg_addrs: vec![0],
+    };
+    program.validate().unwrap();
+    program
+}
+
+#[test]
+fn integer_and_unwritten_cells_match_the_oracles() {
+    let (_, inputs) = mixed_sweep();
+    let program = integer_cells_program();
+    assert_mixed_sweep_matches_the_oracles("integer cells", &program, &inputs);
 }
