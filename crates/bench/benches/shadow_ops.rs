@@ -5,7 +5,8 @@
 //! paper's Table 1). This bench tracks that cost from PR 2 onward:
 //!
 //! * `BigFloat` add / mul / div and the elementary functions the
-//!   library-call workload uses (exp / sin / ln / pow / cbrt / tan) at 64,
+//!   library-call workload uses (exp / sin / ln / pow / cbrt / tan / cos /
+//!   atan) at 64,
 //!   256 (default) and 1024 bits — the inline-limb representation covers
 //!   the first two, the heap fallback the last;
 //! * `DoubleDouble` add / mul (the fast fixed-precision shadow);
@@ -364,6 +365,27 @@ fn measure<F: FnMut()>(ops_per_pass: u64, reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Best-of-`reps` ns per operation for each of `count` passes, measured
+/// round-robin: every rep times `pass(0)`, then `pass(1)`, and so on, so a
+/// slow spell on a shared machine costs every pass alike and the ratios
+/// between rows (which CI pins) stay stable.
+fn measure_round_robin(
+    ops_per_pass: u64,
+    reps: usize,
+    count: usize,
+    mut pass: impl FnMut(usize),
+) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; count];
+    for _ in 0..reps {
+        for (k, b) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            pass(k);
+            *b = b.min(start.elapsed().as_nanos() as f64 / ops_per_pass as f64);
+        }
+    }
+    best
+}
+
 /// Dense-mantissa operand pairs at a given precision (division results, so
 /// every limb is populated and the rounding paths are exercised).
 fn operand_pairs(prec: u32, count: usize) -> Vec<(BigFloat, BigFloat)> {
@@ -381,7 +403,10 @@ fn operand_pairs(prec: u32, count: usize) -> Vec<(BigFloat, BigFloat)> {
 fn main() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
     let (pair_count, reps) = if smoke { (16, 1) } else { (512, 20) };
-    let fn_reps = if smoke { 1 } else { 3 };
+    // The kernel rows are compared with each other in CI: twenty
+    // round-robin reps keep those ratios steady on a shared machine, where
+    // a best of three per row drifted by 10–20%.
+    let fn_reps = if smoke { 1 } else { 20 };
     let mut rows: Vec<Row> = Vec::new();
 
     // --- BigFloat kernels across the precision boundary -------------------
@@ -409,60 +434,35 @@ fn main() {
             }),
         });
         // div and the elementary functions are far slower; fewer repetitions
-        // keep the bench short.
+        // keep the bench short. The rest of the library-call mix runs on
+        // a ∈ [1/3, 4.5). pow raises a to 64·b ∈ [2.3, 2.6], so its
+        // exponential sees ordinary arguments (|y·ln a| up to ~4) rather
+        // than near-zero ones.
         let few: Vec<_> = pairs.iter().take(if smoke { 2 } else { 32 }).collect();
-        let few_iters = few.len() as u64;
-        rows.push(Row {
-            group: "bigfloat",
-            op: "div",
-            bits,
-            ns_per_op: measure(few_iters, fn_reps, || {
-                for (a, b) in &few {
-                    black_box(black_box(a).div(black_box(b)));
-                }
-            }),
-        });
-        rows.push(Row {
-            group: "bigfloat",
-            op: "exp",
-            bits,
-            ns_per_op: measure(few_iters, fn_reps, || {
-                for (a, _) in &few {
-                    black_box(black_box(a).exp());
-                }
-            }),
-        });
-        rows.push(Row {
-            group: "bigfloat",
-            op: "sin",
-            bits,
-            ns_per_op: measure(few_iters, fn_reps, || {
-                for (a, _) in &few {
-                    black_box(black_box(a).sin());
-                }
-            }),
-        });
-        // The rest of the library-call mix, on a ∈ [1/3, 4.5). pow raises a
-        // to 64·b ∈ [2.3, 2.6], so its exponential sees ordinary arguments
-        // (|y·ln a| up to ~4) rather than near-zero ones.
         let sixty_four = BigFloat::from_f64_prec(64.0, 64);
         type Kernel<'a> = &'a dyn Fn(&BigFloat, &BigFloat) -> BigFloat;
-        let kernels: [(&'static str, Kernel); 4] = [
+        let kernels: [(&'static str, Kernel); 9] = [
+            ("div", &|a, b| a.div(b)),
+            ("exp", &|a, _| a.exp()),
+            ("sin", &|a, _| a.sin()),
             ("ln", &|a, _| a.ln()),
             ("pow", &|a, b| a.pow(&b.mul(&sixty_four))),
             ("cbrt", &|a, _| a.cbrt()),
             ("tan", &|a, _| a.tan()),
+            ("cos", &|a, _| a.cos()),
+            ("atan", &|a, _| a.atan()),
         ];
-        for (op, kernel) in kernels {
+        let best = measure_round_robin(few.len() as u64, fn_reps, kernels.len(), |k| {
+            for (a, b) in &few {
+                black_box(kernels[k].1(black_box(a), black_box(b)));
+            }
+        });
+        for ((op, _), ns_per_op) in kernels.iter().zip(best) {
             rows.push(Row {
                 group: "bigfloat",
                 op,
                 bits,
-                ns_per_op: measure(few_iters, fn_reps, || {
-                    for (a, b) in &few {
-                        black_box(kernel(black_box(a), black_box(b)));
-                    }
-                }),
+                ns_per_op,
             });
         }
     }

@@ -12,40 +12,48 @@
 //! own, so `pow`, `cbrt`, `tanh` and friends never stack a second 64 bits
 //! on top of the first.
 //!
-//! **Reductions and series.**
+//! **Series.** Every power series is summed by the fixed-point accumulator
+//! in `series.rs` and rounded to `work` bits once; the sums are ratio forms
+//! (sin x/x, atan t/t, ...) that one `BigFloat` multiply scales back.
+//!
+//! **Reductions.**
 //! * `exp`: x = n·ln 2 + r, then r is halved `s` times until
 //!   |r/2^s| < 2^−K (K ≈ √work, so `s` is 0 when r is already tiny); the
-//!   Taylor series runs on r/2^s at `work + s` bits and the sum is
-//!   squared `s` times, each squaring doubling the relative error the `s`
-//!   extra bits absorbed.
+//!   Taylor series runs on r/2^s and the sum is squared `s` times, with `s`
+//!   more fraction bits absorbing the error each squaring doubles.
 //! * `ln`: x = m·2^k with m ∈ [√½, √2), then ln m = ln c + 2·atanh(t)
-//!   around the nearest c = j/128, with t = (m − c)/(m + c) and
-//!   |t| ≤ 2^−8.4: about 20 series terms at 320 bits, against ~60 for
-//!   t = (m − 1)/(m + 1). j = 128 skips the table, which keeps full
-//!   relative accuracy near 1.
+//!   around the nearest c = j/2048, with t = (m − c)/(m + c) and
+//!   |t| ≤ 2^−12.5: about 15 series terms at 320 bits. j = 2048 skips the
+//!   table, which keeps full relative accuracy near 1.
 //! * `cbrt`: Newton's iteration y ← y + (m/y² − y)/3 from the `f64` cube
 //!   root, doubling the precision at each step.
 //! * `tan`: one sine series, with cos = √(1 − sin²) (well conditioned,
 //!   because the reduced argument keeps cos ≥ 0.707).
-//! * `sin`, `cos`, `atan`: Taylor / Gregory series after argument
-//!   reduction (Payne–Hanek for large trig arguments, four halvings for
-//!   atan).
+//! * `sin`, `cos`: the remainder of x modulo π/2 (Payne–Hanek for huge
+//!   arguments) with |r| ≲ π/4, then the sine or cosine series by quadrant.
+//! * `atan`: |t| ≤ 1 (else π/2 − atan(1/t)), then
+//!   atan t = atan c + atan((t − c)/(1 + t·c)) around the nearest
+//!   c = j/64, leaving a series argument of at most 2^−7.
 //!
-//! The series terms run at staged precision (see [`SeriesArg`]).
+//! Both `exp` and the moderate trig reduction read the multiple n from an
+//! `f64` product below 2^30, where it is exact enough (a neighbour of the
+//! nearest multiple only widens the remainder a little), and divide at the
+//! working precision above.
 //!
-//! **Constants.** π, ln 2, ln 10, 2/π and the ln(j/128) table are computed
-//! on first use and cached per precision in one shared table
-//! ([`cached`]). Every entry is a deterministic function of its key, so
-//! cache state never changes a result.
+//! **Constants.** π, ln 2, ln 10, 2/π and the ln(j/2048) and atan(j/64)
+//! tables are computed on first use and cached per precision in one shared
+//! table ([`cached`]). Every entry is a deterministic function of its key,
+//! so cache state never changes a result.
 //!
 //! Allocation audit (this module is part of the shadow hot path): with the
-//! inline-limb mantissa representation, every temporary at or below 384
-//! bits (six limbs) — including the per-iteration series coefficients —
-//! lives on the stack. A 256-bit shadow's working precisions (320 bits,
-//! and 384 bits for the halved exp series) stay inside that capacity, so
-//! once the constant caches are warm the kernels do not allocate (the
-//! Payne–Hanek window for huge trig arguments aside).
+//! inline-limb mantissa representation every `BigFloat` temporary at or
+//! below 384 bits (six limbs) lives on the stack, and a 256-bit shadow's
+//! series run on the accumulator's six-limb stack arrays. So once the
+//! constant caches and tables are warm the 256-bit kernels do not allocate
+//! (the Payne–Hanek window for huge trig arguments aside); other widths
+//! run the series on heap buffers.
 
+use super::series::{self, Series};
 use super::{fast_paths_enabled, BigFloat, Finite, Repr, MAX_PRECISION, MIN_PRECISION};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -57,8 +65,10 @@ enum Constant {
     Ln2,
     Ln10,
     TwoOverPi,
-    /// ln(j/128), the logarithm's reduction table.
-    LnTable(u8),
+    /// ln(j/[`LN_TABLE`]), the logarithm's reduction table.
+    LnTable(u16),
+    /// atan(j/[`ATAN_TABLE`]), the arctangent's reduction table.
+    AtanTable(u8),
 }
 
 /// `key` at `prec` bits, computed by `compute` on first use and cached.
@@ -89,29 +99,11 @@ fn cached(key: Constant, prec: u32, compute: impl FnOnce() -> BigFloat) -> BigFl
     v
 }
 
-/// arctan(1/x) for a small positive integer x, by the Gregory series.
-fn atan_recip_int(x: i64, prec: u32) -> BigFloat {
-    let work = prec + 32;
-    let xb = BigFloat::from_i64(x).with_precision(work);
-    let xsq = xb.mul(&xb);
-    let mut term = BigFloat::one().with_precision(work).div(&xb);
-    let mut sum = term.clone();
-    let mut k: i64 = 1;
-    loop {
-        term = term.div(&xsq);
-        let contrib = term.div(&small_int(2 * k + 1));
-        let next = if k % 2 == 1 {
-            sum.sub(&contrib)
-        } else {
-            sum.add(&contrib)
-        };
-        if converged(&next, &contrib, work) {
-            return next.with_precision(prec);
-        }
-        sum = next;
-        k += 1;
-    }
-}
+/// Denominator of the logarithm's table points c = j/2048.
+const LN_TABLE: i64 = 2048;
+
+/// Denominator of the arctangent's table points c = j/64.
+const ATAN_TABLE: i64 = 64;
 
 /// 2/π at the given precision (cached): the Payne–Hanek trig reduction
 /// reads a bit window out of it for every large argument.
@@ -131,96 +123,47 @@ fn ln10(prec: u32) -> BigFloat {
     })
 }
 
-/// ln(j/128) at the given precision (cached), by the atanh series on
-/// t = (j − 128)/(j + 128), |t| ≤ 0.17 for the j the reduction produces.
+/// ln(j/2048) at the given precision (cached), as 2·atanh(t) with
+/// t = (j − 2048)/(j + 2048), |t| ≤ 0.17 for the j the reduction produces.
 fn ln_table(j: i64, prec: u32) -> BigFloat {
-    cached(Constant::LnTable(j as u8), prec, || {
+    cached(Constant::LnTable(j as u16), prec, || {
         let work = prec + 32;
-        let t = small_int(j - 128)
+        small_int(j - LN_TABLE)
             .with_precision(work)
-            .div(&small_int(j + 128));
-        t.atanh_series(work).scale_exp(1).with_precision(prec)
+            .div(&small_int(j + LN_TABLE))
+            .atanh_small(work)
+            .scale_exp(1)
+            .with_precision(prec)
     })
 }
 
-/// Guard bits kept on top of a term's contributing window when its
-/// evaluation precision is staged down (see [`SeriesArg`]).
-const STAGE_GUARD: u32 = 96;
-
-/// Staged working precision for a series argument (`r`, `x²`, ...).
-///
-/// In a Taylor/atanh series evaluated at `work` bits, a term whose leading
-/// bit sits `below` bits under the running sum only contributes its top
-/// `work − below` bits to the result — evaluating it at full guard width
-/// wastes quadratic multiply work on bits the final rounding never sees.
-/// Each term is therefore demoted to the narrowest 64-bit-aligned rung that
-/// still covers its contributing window plus [`STAGE_GUARD`] bits (the
-/// re-rounding of the argument is linear in the mantissa, noise next to the
-/// multiply it narrows). The staging is part of the fast-path surface: with
-/// `set_disable_fast_paths` every term runs at full width.
-struct SeriesArg<'a> {
-    x: &'a BigFloat,
-    work: u32,
-    staged: bool,
+/// atan(j/64) for 1 ≤ j ≤ 64 at the given precision (cached). One halving,
+/// atan c = 2·atan(c/(1 + √(1 + c²))), brings the series argument down to
+/// at most tan(π/8) < 0.42.
+fn atan_table(j: i64, prec: u32) -> BigFloat {
+    cached(Constant::AtanTable(j as u8), prec, || {
+        let work = prec + 32;
+        let c = small_int(j)
+            .with_precision(work)
+            .div(&small_int(ATAN_TABLE));
+        let one = small_int(1);
+        c.div(&one.add(&one.add(&c.mul(&c)).sqrt()))
+            .atan_small(work)
+            .scale_exp(1)
+            .with_precision(prec)
+    })
 }
 
-impl<'a> SeriesArg<'a> {
-    fn new(x: &'a BigFloat, work: u32) -> Self {
-        SeriesArg {
-            x,
-            work,
-            staged: fast_paths_enabled(),
-        }
-    }
-
-    /// The stage precision for a term sitting `below` bits under the
-    /// running sum.
-    fn prec_at(&self, below: i64) -> u32 {
-        let needed = (self.work as i64 + STAGE_GUARD as i64 - below).max(128) as u32;
-        self.work - 64 * ((self.work.saturating_sub(needed)) / 64)
-    }
-
-    /// Demotes a series accumulator and pairs it with an argument copy at
-    /// the matching stage precision; the full-width path passes both
-    /// through untouched.
-    fn stage(&self, term: BigFloat, below: i64) -> (BigFloat, BigFloat) {
-        let sp = self.prec_at(below);
-        if self.staged && term.precision() > sp {
-            (term.with_precision(sp), self.x.with_precision(sp))
-        } else {
-            (term, self.x.clone())
-        }
-    }
-
-    /// An integer series coefficient: [`MIN_PRECISION`] on the staged path
-    /// (so a narrow term is not promoted back up by the division), the
-    /// historical `from_i64` default precision otherwise.
-    fn int(&self, k: i64) -> BigFloat {
-        let c = BigFloat::from_i64(k);
-        if self.staged {
-            c.with_precision(MIN_PRECISION)
-        } else {
-            c
-        }
-    }
-}
-
-/// Bits the leading edge of `term` sits below the leading edge of `sum`.
-fn bits_below(sum: &BigFloat, term: &BigFloat) -> i64 {
-    match (sum.exponent(), term.exponent()) {
-        (Some(s), Some(t)) => (s - t).max(0),
-        _ => 0,
-    }
-}
-
-/// True when `delta` is negligible relative to `total` at `work` bits.
-fn converged(total: &BigFloat, delta: &BigFloat, work: u32) -> bool {
-    if delta.is_zero() {
-        return true;
-    }
-    match (total.exponent(), delta.exponent()) {
-        (Some(te), Some(de)) => de < te - work as i64 - 4,
-        _ => false,
+/// The integer nearest x/c. Below 2^30 it comes from the `f64` product
+/// with `inv_c` ≈ 1/c, which can only land on a neighbour of the nearest
+/// multiple, and so only widens the remainder a little; above, the
+/// product's rounding could miss by many multiples, so it divides at the
+/// working precision instead.
+fn nearest_multiple(x: &BigFloat, c: &BigFloat, inv_c: f64) -> BigFloat {
+    if x.exponent().is_none_or(|e| e <= 30) {
+        BigFloat::from_f64_prec((x.to_f64() * inv_c).round(), MIN_PRECISION)
+    } else {
+        x.div(c).round_nearest()
     }
 }
 
@@ -265,9 +208,16 @@ impl BigFloat {
         cached(Constant::Pi, prec, || {
             // Machin's formula: π = 16·atan(1/5) − 4·atan(1/239).
             let work = prec + 32;
-            let a = atan_recip_int(5, work).scale_exp(4);
-            let b = atan_recip_int(239, work).scale_exp(2);
-            a.sub(&b).with_precision(prec)
+            let atan_recip = |x: i64| {
+                small_int(1)
+                    .with_precision(work)
+                    .div(&small_int(x))
+                    .atan_small(work)
+            };
+            atan_recip(5)
+                .scale_exp(4)
+                .sub(&atan_recip(239).scale_exp(2))
+                .with_precision(prec)
         })
     }
 
@@ -275,23 +225,14 @@ impl BigFloat {
     pub fn ln2(prec: u32) -> BigFloat {
         let prec = prec.min(MAX_PRECISION);
         cached(Constant::Ln2, prec, || {
-            // ln 2 = 2·atanh(1/3) = 2·(1/3 + (1/3)³/3 + (1/3)⁵/5 + ...)
+            // ln 2 = 2·atanh(1/3).
             let work = prec + 32;
-            let third = BigFloat::one().with_precision(work).div(&small_int(3));
-            let t2 = third.mul(&third);
-            let mut power = third.clone();
-            let mut sum = third.clone();
-            let mut k: i64 = 1;
-            loop {
-                power = power.mul(&t2);
-                let contrib = power.div(&small_int(2 * k + 1));
-                let next = sum.add(&contrib);
-                if converged(&next, &contrib, work) {
-                    return next.scale_exp(1).with_precision(prec);
-                }
-                sum = next;
-                k += 1;
-            }
+            small_int(1)
+                .with_precision(work)
+                .div(&small_int(3))
+                .atanh_small(work)
+                .scale_exp(1)
+                .with_precision(prec)
         })
     }
 
@@ -302,6 +243,23 @@ impl BigFloat {
 
     fn work_prec(&self) -> u32 {
         (self.precision() + 64).min(MAX_PRECISION)
+    }
+
+    /// The value of an integer-valued `self` with |self| < 2^63 (0 for
+    /// non-finite values). Exact where `to_f64` rounds above 2^53.
+    fn to_i64(&self) -> i64 {
+        match &self.repr {
+            Repr::Finite(f) => {
+                debug_assert!((1..=63).contains(&f.exp));
+                let mag = (f.limbs[f.limbs.len() - 1] >> (64 - f.exp)) as i64;
+                if f.neg {
+                    -mag
+                } else {
+                    mag
+                }
+            }
+            _ => 0,
+        }
     }
 
     /// Adds `delta` to the binary exponent (multiplies by 2^delta).
@@ -336,39 +294,15 @@ impl BigFloat {
                 }
                 let ln2 = BigFloat::ln2(work);
                 let x = self.with_precision(work);
-                let n = x.div(&ln2).round_nearest().to_f64() as i64;
-                let nb = BigFloat::from_i64(n).with_precision(work);
-                let r = x.sub(&nb.mul(&ln2));
+                let n = nearest_multiple(&x, &ln2, std::f64::consts::LOG2_E);
+                let r = x.sub(&n.mul(&ln2));
                 // exp(r) = exp(r/2^s)^(2^s), with s just large enough that
                 // |r/2^s| < 2^−⌊√work⌋, which balances series terms against
-                // squarings (s = 0 when r is already that small). The s
-                // squarings multiply the series' relative error by 2^s,
-                // which s extra bits (rounded up to whole limbs) absorb.
+                // squarings (s = 0 when r is already that small).
                 let s = r
                     .exponent()
                     .map_or(0, |e| (e + work.isqrt() as i64).max(0) as u32);
-                let ws = (work + s).next_multiple_of(64).min(MAX_PRECISION);
-                let r = r.with_precision(ws).scale_exp(-(s as i64));
-                // Taylor series with staged working precision as the terms
-                // shrink.
-                let args = SeriesArg::new(&r, ws);
-                let mut term = BigFloat::one().with_precision(ws);
-                let mut sum = term.clone();
-                let mut k: i64 = 1;
-                loop {
-                    let below = bits_below(&sum, &term);
-                    let (t, rs) = args.stage(term, below);
-                    term = t.mul(&rs).div(&args.int(k));
-                    sum = sum.add(&term);
-                    if converged(&sum, &term, ws) {
-                        break;
-                    }
-                    k += 1;
-                }
-                for _ in 0..s {
-                    sum = sum.mul(&sum);
-                }
-                sum.scale_exp(n).with_precision(work)
+                series::eval(Series::Exp { halvings: s }, &r, work).scale_exp(n.to_i64())
             }
         }
     }
@@ -398,19 +332,22 @@ impl BigFloat {
                     k -= 1;
                 }
                 // ln m = ln c + 2·atanh(t), t = (m − c)/(m + c), around the
-                // nearest c = j/128: |t| ≤ 2^−8.4. m − c is exact.
-                let j = (m.to_f64() * 128.0).round() as i64;
-                let c = BigFloat::from_f64_prec(j as f64 / 128.0, work);
+                // nearest c = j/2048: |t| ≤ 2^−12.5. m − c is exact.
+                let j = (m.to_f64() * LN_TABLE as f64).round() as i64;
+                let c = BigFloat::from_f64_prec(j as f64 / LN_TABLE as f64, work);
                 let t = m.sub(&c).div(&m.add(&c));
-                let mut ln_m = t.atanh_series(work).scale_exp(1);
-                if j != 128 {
+                let mut ln_m = t.atanh_small(work).scale_exp(1);
+                if j != LN_TABLE {
                     ln_m = ln_table(j, work).add(&ln_m);
                 }
                 if k == 0 {
                     return ln_m;
                 }
-                let kb = BigFloat::from_i64(k).with_precision(work);
-                kb.mul(&BigFloat::ln2(work)).add(&ln_m)
+                // k fits one limb, which keeps the product's multiply short.
+                BigFloat::from_i64(k)
+                    .with_precision(MIN_PRECISION)
+                    .mul(&BigFloat::ln2(work))
+                    .add(&ln_m)
             }
         }
     }
@@ -454,20 +391,9 @@ impl BigFloat {
             Repr::Inf { neg: false, .. } => BigFloat::inf_at(false, work),
             Repr::Inf { neg: true, .. } => small_int(-1).with_precision(work),
             Repr::Finite(f) if f.exp < -4 => {
-                // Direct Taylor series avoids cancellation: x + x²/2! + ...
+                // The series of (e^x − 1)/x avoids the cancellation.
                 let x = self.with_precision(work);
-                let mut term = x.clone();
-                let mut sum = x.clone();
-                let mut k: i64 = 2;
-                loop {
-                    term = term.mul(&x).div(&BigFloat::from_i64(k));
-                    let next = sum.add(&term);
-                    if converged(&next, &term, work) {
-                        return next;
-                    }
-                    sum = next;
-                    k += 1;
-                }
+                x.mul(&series::eval(Series::Expm1, &x, work))
             }
             // |x| ≥ 2^−5: the subtraction cancels at most a few bits of
             // the guard width.
@@ -490,7 +416,7 @@ impl BigFloat {
                 // ln(1+x) = 2·atanh(x / (2+x)).
                 let x = self.with_precision(work);
                 let t = x.div(&x.add(&small_int(2)));
-                t.atanh_series(work).scale_exp(1)
+                t.atanh_small(work).scale_exp(1)
             }
             _ => self.with_precision(work).add(&small_int(1)).ln_at(work),
         }
@@ -502,40 +428,38 @@ impl BigFloat {
             .with_precision(self.precision())
     }
 
-    /// atanh by direct series; requires |self| well below 1.
-    fn atanh_series(&self, work: u32) -> BigFloat {
-        let t = self.with_precision(work);
-        let t2 = t.mul(&t);
-        let args = SeriesArg::new(&t2, work);
-        let mut power = t.clone();
-        let mut sum = t.clone();
-        let mut i: i64 = 1;
-        loop {
-            let below = bits_below(&sum, &power);
-            let (p, ts) = args.stage(power, below);
-            power = p.mul(&ts);
-            let contrib = power.div(&args.int(2 * i + 1));
-            let next = sum.add(&contrib);
-            if converged(&next, &contrib, work) || contrib.is_zero() {
-                return next;
-            }
-            sum = next;
-            i += 1;
-        }
+    /// atanh(self) = self·(atanh t/t) by its series; |self| ≤ 1/3.
+    fn atanh_small(&self, work: u32) -> BigFloat {
+        self.mul(&series::eval(Series::Atanh, self, work))
     }
 
-    /// Reduces the argument modulo π/2, returning the remainder (|r| ≤ π/4)
-    /// and the quadrant (0..=3).
+    /// atan(self) = self·(atan t/t) by its series; |self| < 0.42.
+    fn atan_small(&self, work: u32) -> BigFloat {
+        self.mul(&series::eval(Series::Atan, self, work))
+    }
+
+    /// sin(self) = self·(sin x/x) by its series; |self| ≲ π/4.
+    fn sin_small(&self, work: u32) -> BigFloat {
+        self.mul(&series::eval(Series::Sin, self, work))
+    }
+
+    /// cos(self) by its series; |self| ≲ π/4.
+    fn cos_small(&self, work: u32) -> BigFloat {
+        series::eval(Series::Cos, self, work)
+    }
+
+    /// Reduces the argument modulo π/2, returning the remainder (|r| ≲ π/4:
+    /// a neighbouring multiple can widen it a little) and the quadrant
+    /// (0..=3).
     fn trig_reduce(&self, work: u32) -> (BigFloat, u8) {
         if let Some(red) = self.trig_reduce_payne_hanek(work) {
             return red;
         }
         let exp_extra = self.exponent().unwrap_or(0).max(0) as u32;
         let red_work = (work + exp_extra + 16).min(MAX_PRECISION);
-        let pi = BigFloat::pi(red_work);
-        let half_pi = pi.scale_exp(-1);
+        let half_pi = BigFloat::pi(red_work).scale_exp(-1);
         let x = self.with_precision(red_work);
-        let n = x.div(&half_pi).round_nearest();
+        let n = nearest_multiple(&x, &half_pi, std::f64::consts::FRAC_2_PI);
         let r = x.sub(&n.mul(&half_pi)).with_precision(work);
         (r, quadrant(&n))
     }
@@ -591,50 +515,6 @@ impl BigFloat {
         Some((r, quadrant(&n)))
     }
 
-    /// Taylor series for sine, valid for small arguments.
-    fn sin_series(&self, work: u32) -> BigFloat {
-        let x = self.with_precision(work);
-        let x2 = x.mul(&x);
-        let args = SeriesArg::new(&x2, work);
-        let mut term = x.clone();
-        let mut sum = x.clone();
-        let mut k: i64 = 1;
-        loop {
-            // term_{k+1} = -term_k * x² / ((2k)(2k+1))
-            let below = bits_below(&sum, &term);
-            let (t, xs) = args.stage(term, below);
-            term = t.mul(&xs).div(&args.int(2 * k * (2 * k + 1))).neg();
-            let next = sum.add(&term);
-            if converged(&next, &term, work) || term.is_zero() {
-                return next;
-            }
-            sum = next;
-            k += 1;
-        }
-    }
-
-    /// Taylor series for cosine, valid for small arguments.
-    fn cos_series(&self, work: u32) -> BigFloat {
-        let x = self.with_precision(work);
-        let x2 = x.mul(&x);
-        let args = SeriesArg::new(&x2, work);
-        let mut term = BigFloat::one().with_precision(work);
-        let mut sum = term.clone();
-        let mut k: i64 = 1;
-        loop {
-            // term_{k+1} = -term_k * x² / ((2k-1)(2k))
-            let below = bits_below(&sum, &term);
-            let (t, xs) = args.stage(term, below);
-            term = t.mul(&xs).div(&args.int((2 * k - 1) * (2 * k))).neg();
-            let next = sum.add(&term);
-            if converged(&next, &term, work) || term.is_zero() {
-                return next;
-            }
-            sum = next;
-            k += 1;
-        }
-    }
-
     /// Sine.
     pub fn sin(&self) -> BigFloat {
         let prec = self.precision();
@@ -645,10 +525,10 @@ impl BigFloat {
                 let work = self.work_prec();
                 let (r, q) = self.trig_reduce(work);
                 let v = match q {
-                    0 => r.sin_series(work),
-                    1 => r.cos_series(work),
-                    2 => r.sin_series(work).neg(),
-                    _ => r.cos_series(work).neg(),
+                    0 => r.sin_small(work),
+                    1 => r.cos_small(work),
+                    2 => r.sin_small(work).neg(),
+                    _ => r.cos_small(work).neg(),
                 };
                 v.with_precision(prec)
             }
@@ -665,10 +545,10 @@ impl BigFloat {
                 let work = self.work_prec();
                 let (r, q) = self.trig_reduce(work);
                 let v = match q {
-                    0 => r.cos_series(work),
-                    1 => r.sin_series(work).neg(),
-                    2 => r.cos_series(work).neg(),
-                    _ => r.sin_series(work),
+                    0 => r.cos_small(work),
+                    1 => r.sin_small(work).neg(),
+                    2 => r.cos_small(work).neg(),
+                    _ => r.sin_small(work),
                 };
                 v.with_precision(prec)
             }
@@ -684,9 +564,9 @@ impl BigFloat {
             Repr::Finite(_) => {
                 let work = self.work_prec();
                 let (r, q) = self.trig_reduce(work);
-                // |r| ≤ π/4 keeps sin² ≤ ½, so 1 − sin² cancels at most one
+                // |r| ≲ π/4 keeps sin² ≲ ½, so 1 − sin² cancels about one
                 // bit and its square root is the (positive) cosine.
-                let s = r.sin_series(work);
+                let s = r.sin_small(work);
                 let c = small_int(1).sub(&s.mul(&s)).sqrt();
                 let v = match q {
                     0 | 2 => s.div(&c),
@@ -719,33 +599,17 @@ impl BigFloat {
                 } else {
                     (t, false)
                 };
-                // Halve the argument four times: atan(t) = 2·atan(t/(1+√(1+t²))).
-                let mut t = t;
-                let halvings = 4;
-                for _ in 0..halvings {
-                    let denom = one.add(&one.add(&t.mul(&t)).sqrt());
-                    t = t.div(&denom);
-                }
-                // Gregory series.
-                let t2 = t.mul(&t);
-                let mut power = t.clone();
-                let mut sum = t.clone();
-                let mut k: i64 = 1;
-                let series = loop {
-                    power = power.mul(&t2);
-                    let contrib = power.div(&BigFloat::from_i64(2 * k + 1));
-                    let next = if k % 2 == 1 {
-                        sum.sub(&contrib)
-                    } else {
-                        sum.add(&contrib)
-                    };
-                    if converged(&next, &contrib, work) || contrib.is_zero() {
-                        break next;
-                    }
-                    sum = next;
-                    k += 1;
+                // atan t = atan c + atan δ, δ = (t − c)/(1 + t·c), around
+                // the nearest c = j/64: |δ| ≤ 2^−7, and t − c is exact.
+                // j = 0 keeps full relative accuracy for tiny t.
+                let j = (t.to_f64() * ATAN_TABLE as f64).round() as i64;
+                let mut result = if j == 0 {
+                    t.atan_small(work)
+                } else {
+                    let c = small_int(j).div(&small_int(ATAN_TABLE));
+                    let delta = t.sub(&c).div(&t.mul(&c).add(&one));
+                    atan_table(j, work).add(&delta.atan_small(work))
                 };
-                let mut result = series.scale_exp(halvings as i64);
                 if invert {
                     result = BigFloat::pi(work).scale_exp(-1).sub(&result);
                 }
@@ -870,21 +734,11 @@ impl BigFloat {
             Repr::Finite(f) => {
                 let work = self.work_prec();
                 if f.exp < -8 {
-                    // Avoid cancellation for small x: x + x³/3! + x⁵/5! + ...
+                    // The series of sinh x/x avoids the cancellation.
                     let x = self.with_precision(work);
-                    let x2 = x.mul(&x);
-                    let mut term = x.clone();
-                    let mut sum = x.clone();
-                    let mut k: i64 = 1;
-                    loop {
-                        term = term.mul(&x2).div(&BigFloat::from_i64(2 * k * (2 * k + 1)));
-                        let next = sum.add(&term);
-                        if converged(&next, &term, work) {
-                            return next.with_precision(prec);
-                        }
-                        sum = next;
-                        k += 1;
-                    }
+                    return x
+                        .mul(&series::eval(Series::Sinh, &x, work))
+                        .with_precision(prec);
                 }
                 let e = self.exp_at(work);
                 let ei = small_int(1).div(&e);
@@ -1195,6 +1049,19 @@ mod tests {
         ] {
             let got = BigFloat::from_f64(x).exp().to_f64();
             assert!(close(got, x.exp()), "exp({x}) = {got} vs {}", x.exp());
+        }
+    }
+
+    #[test]
+    fn exp_reduces_arguments_past_the_f64_shortcut() {
+        // Above 2^30 the multiple n of ln 2 comes from a division, and
+        // above 2^53 it no longer fits an f64 exactly: the remainder must
+        // still be below ln 2. ln is independent of exp's reduction.
+        for x in [1e10, -1e10, 34359738368.3, 1e18, -1e18, 4.1e18] {
+            let b = BigFloat::from_f64(x);
+            let back = b.exp().ln();
+            let rel = back.sub(&b).abs().div(&b.abs()).to_f64();
+            assert!(rel < 1e-70, "ln(exp({x:e})) off by {rel:e}");
         }
     }
 

@@ -22,6 +22,7 @@
 mod functions;
 mod limbs;
 mod newton;
+mod series;
 
 use limbs::{Limbs, Scratch};
 use std::cmp::Ordering;

@@ -26,9 +26,10 @@
 //! doubles as an exact sticky bit for [`Finite::round`].
 //!
 //! Divisors with a single significant limb (which includes every small
-//! integer constant the transcendental series divide by, and every power
-//! of two) skip Newton entirely for a word-at-a-time short division with
-//! a precomputed Möller–Granlund reciprocal.
+//! integer constant, and every power of two) skip Newton entirely for a
+//! word-at-a-time short division with a precomputed Möller–Granlund
+//! reciprocal; the fixed-point series accumulator (`series.rs`) divides
+//! its terms by their integer coefficients with the same two helpers.
 //!
 //! The seed-era semantics are pinned by retained reference kernels —
 //! bit-serial restoring long division and two-bits-per-step restoring
@@ -197,7 +198,7 @@ fn sqrt_core_digit(gbig: &[u64], qn: usize, s: &mut [u64]) -> bool {
 
 /// Möller–Granlund reciprocal of a normalized (top-bit-set) word:
 /// `v = floor((2^128 − 1) / d) − 2^64`.
-fn reciprocal_word(d: u64) -> u64 {
+pub(super) fn reciprocal_word(d: u64) -> u64 {
     debug_assert_eq!(d >> 63, 1);
     ((u128::MAX / d as u128) - (1u128 << 64)) as u64
 }
@@ -206,7 +207,7 @@ fn reciprocal_word(d: u64) -> u64 {
 /// precomputed reciprocal: returns `(q, r)` with
 /// `u1·2^64 + u0 = q·d + r`, requiring `u1 < d`.
 #[inline]
-fn div_2by1(u1: u64, u0: u64, d: u64, v: u64) -> (u64, u64) {
+pub(super) fn div_2by1(u1: u64, u0: u64, d: u64, v: u64) -> (u64, u64) {
     debug_assert!(u1 < d);
     let t = (v as u128) * (u1 as u128) + (((u1 as u128) << 64) | u0 as u128);
     let mut q1 = (t >> 64) as u64;

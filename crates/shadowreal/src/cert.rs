@@ -271,7 +271,9 @@ fn propagate_finite(op: RealOp, args: &[(&Dd, f64)], r: &Dd, p: &CertParams) -> 
             {
                 return 0.0; // exact quotient, single double, fits
             }
-            (ea + eb * rh) / bh * 2.0 + DD_EPS * rh + big_round + TINY
+            // Divide before multiplying: eb·rh can underflow to zero for
+            // tiny operands while eb·rh/bh is still large.
+            (ea / bh + eb / bh * rh) * 2.0 + DD_EPS * rh + big_round + TINY
         }
         (Sqrt, [(a, ea)]) => {
             if a.is_zero() && *ea == 0.0 {
@@ -348,12 +350,12 @@ fn propagate_finite(op: RealOp, args: &[(&Dd, f64)], r: &Dd, p: &CertParams) -> 
             if !t.is_finite() || t.abs() > 650.0 || *eb > 9.765625e-4 * (ln_a.abs() + 1.0).recip() {
                 return FAIL;
             }
-            if 2.0 * b.hi().abs() * ea / a.hi() > 9.765625e-4 {
+            // ea/a first: |b|·ea underflows for tiny operands.
+            let rel_a = 2.0 * b.hi().abs() * (ea / a.hi());
+            if rel_a > 9.765625e-4 {
                 return FAIL;
             }
-            rh * (2.0 * b.hi().abs() * ea / a.hi() + 2.0 * eb * (ln_a.abs() + 1.0) + TRANS_EPS)
-                + big_round
-                + TINY
+            rh * (rel_a + 2.0 * eb * (ln_a.abs() + 1.0) + TRANS_EPS) + big_round + TINY
         }
         (Sin | Cos, [(a, ea)]) => {
             if a.hi().abs() > 1.073741824e9 || *ea > 0.1 {
@@ -386,7 +388,9 @@ fn propagate_finite(op: RealOp, args: &[(&Dd, f64)], r: &Dd, p: &CertParams) -> 
             if !(1e-150..1e150).contains(&xh) || yh.abs() > 1e150 {
                 return FAIL;
             }
-            2.0 * (ey * xh + ex * yh.abs()) / (xh * xh + yh * yh)
+            // Each term's quotient first: ey·xh underflows for tiny operands.
+            let den = xh * xh + yh * yh;
+            2.0 * (ey * (xh / den) + ex * (yh.abs() / den))
                 + 2.0 * TRANS_EPS
                 + 4.0 * p.round_eps
                 + TINY
@@ -398,7 +402,8 @@ fn propagate_finite(op: RealOp, args: &[(&Dd, f64)], r: &Dd, p: &CertParams) -> 
             if *ea >= a.hi().abs() * 0.25 {
                 return FAIL;
             }
-            ea * rh / a.hi().abs() + TRANS_EPS * rh + big_round + TINY
+            // ea/|a| first: ea·rh underflows for tiny operands.
+            ea / a.hi().abs() * rh + TRANS_EPS * rh + big_round + TINY
         }
         // Hyperbolics, hypot, fmin/fmax, fdim, fmod, the rounding family,
         // copysign: no accurate dd kernel — never certified.
@@ -629,6 +634,39 @@ mod tests {
         assert!(check_bound(RealOp::Atan2, &[1.5, 2.5]).is_finite());
         assert!(check_bound(RealOp::Asin, &[0.5]).is_finite());
         assert!(check_bound(RealOp::Acos, &[-0.5]).is_finite());
+    }
+
+    #[test]
+    fn tiny_operands_keep_their_propagated_bounds() {
+        // Each operand carries a bound whose product with a tiny result
+        // underflows, so a bound computed as that product over the operand
+        // collapses to the absolute floor while the BigFloat shadow (which
+        // may hold any real within the bound) still deviates by far more.
+        let p = params();
+        let a = 1e-300;
+        let cases: [(RealOp, [f64; 2], [f64; 2]); 4] = [
+            (RealOp::Cbrt, [a, 0.0], [2f64.powi(-53) * a, 0.0]),
+            (RealOp::Div, [1e-309, 1e-6], [0.0, 1e-21]),
+            (RealOp::Pow, [a, 1e-9], [2f64.powi(-53) * a, 0.0]),
+            (RealOp::Atan2, [1e-158, 1e-150], [2e-174, 0.0]),
+        ];
+        for (op, args, bounds) in cases {
+            let n = op.arity();
+            let dd_args: Vec<Dd> = args[..n].iter().map(|&x| dd(x)).collect();
+            let r = Dd::apply(op, &dd_args);
+            let pairs: Vec<(&Dd, f64)> = dd_args.iter().zip(bounds).collect();
+            let e = propagate(op, &pairs, &r, &p);
+            assert!(e.is_finite(), "{op}: no certificate");
+            let perturbed: Vec<BigFloat> = args[..n]
+                .iter()
+                .zip(bounds)
+                .map(|(&x, b)| BigFloat::from_f64(x).add(&BigFloat::from_f64(b)))
+                .collect();
+            let big = BigFloat::apply(op, &perturbed);
+            let got = BigFloat::from_f64(r.hi()).add(&BigFloat::from_f64(r.lo()));
+            let dev = got.sub(&big).abs().to_f64();
+            assert!(dev <= e, "{op}{args:?}: |dd − big| = {dev:e} > bound {e:e}");
+        }
     }
 
     #[test]

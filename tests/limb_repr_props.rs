@@ -7,9 +7,15 @@
 //! same computation with every buffer forced onto the heap, which pins the
 //! two storage paths to each other directly; the cross-precision properties
 //! run in every build.
+//!
+//! The elementary functions are checked three independent ways: each
+//! kernel against its own evaluation at `2p + 64` bits, kernels against
+//! each other through identities at `2p + 64` bits (which catch a mistake
+//! both precisions of one kernel share, such as a table entry, a sign or a
+//! ratio form), and against the separately written `dd_math` kernels.
 
 use proptest::prelude::*;
-use shadowreal::{BigFloat, Real, RealOp};
+use shadowreal::{dd_math, BigFloat, DoubleDouble, Real, RealOp};
 
 /// The precisions the representation must agree across: both inline sizes,
 /// the first heap size, and a deep heap size.
@@ -68,6 +74,7 @@ fn workload(x: f64, y: f64, prec: u32) -> Vec<BigFloat> {
 /// sampled `x ∈ [0.01, 100)` (and `y ∈ [−5, 5]`) so each stays inside its
 /// domain and its result inside a moderate range.
 fn kernel_cases(x: f64, y: f64) -> Vec<(&'static str, f64, f64)> {
+    let tiny = (x - 50.0) * 2f64.powi(-36);
     vec![
         ("exp", x / 4.0 - 12.5, 0.0),
         ("ln", x, 0.0),
@@ -92,6 +99,18 @@ fn kernel_cases(x: f64, y: f64) -> Vec<(&'static str, f64, f64)> {
         ("asin", x / 50.25 - 1.0, 0.0),
         ("acos", x / 50.25 - 1.0, 0.0),
         ("atan2", y, x - 50.0),
+        ("sin", x, 0.0),
+        ("cos", x, 0.0),
+        ("atan", x * y, 0.0),
+        ("atan", y / 5.0, 0.0),
+        // Small arguments, |a| ≤ 2^−30, where the ratio forms must keep
+        // full relative accuracy.
+        ("exp", tiny, 0.0),
+        ("sin", tiny, 0.0),
+        ("atan", tiny, 0.0),
+        ("expm1", tiny, 0.0),
+        ("ln", 1.0 + 2f64.powi(-40), 0.0),
+        ("ln", 1.0 - 2f64.powi(-40), 0.0),
     ]
 }
 
@@ -118,6 +137,9 @@ fn apply_kernel(name: &str, a: &BigFloat, b: &BigFloat) -> BigFloat {
         "asin" => a.asin(),
         "acos" => a.acos(),
         "atan2" => a.atan2(b),
+        "sin" => a.sin(),
+        "cos" => a.cos(),
+        "atan" => a.atan(),
         _ => unreachable!("unknown kernel {name}"),
     }
 }
@@ -153,6 +175,41 @@ fn assert_within_one_ulp(got: &BigFloat, expect: &BigFloat, context: &str) {
         diff.abs().partial_cmp(&ulp) != Some(std::cmp::Ordering::Greater),
         "more than one ulp apart: {context}: {got:?} vs {expect:?}"
     );
+}
+
+/// Asserts `|got − want| ≤ tol·2^−q·|want|`, `q` the precision of the
+/// operands: a relative bound in units of the last place at `q` bits.
+fn assert_close(got: &BigFloat, want: &BigFloat, tol: f64, context: &str) {
+    let q = want.precision() as i32;
+    let bound = want
+        .abs()
+        .mul(&BigFloat::from_f64_prec(tol * 2f64.powi(-q), 64));
+    assert!(
+        got.sub(want).abs().partial_cmp(&bound) != Some(std::cmp::Ordering::Greater),
+        "{context} at {q} bits: {got:?} vs {want:?}"
+    );
+}
+
+/// The kernels the const-size and heap accumulator paths are compared on,
+/// at `prec` bits, with arguments from one sampled `x ∈ [0.01, 100)`.
+fn series_kernels(x: f64, prec: u32) -> Vec<BigFloat> {
+    let big = |v: f64| BigFloat::from_f64_prec(v, prec);
+    let small = big(x * 2f64.powi(-12));
+    vec![
+        big(x / 8.0 - 6.0).exp(),
+        big(x).ln(),
+        big(x).sin(),
+        big(x).cos(),
+        big(x).tan(),
+        big(x - 50.0).atan(),
+        big(x / 100.0).asin(),
+        big(x / 100.0).acos(),
+        small.expm1(),
+        small.sinh(),
+        small.log1p(),
+        big(x).pow(&big(x / 40.0 - 1.0)),
+        big(x - 50.0).atan2(&big(x / 3.0)),
+    ]
 }
 
 proptest! {
@@ -317,6 +374,54 @@ proptest! {
         }
     }
 
+    /// Identities between different kernels, each side at `2p + 64` bits:
+    /// sin² + cos² = 1, tan = sin/cos, atan(tan r) = r on the reduced range,
+    /// exp(ln x) = x and pow(x, y) = exp(y·ln x). The tolerances add up the
+    /// faithful roundings on both sides (and, for the last two, the error
+    /// the exponential's argument carries into its result).
+    #[test]
+    fn kernels_satisfy_cross_path_identities(
+        x in 0.01f64..100.0,
+        y in -5.0f64..5.0,
+        pick in 0usize..3,
+    ) {
+        let q = 2 * [64u32, 256, 320][pick] + 64;
+        let big = |v: f64| BigFloat::from_f64_prec(v, q);
+        let (s, c) = (big(x).sin(), big(x).cos());
+        assert_close(&s.mul(&s).add(&c.mul(&c)), &big(1.0), 16.0, &format!("sin² + cos² of {x}"));
+        assert_close(&big(x).tan(), &s.div(&c), 16.0, &format!("tan = sin/cos of {x}"));
+        let r = (x / 100.0 - 0.5) * 3.0;
+        assert_close(&big(r).tan().atan(), &big(r), 16.0, &format!("atan(tan {r})"));
+        assert_close(&big(x).ln().exp(), &big(x), 16.0, &format!("exp(ln {x})"));
+        let y_ln_x = big(y).mul(&big(x).ln());
+        let tol = 4.0 * y_ln_x.to_f64().abs() + 8.0;
+        assert_close(&big(x).pow(&big(y)), &y_ln_x.exp(), tol, &format!("pow({x}, {y})"));
+    }
+
+    /// The series accumulator's const-size stack path (the width a 256-bit
+    /// shadow uses) and its heap path are bit-identical, at 256 bits and at
+    /// 320 bits, whose series always take the heap (debug builds; the kill
+    /// switch is compiled out of release builds).
+    #[test]
+    fn series_storage_paths_agree_bit_for_bit(x in 0.01f64..100.0) {
+        #[cfg(debug_assertions)]
+        {
+            for prec in [256u32, 320] {
+                let fast = series_kernels(x, prec);
+                shadowreal::bigfloat::set_disable_fast_paths(true);
+                let heap = series_kernels(x, prec);
+                shadowreal::bigfloat::set_disable_fast_paths(false);
+                for (i, (f, h)) in fast.iter().zip(&heap).enumerate() {
+                    assert_bit_identical(f, h, &format!("kernel {i} at {prec} bits on {x}"));
+                }
+            }
+        }
+        #[cfg(not(debug_assertions))]
+        {
+            let _ = x;
+        }
+    }
+
     /// The shadow-precision parameter threads through the `Real` trait: each
     /// precision stands alone, and mixed-precision operations resolve to the
     /// wider operand exactly as documented.
@@ -357,5 +462,83 @@ fn rewritten_kernels_are_exact_on_exact_cases() {
             ln1.is_zero() && !ln1.is_negative(),
             "ln(1) = {ln1:?} at {prec} bits, not +0"
         );
+    }
+}
+
+/// The `BigFloat` kernels agree with the separately written `dd_math`
+/// kernels across the `dd_math` certificate domains, to within the
+/// accuracy each double-double kernel reaches there (its error dominates:
+/// the 256-bit side is faithful). Every bound is tighter than the 2^−85
+/// the `dd_math` unit tests claim; the points are a fixed pseudo-random
+/// sample, so the check is deterministic.
+#[test]
+fn kernels_agree_with_the_double_double_kernels() {
+    let mut state = 0x2545_f491_4f6c_dd1d_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    type Domain = fn(f64, f64) -> (f64, f64);
+    // (kernel, domain, log2 of the relative bound)
+    let cases: [(RealOp, Domain, i32); 20] = [
+        (RealOp::Exp, |a, _| (1300.0 * a - 650.0, 0.0), -93),
+        (RealOp::Exp, |a, _| (4.0 * a - 2.0, 0.0), -101),
+        (RealOp::Expm1, |a, _| (a - 0.5, 0.0), -100),
+        (RealOp::Expm1, |a, _| (100.0 * a - 50.0, 0.0), -97),
+        (
+            RealOp::Log,
+            |a, _| (10f64.powf(600.0 * a - 300.0), 0.0),
+            -95,
+        ),
+        (RealOp::Log, |a, _| (0.5 + a, 0.0), -95),
+        (RealOp::Log1p, |a, _| (a - 0.5, 0.0), -93),
+        (
+            RealOp::Log1p,
+            |a, _| (10f64.powf(20.0 * a - 10.0), 0.0),
+            -92,
+        ),
+        (RealOp::Sin, |a, _| (200.0 * a - 100.0, 0.0), -100),
+        (RealOp::Sin, |a, _| (1.5 * a - 0.75, 0.0), -100),
+        (RealOp::Cos, |a, _| (200.0 * a - 100.0, 0.0), -100),
+        (RealOp::Cos, |a, _| (1.5 * a - 0.75, 0.0), -100),
+        (RealOp::Tan, |a, _| (3.0 * a - 1.5, 0.0), -100),
+        (
+            RealOp::Atan,
+            |a, _| (10f64.powf(20.0 * a - 10.0), 0.0),
+            -100,
+        ),
+        (RealOp::Atan, |a, _| (4.0 * a - 2.0, 0.0), -100),
+        (RealOp::Asin, |a, _| (1.998 * a - 0.999, 0.0), -100),
+        (RealOp::Acos, |a, _| (1.998 * a - 0.999, 0.0), -100),
+        (
+            RealOp::Atan2,
+            |a, b| (10.0 * b - 5.0, 0.01 + 10.0 * a),
+            -100,
+        ),
+        (
+            RealOp::Cbrt,
+            |a, _| (10f64.powf(600.0 * a - 300.0), 0.0),
+            -101,
+        ),
+        (RealOp::Pow, |a, b| (0.1 + 10.0 * a, 20.0 * b - 10.0), -97),
+    ];
+    for (op, domain, log2_tol) in cases {
+        for _ in 0..100 {
+            let (x, y) = domain(next(), next());
+            let args = &[x, y][..op.arity()];
+            let dd: Vec<DoubleDouble> = args.iter().map(|&v| DoubleDouble::from_f64(v)).collect();
+            let got = dd_math::apply_library(op, &dd.iter().collect::<Vec<_>>());
+            let big: Vec<BigFloat> = args.iter().map(|&v| BigFloat::from_f64(v)).collect();
+            let want = BigFloat::apply(op, &big);
+            let got = BigFloat::from_f64(got.hi()).add(&BigFloat::from_f64(got.lo()));
+            let rel = got.sub(&want).abs().div(&want.abs()).to_f64();
+            assert!(
+                rel <= 2f64.powi(log2_tol),
+                "{op}{args:?}: relative deviation 2^{:.1} above 2^{log2_tol}",
+                rel.log2()
+            );
+        }
     }
 }

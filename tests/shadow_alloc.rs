@@ -93,9 +93,8 @@ fn steady_state_shadow_arithmetic_does_not_allocate() {
     assert_eq!(ops, 0, "steady-state 256-bit shadow arithmetic allocated");
 
     // The Newton/reciprocal kernels run on stack scratch windows: 256-bit
-    // division, square root, and the exp series (including its staged
-    // working precision and cached-constant lookups) must stay
-    // allocation-free after the constant caches are warm.
+    // division, square root, and the exp series (including its cached
+    // ln 2) must stay allocation-free after the constant caches are warm.
     black_box(a.div(&dense).abs().sqrt().exp());
     let kernels = allocations_during(|| {
         let mut acc = a.clone();
@@ -116,20 +115,27 @@ fn steady_state_shadow_arithmetic_does_not_allocate() {
     });
     assert_eq!(series, 0, "steady-state 256-bit exp allocated");
 
-    // The other kernels the library-call workload leans on: every working
-    // precision of a 256-bit shadow (320 bits, 384 for the halved exp
-    // series) fits the six inline limbs, so once the constant caches and
-    // the logarithm's table are warm, ln, pow, cbrt and tan do not
-    // allocate either.
+    // The other kernels the library-call workload leans on: a 256-bit
+    // shadow works at 320 bits, which fits the six inline limbs, and its
+    // series run on the accumulator's stack arrays, so once the constant
+    // caches and the logarithm's and arctangent's tables are warm, none of
+    // these allocate either.
     let libm_args: Vec<BigFloat> = (1..=8)
         .map(|k| a.mul(&BigFloat::from_f64(k as f64 * 0.37)))
         .collect();
     type Kernel = fn(&BigFloat, &BigFloat) -> BigFloat;
-    let kernels: [(&str, Kernel); 4] = [
+    let kernels: [(&str, Kernel); 11] = [
         ("ln", |x, _| x.ln()),
         ("pow", |x, y| x.pow(y)),
         ("cbrt", |x, _| x.neg().cbrt()),
         ("tan", |x, _| x.tan()),
+        ("sin", |x, _| x.sin()),
+        ("cos", |x, _| x.cos()),
+        ("atan", |x, _| x.atan()),
+        ("atan2", |x, _| x.atan2(&BigFloat::from_f64(3.0))),
+        ("asin", |x, _| x.div(&BigFloat::from_f64(10.0)).asin()),
+        ("acos", |x, _| x.div(&BigFloat::from_f64(10.0)).acos()),
+        ("expm1", |x, y| x.mul(y).expm1()),
     ];
     for (name, kernel) in kernels {
         for x in &libm_args {
