@@ -40,7 +40,7 @@ use fpcore::CmpOp;
 use fpvm::{Addr, MachineError, Program, SourceLoc, Tracer, Value, MAX_ARITY};
 use shadowreal::{BigFloat, Real, RealOp, MAX_ERROR_BITS};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The shadow of one memory location: its exact value, the concrete
 /// expression that produced it, and the candidate root causes that influenced
@@ -217,16 +217,6 @@ fn record_slot<T>(slots: &mut Vec<Option<T>>, pc: usize) -> &mut Option<T> {
         slots.resize_with(pc + 1, || None);
     }
     &mut slots[pc]
-}
-
-/// Looks up a statement's interned location by reference (falling back to a
-/// shared static default), so per-event location lookups never clone a
-/// `SourceLoc` — trace nodes share the statement's `Arc`.
-fn location_of(locations: &[Arc<SourceLoc>], pc: usize) -> &Arc<SourceLoc> {
-    static DEFAULT: OnceLock<Arc<SourceLoc>> = OnceLock::new();
-    locations
-        .get(pc)
-        .unwrap_or_else(|| DEFAULT.get_or_init(|| Arc::new(SourceLoc::static_default().clone())))
 }
 
 /// Splits `items` into at most `parts` contiguous chunks whose lengths
@@ -551,7 +541,7 @@ impl<R: Real> Herbgrind<R> {
     /// The statement's interned source location (for the batched analysis's
     /// group trace construction; identical across lane shards).
     pub(crate) fn location(&self, pc: usize) -> &Arc<SourceLoc> {
-        location_of(&self.state.locations, pc)
+        &self.state.locations[pc]
     }
 
     /// The local error of `op` on the current operand shadows (Figure 4),
@@ -717,8 +707,10 @@ pub struct AnalysisState {
     config: AnalysisConfig,
     op_slots: Vec<Option<OpRecord>>,
     spot_slots: Vec<Option<SpotRecord>>,
-    /// Interned per-statement locations: every trace node built for a
-    /// statement shares its `Arc` instead of cloning the location's strings.
+    /// Interned per-statement locations, one per statement of the program
+    /// (a statement without one gets the default location): every trace
+    /// node built for a statement shares its `Arc` instead of cloning the
+    /// location's strings.
     locations: Vec<Arc<SourceLoc>>,
     program_name: String,
     runs: u64,
@@ -755,9 +747,8 @@ impl AnalysisState {
             locations,
             ..
         } = self;
-        let record = record_slot(op_slots, pc).get_or_insert_with(|| {
-            OpRecord::new(op, location_of(locations, pc).as_ref().clone(), config)
-        });
+        let record = record_slot(op_slots, pc)
+            .get_or_insert_with(|| OpRecord::new(op, locations[pc].as_ref().clone(), config));
         (record, config)
     }
 
@@ -850,10 +841,8 @@ impl<R: Real> Tracer for Herbgrind<R> {
             state.spot_slots.resize_with(program.len(), || None);
         }
         if state.locations.is_empty() {
-            state.locations = program
-                .locations
-                .iter()
-                .map(|loc| Arc::new(loc.clone()))
+            state.locations = (0..program.len())
+                .map(|pc| Arc::new(program.location(pc).clone()))
                 .collect();
             state.program_name = program.name.clone();
         }
@@ -943,7 +932,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
             build_compute_trace(
                 &state.config,
                 interner,
-                location_of(&state.locations, pc),
+                &state.locations[pc],
                 pc,
                 op,
                 &operand_traces(shadow_slots, *shadow_gen, args)[..args.len()],
@@ -991,10 +980,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
         let diverged = shadow_int as i64 != result;
         let error = if diverged { MAX_ERROR_BITS } else { 0.0 };
         let record = record_slot(spot_slots, pc).get_or_insert_with(|| {
-            SpotRecord::new(
-                SpotKind::FloatToInt,
-                location_of(locations, pc).as_ref().clone(),
-            )
+            SpotRecord::new(SpotKind::FloatToInt, locations[pc].as_ref().clone())
         });
         record.record(error, diverged, &shadow.influences);
         put_shadow(shadow_slots, *shadow_gen, dest, None);
@@ -1037,10 +1023,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
         influences.union_with(&rhs_shadow.influences);
         let error = if diverged { MAX_ERROR_BITS } else { 0.0 };
         let record = record_slot(spot_slots, pc).get_or_insert_with(|| {
-            SpotRecord::new(
-                SpotKind::Branch,
-                location_of(locations, pc).as_ref().clone(),
-            )
+            SpotRecord::new(SpotKind::Branch, locations[pc].as_ref().clone())
         });
         record.record(error, diverged, &influences);
         // The analysis follows the client's control flow (the divergence is
@@ -1073,10 +1056,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
         };
         let erroneous = error > config.output_error_threshold;
         let record = record_slot(spot_slots, pc).get_or_insert_with(|| {
-            SpotRecord::new(
-                SpotKind::Output,
-                location_of(locations, pc).as_ref().clone(),
-            )
+            SpotRecord::new(SpotKind::Output, locations[pc].as_ref().clone())
         });
         record.record(error, erroneous, &shadow.influences);
     }

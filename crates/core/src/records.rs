@@ -31,21 +31,23 @@ const INLINE_INFLUENCES: usize = 8;
 /// client copy instruction — is a reference-count bump, not a heap copy.
 /// Mutations detach ([`Arc::make_mut`]) only when the storage is actually
 /// shared.
+///
+/// An inline set owns no `Arc` at all (`spill` is `None`, which costs no
+/// space: the `Option` uses the pointer's niche), so creating, cloning,
+/// clearing and dropping it is plain memory traffic. The per-op path builds
+/// and drops several sets per analyzed op, and a reference count shared
+/// between sets of different thread shards would bounce one cache line
+/// between their cores on every one of them.
 #[derive(Clone)]
 pub struct InfluenceSet {
-    /// Number of inline entries; meaningful only while `spill` is empty.
+    /// Number of inline entries; meaningful only while the set has not
+    /// spilled.
     len: usize,
     inline: [usize; INLINE_INFLUENCES],
-    /// Heap storage; non-empty iff the set has spilled.
-    spill: Arc<Vec<usize>>,
-}
-
-/// The shared empty spill vector: lets `InfluenceSet::new` and `clear`
-/// stay allocation-free (a plain `Arc::new(Vec::new())` would allocate the
-/// reference-count block even though the vector itself is empty).
-fn empty_spill() -> Arc<Vec<usize>> {
-    static EMPTY: std::sync::OnceLock<Arc<Vec<usize>>> = std::sync::OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new())))
+    /// Heap storage: non-empty iff the set has spilled. An exclusively
+    /// owned buffer stays here, empty, across `clear`, so a reused set
+    /// spills again without reallocating.
+    spill: Option<Arc<Vec<usize>>>,
 }
 
 impl InfluenceSet {
@@ -54,18 +56,22 @@ impl InfluenceSet {
         InfluenceSet {
             len: 0,
             inline: [0; INLINE_INFLUENCES],
-            spill: empty_spill(),
+            spill: None,
         }
     }
 
     /// The influences as a sorted, deduplicated slice.
     #[inline]
     pub fn as_slice(&self) -> &[usize] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
+        match &self.spill {
+            Some(spill) if !spill.is_empty() => spill,
+            _ => &self.inline[..self.len],
         }
+    }
+
+    /// True once the entries live in the spill vector.
+    fn has_spilled(&self) -> bool {
+        self.spill.as_ref().is_some_and(|spill| !spill.is_empty())
     }
 
     /// Number of influences in the set.
@@ -91,7 +97,7 @@ impl InfluenceSet {
     /// Inserts `value`, keeping the storage sorted and deduplicated.
     /// Returns true if the value was not present.
     pub fn insert(&mut self, value: usize) -> bool {
-        if self.spill.is_empty() {
+        if !self.has_spilled() {
             match self.inline[..self.len].binary_search(&value) {
                 Ok(_) => false,
                 Err(pos) => {
@@ -104,7 +110,7 @@ impl InfluenceSet {
                         // exclusively-owned buffer's capacity survives
                         // `clear`, so a reused set spills without
                         // reallocating).
-                        let spill = Arc::make_mut(&mut self.spill);
+                        let spill = spill_mut(&mut self.spill);
                         spill.extend_from_slice(&self.inline);
                         spill.insert(pos, value);
                         self.len = 0;
@@ -113,10 +119,10 @@ impl InfluenceSet {
                 }
             }
         } else {
-            match self.spill.binary_search(&value) {
+            match self.as_slice().binary_search(&value) {
                 Ok(_) => false,
                 Err(pos) => {
-                    Arc::make_mut(&mut self.spill).insert(pos, value);
+                    spill_mut(&mut self.spill).insert(pos, value);
                     true
                 }
             }
@@ -127,10 +133,10 @@ impl InfluenceSet {
     /// shared spill storage is released to its other owners instead.
     pub fn clear(&mut self) {
         self.len = 0;
-        if !self.spill.is_empty() {
-            match Arc::get_mut(&mut self.spill) {
+        if let Some(spill) = &mut self.spill {
+            match Arc::get_mut(spill) {
                 Some(vec) => vec.clear(),
-                None => self.spill = empty_spill(),
+                None => self.spill = None,
             }
         }
     }
@@ -152,11 +158,11 @@ impl InfluenceSet {
         // when influences accumulate from monotonically increasing pcs).
         let a_last = *self.as_slice().last().expect("non-empty");
         if b[0] > a_last {
-            if self.spill.is_empty() && self.len + b.len() <= INLINE_INFLUENCES {
+            if !self.has_spilled() && self.len + b.len() <= INLINE_INFLUENCES {
                 self.inline[self.len..self.len + b.len()].copy_from_slice(b);
                 self.len += b.len();
             } else {
-                let spill = Arc::make_mut(&mut self.spill);
+                let spill = spill_mut(&mut self.spill);
                 if spill.is_empty() {
                     spill.extend_from_slice(&self.inline[..self.len]);
                     self.len = 0;
@@ -166,11 +172,10 @@ impl InfluenceSet {
             return;
         }
         let a_inline = self.inline;
-        let a_vec = std::mem::replace(&mut self.spill, empty_spill());
-        let a = if a_vec.is_empty() {
-            &a_inline[..self.len]
-        } else {
-            &a_vec[..]
+        let a_vec = self.spill.take();
+        let a = match &a_vec {
+            Some(spill) if !spill.is_empty() => &spill[..],
+            _ => &a_inline[..self.len],
         };
         if a.len() + b.len() <= INLINE_INFLUENCES {
             let mut out = [0usize; INLINE_INFLUENCES];
@@ -180,9 +185,15 @@ impl InfluenceSet {
             let mut out = Vec::with_capacity(a.len() + b.len());
             merge_sorted_dedup(a, b, |_, v| out.push(v));
             self.len = 0;
-            self.spill = Arc::new(out);
+            self.spill = Some(Arc::new(out));
         }
     }
+}
+
+/// A set's spill vector for writing: created on the first spill, and
+/// detached from its other owners ([`Arc::make_mut`]) before the write.
+fn spill_mut(spill: &mut Option<Arc<Vec<usize>>>) -> &mut Vec<usize> {
+    Arc::make_mut(spill.get_or_insert_with(Default::default))
 }
 
 /// Merges two sorted, deduplicated slices, emitting each element once in
@@ -531,21 +542,26 @@ mod tests {
         assert_eq!(format!("{set:?}"), "{5}");
     }
 
+    /// The spill vector of a set that has spilled.
+    fn spill_of(set: &InfluenceSet) -> &Arc<Vec<usize>> {
+        set.spill.as_ref().expect("set should have spilled")
+    }
+
     #[test]
     fn cloned_spilled_sets_share_storage_until_mutated() {
         let mut set = InfluenceSet::new();
         for pc in 0..2 * INLINE_INFLUENCES {
             set.insert(pc);
         }
-        assert!(!set.spill.is_empty(), "set should have spilled");
+        assert!(!spill_of(&set).is_empty(), "set should have spilled");
         // The clone is a reference-count bump on the same spill vector.
         let mut copy = set.clone();
-        assert!(Arc::ptr_eq(&set.spill, &copy.spill));
+        assert!(Arc::ptr_eq(spill_of(&set), spill_of(&copy)));
         assert_eq!(set, copy);
         // Mutating the clone detaches it (copy-on-write) without touching
         // the original.
         copy.insert(1_000);
-        assert!(!Arc::ptr_eq(&set.spill, &copy.spill));
+        assert!(!Arc::ptr_eq(spill_of(&set), spill_of(&copy)));
         assert!(copy.contains(&1_000) && !set.contains(&1_000));
         assert_eq!(set.len(), 2 * INLINE_INFLUENCES);
         // Clearing a still-shared set releases the storage to the other
@@ -554,6 +570,50 @@ mod tests {
         set.clear();
         assert!(set.is_empty());
         assert_eq!(third.len(), 2 * INLINE_INFLUENCES);
+    }
+
+    #[test]
+    fn inline_sets_own_no_shared_storage() {
+        // The `Option` costs no space: it uses the pointer's niche.
+        assert_eq!(
+            std::mem::size_of::<Option<Arc<Vec<usize>>>>(),
+            std::mem::size_of::<Arc<Vec<usize>>>()
+        );
+        let mut set = InfluenceSet::new();
+        assert!(set.spill.is_none(), "new");
+        set.extend([3, 9]);
+        assert!(set.clone().spill.is_none(), "clone");
+        // Unions that fit inline: into an empty set, the append fast path,
+        // and the merge path.
+        let mut union = InfluenceSet::new();
+        union.union_with(&set);
+        assert!(union.spill.is_none(), "union into an empty set");
+        union.union_with(&InfluenceSet::from([10usize, 11]));
+        assert!(union.spill.is_none(), "appending union");
+        union.union_with(&InfluenceSet::from([1usize, 4, 5, 12]));
+        assert_eq!(union.len(), INLINE_INFLUENCES);
+        assert!(union.spill.is_none(), "merging union");
+        union.clear();
+        assert!(union.is_empty() && union.spill.is_none(), "clear");
+
+        // Clearing a shared spilled set releases the storage to its other
+        // owner.
+        let mut spilled = InfluenceSet::new();
+        spilled.extend(0..2 * INLINE_INFLUENCES);
+        let owner = spilled.clone();
+        spilled.clear();
+        assert!(spilled.is_empty() && spilled.spill.is_none());
+        assert_eq!(owner.len(), 2 * INLINE_INFLUENCES);
+        // Clearing an exclusively owned one keeps its buffer and capacity,
+        // so the set spills into it again without reallocating.
+        let mut owned = owner;
+        let buffer = Arc::as_ptr(spill_of(&owned));
+        owned.clear();
+        assert!(owned.is_empty());
+        assert!(spill_of(&owned).capacity() >= 2 * INLINE_INFLUENCES);
+        owned.extend(0..2 * INLINE_INFLUENCES);
+        assert_eq!(Arc::as_ptr(spill_of(&owned)), buffer);
+        assert_eq!(owned.len(), 2 * INLINE_INFLUENCES);
     }
 
     #[test]

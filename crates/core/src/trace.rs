@@ -6,20 +6,19 @@
 //! between shadow values, exactly as the paper's implementation shares trace
 //! nodes between copies (§6 "Sharing").
 //!
-//! Two layers of sharing keep the tracing hot path cheap:
-//!
-//! * the most common constant leaves (`0.0`, `1.0`, `-1.0`, `2.0`) are
-//!   process-wide statics, so constant-heavy programs never allocate for
-//!   them;
-//! * an [`ExprInterner`] hash-conses nodes per analysis shard, so repeated
-//!   subtraces share one allocation and structural comparison can use
-//!   pointer-identity fast paths before walking subtrees.
+//! An [`ExprInterner`] keeps the tracing hot path cheap: it hash-conses
+//! nodes per analysis shard, so repeated subtraces share one allocation and
+//! structural comparison can use pointer-identity fast paths before walking
+//! subtrees, and it keeps one leaf for each of the most common constants
+//! (`0.0`, `1.0`, `-1.0`, `2.0`) for its whole life, so constant-heavy
+//! programs never allocate for them. Nothing is shared between interners:
+//! thread shards never touch a common reference count.
 
 use fpvm::SourceLoc;
 use shadowreal::{RealOp, MAX_ARITY};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A node in a concrete expression trace.
 #[derive(Clone, Debug)]
@@ -135,25 +134,16 @@ impl<'a> IntoIterator for &'a TraceChildren {
     }
 }
 
-/// The four constant leaves worth caching process-wide: loop counters,
-/// comparisons and polynomial evaluation make `0.0`, `1.0`, `-1.0` and `2.0`
-/// by far the most common constants in traced programs.
-fn cached_constant(bits: u64) -> Option<&'static Arc<ConcreteExpr>> {
-    static CACHE: OnceLock<[(u64, Arc<ConcreteExpr>); 4]> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| {
-        [0.0f64, 1.0, -1.0, 2.0]
-            .map(|value| (value.to_bits(), Arc::new(ConcreteExpr::Leaf { value })))
-    });
-    cache.iter().find(|(b, _)| *b == bits).map(|(_, leaf)| leaf)
-}
+/// The constants whose leaves every [`ExprInterner`] keeps for its whole
+/// life: loop counters, comparisons and polynomial evaluation make `0.0`,
+/// `1.0`, `-1.0` and `2.0` by far the most common constants in traced
+/// programs.
+const COMMON_CONSTANTS: [f64; 4] = [0.0, 1.0, -1.0, 2.0];
 
 impl ConcreteExpr {
-    /// Creates a leaf node. The common constants (`0.0`, `1.0`, `-1.0`,
-    /// `2.0`) are served from a process-wide cache and never allocate.
+    /// Creates a leaf node in a fresh allocation. The analysis builds its
+    /// leaves through [`ExprInterner::leaf`], which shares them.
     pub fn leaf(value: f64) -> Arc<ConcreteExpr> {
-        if let Some(cached) = cached_constant(value.to_bits()) {
-            return Arc::clone(cached);
-        }
         Arc::new(ConcreteExpr::Leaf { value })
     }
 
@@ -422,8 +412,17 @@ impl Hash for NodeKey {
 /// shared (the analysis bypasses traces deeper than its tracking bound),
 /// and the table itself stops inserting past `MAX_INTERNED` entries —
 /// lookups still succeed, later misses just allocate unshared nodes.
-#[derive(Debug, Default)]
+///
+/// Each interner also owns one leaf for each of the four most common
+/// constants (`0.0`, `1.0`, `-1.0`, `2.0`), built with the interner and
+/// kept across [`ExprInterner::clear`], so every run of a shard shares
+/// them. They belong to this interner alone: no two interners, and so no
+/// two thread shards, share a leaf's reference count.
+#[derive(Debug)]
 pub struct ExprInterner {
+    /// The leaves of the common constants, in `COMMON_CONSTANTS` order;
+    /// outside the tables and never cleared.
+    constants: [Arc<ConcreteExpr>; COMMON_CONSTANTS.len()],
     leaves: HashMap<u64, Arc<ConcreteExpr>, Prehashed>,
     nodes: HashMap<NodeKey, Arc<ConcreteExpr>, Prehashed>,
     /// Recycled node allocations: `Arc`s whose contents died with the
@@ -474,6 +473,17 @@ const MAX_INTERNED: usize = 1 << 20;
 /// a pathological run's worth of dead blocks.
 const POOL_CAP: usize = 4096;
 
+impl Default for ExprInterner {
+    fn default() -> ExprInterner {
+        ExprInterner {
+            constants: COMMON_CONSTANTS.map(ConcreteExpr::leaf),
+            leaves: HashMap::default(),
+            nodes: HashMap::default(),
+            pool: Vec::new(),
+        }
+    }
+}
+
 impl ExprInterner {
     /// Creates an empty interner.
     pub fn new() -> ExprInterner {
@@ -483,8 +493,8 @@ impl ExprInterner {
     /// An interned leaf node for `value`.
     pub fn leaf(&mut self, value: f64) -> Arc<ConcreteExpr> {
         let bits = value.to_bits();
-        if let Some(cached) = cached_constant(bits) {
-            return Arc::clone(cached);
+        if let Some(i) = COMMON_CONSTANTS.iter().position(|c| c.to_bits() == bits) {
+            return Arc::clone(&self.constants[i]);
         }
         if let Some(existing) = self.leaves.get(&bits) {
             return Arc::clone(existing);
@@ -572,7 +582,8 @@ impl ExprInterner {
         Arc::new(node)
     }
 
-    /// Drops all interned nodes (per-run state, like shadow memory).
+    /// Drops all interned nodes (per-run state, like shadow memory); the
+    /// common-constant leaves stay.
     ///
     /// Node allocations whose only owner is the table are not returned to
     /// the system: their contents are replaced with an inert leaf — which
@@ -582,6 +593,7 @@ impl ExprInterner {
     pub fn clear(&mut self) {
         telemetry::INTERNER_PEAK_NODES.record(self.len() as u64);
         let ExprInterner {
+            constants: _,
             leaves,
             nodes,
             pool,
@@ -598,7 +610,8 @@ impl ExprInterner {
         }
     }
 
-    /// The number of distinct interned nodes (leaves plus operations).
+    /// The number of distinct interned nodes (leaves plus operations; the
+    /// common-constant leaves are not counted).
     pub fn len(&self) -> usize {
         self.leaves.len() + self.nodes.len()
     }
@@ -719,20 +732,37 @@ mod tests {
     }
 
     #[test]
-    fn common_constant_leaves_are_shared_process_wide() {
-        for value in [0.0f64, 1.0, -1.0, 2.0] {
+    fn common_constant_leaves_are_shared_per_interner() {
+        let mut interner = ExprInterner::new();
+        let first_run = COMMON_CONSTANTS.map(|value| interner.leaf(value));
+        interner.clear();
+        let mut other = ExprInterner::new();
+        let elsewhere = std::thread::spawn(|| {
+            let mut interner = ExprInterner::new();
+            COMMON_CONSTANTS.map(|value| interner.leaf(value))
+        })
+        .join()
+        .expect("interner thread");
+        for (i, value) in COMMON_CONSTANTS.into_iter().enumerate() {
+            // `clear` keeps them: the next run gets the same allocation.
+            let again = interner.leaf(value);
+            assert!(Arc::ptr_eq(&first_run[i], &again), "{value} not kept");
+            assert_eq!(again.value().to_bits(), value.to_bits());
+            // Another interner, on this thread or another, has its own.
+            assert!(!Arc::ptr_eq(&again, &other.leaf(value)), "{value} shared");
+            assert!(!Arc::ptr_eq(&again, &elsewhere[i]), "{value} shared");
+            // Outside an interner, every leaf is a fresh allocation.
             let a = ConcreteExpr::leaf(value);
             let b = ConcreteExpr::leaf(value);
-            assert!(Arc::ptr_eq(&a, &b), "constant {value} not cached");
+            assert!(!Arc::ptr_eq(&a, &b) && !Arc::ptr_eq(&a, &again));
             assert_eq!(a.value().to_bits(), value.to_bits());
         }
-        // Negative zero has different bits and is not the cached 0.0.
-        let nz = ConcreteExpr::leaf(-0.0);
+        // Negative zero has different bits and is not the kept 0.0.
+        let nz = interner.leaf(-0.0);
         assert_eq!(nz.value().to_bits(), (-0.0f64).to_bits());
-        // Uncached constants still get fresh allocations.
-        let a = ConcreteExpr::leaf(3.25);
-        let b = ConcreteExpr::leaf(3.25);
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(!Arc::ptr_eq(&nz, &first_run[0]));
+        // The kept leaves sit outside the table.
+        assert_eq!(interner.len(), 1);
     }
 
     #[test]
@@ -861,12 +891,16 @@ mod tests {
         let a = interner.leaf(0.1);
         let b = interner.leaf(0.1);
         assert!(Arc::ptr_eq(&a, &b));
-        // The process-wide constants bypass the per-shard table.
+        // The common constants bypass the table but are shared too.
         let one = interner.leaf(1.0);
-        assert!(Arc::ptr_eq(&one, &ConcreteExpr::leaf(1.0)));
+        assert!(Arc::ptr_eq(&one, &interner.leaf(1.0)));
         assert_eq!(interner.len(), 1);
         interner.clear();
         assert!(interner.is_empty());
+        // A cleared table starts over: the next run's 0.1 is a new leaf,
+        // while the constant is the same one.
+        assert!(!Arc::ptr_eq(&a, &interner.leaf(0.1)));
+        assert!(Arc::ptr_eq(&one, &interner.leaf(1.0)));
     }
 
     #[test]

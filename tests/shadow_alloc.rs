@@ -8,24 +8,34 @@
 //! the heap fallback above 256 bits must still engage (which also proves the
 //! counter is live).
 //!
-//! Everything is asserted from one `#[test]` function: the allocation counter
-//! is process-global, and concurrent tests in the same binary would see each
-//! other's allocations.
+//! The counter is per thread, and every measured operation runs on the test
+//! thread: the test harness's main thread also allocates while the test runs
+//! (when it first blocks waiting for the result), at a moment the scheduler
+//! decides, so a process-wide count failed the test on a loaded machine.
 
 use shadowreal::{BigFloat, DoubleDouble, Real, RealOp};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation (alloc, alloc_zeroed, realloc) made through the
-/// global allocator.
+/// global allocator, per thread.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A `const`-initialized `Cell` needs no
+    /// lazy set-up or destructor, so the allocator can update it without
+    /// allocating itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -34,12 +44,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Runs `work` and returns how many heap allocations it performed.
