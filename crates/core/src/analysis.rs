@@ -280,6 +280,55 @@ fn detect_compensation<R: Real>(
     None
 }
 
+/// How the runs of a sweep observe one compute statement.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Observe {
+    /// Shadow arithmetic, the result trace and the full record update.
+    Full,
+    /// Shadow arithmetic and the result trace, but only the record's counts
+    /// ([`OpRecord::record_counts`]): the statement is outside the sweep's
+    /// demand set, so it is never erroneous.
+    Counts,
+    /// No shadow arithmetic: tier 0 certified the statement statically
+    /// ([`Herbgrind::on_pruned_compute`]).
+    Pruned,
+}
+
+/// The per-statement decisions a tiered sweep makes before any input runs,
+/// consulted by every compute observation of every run: tier 0's static
+/// prune mask, the certify pass's demand set, and whether compute results
+/// need traces at all. The serial analysis, its `DoubleDouble` tier and the
+/// batched lanes all read it through [`Herbgrind`], so one mask reaches
+/// every engine a sweep runs.
+#[derive(Debug)]
+pub(crate) struct StatementMask {
+    /// Indexed by pc; statements past the end are observed fully.
+    observe: Vec<Observe>,
+    /// False when no statement is in demand and the sweep has no trace
+    /// budget: no record reads a trace, so compute results carry the
+    /// interner's kept `0.0` leaf instead of a built node. (A trace budget
+    /// is defined over the full traces, so budgeted sweeps keep them.)
+    traces: bool,
+}
+
+impl StatementMask {
+    pub(crate) fn new(observe: Vec<Observe>, traces: bool) -> StatementMask {
+        StatementMask { observe, traces }
+    }
+
+    /// How statement `pc` is observed.
+    #[inline]
+    pub(crate) fn observe(&self, pc: usize) -> Observe {
+        self.observe.get(pc).copied().unwrap_or(Observe::Full)
+    }
+
+    /// Whether compute results carry traces.
+    #[inline]
+    pub(crate) fn traces(&self) -> bool {
+        self.traces
+    }
+}
+
 /// The Herbgrind dynamic analysis, generic over the shadow-real
 /// representation.
 ///
@@ -311,12 +360,13 @@ pub struct Herbgrind<R: Real> {
     /// [`crate::faultinject`] plan on every compute observation.
     #[cfg(feature = "fault-injection")]
     inject: Option<(usize, crate::faultinject::InjectStage)>,
-    /// Tier-0 static prune mask: compute statements certified stable by the
-    /// static error-dataflow pass ([`staticerr`]) skip shadow arithmetic
-    /// entirely. Installed only by the tiered driver, and only for sweeps
-    /// whose every input lies inside the statically declared region — every
-    /// other driver leaves it `None` and behaves exactly as before.
-    prune: Option<Arc<staticerr::PruneMask>>,
+    /// How each compute statement is observed ([`StatementMask`]): tier 0's
+    /// pruned statements skip shadow arithmetic, statements outside the
+    /// demand set update only their record's counts, and a sweep with an
+    /// empty demand set builds no traces. Installed only by the tiered
+    /// driver — every other driver leaves it `None` and observes every
+    /// statement fully.
+    mask: Option<Arc<StatementMask>>,
 }
 
 impl<R: Real> Herbgrind<R> {
@@ -334,31 +384,54 @@ impl<R: Real> Herbgrind<R> {
             pending_fault: None,
             #[cfg(feature = "fault-injection")]
             inject: None,
-            prune: None,
+            mask: None,
         }
     }
 
-    /// Installs (or clears) the tier-0 static prune mask consulted by every
-    /// compute observation. Callers are responsible for only installing a
-    /// mask whose declared input region covers the inputs about to run —
-    /// the tiered driver arms it only when the region covers its whole
-    /// sweep.
-    pub(crate) fn set_prune_mask(&mut self, mask: Option<Arc<staticerr::PruneMask>>) {
-        self.prune = mask;
+    /// Installs (or clears) the statement mask consulted by every compute
+    /// observation. Callers are responsible for only installing a mask
+    /// derived from the inputs about to run: the tiered driver arms tier 0
+    /// only when the declared region covers its whole sweep, and takes the
+    /// demand set from certifying every input of the sweep.
+    pub(crate) fn set_mask(&mut self, mask: Option<Arc<StatementMask>>) {
+        self.mask = mask;
+    }
+
+    /// How the installed mask observes statement `pc`.
+    #[inline]
+    fn observe(&self, pc: usize) -> Observe {
+        self.mask
+            .as_deref()
+            .map_or(Observe::Full, |mask| mask.observe(pc))
+    }
+
+    /// Whether compute results carry traces ([`StatementMask::traces`]).
+    #[inline]
+    fn traces(&self) -> bool {
+        self.mask.as_deref().is_none_or(StatementMask::traces)
     }
 
     /// Observes a statically pruned compute. The operation record is still
     /// created (report totals count operations by record *existence*, and a
     /// certified statement's record never becomes erroneous, so an empty
     /// record is report-identical to a fully-populated clean one), and the
-    /// destination shadow is invalidated so any downstream consumer lazily
-    /// recreates a leaf from the client double — the certification margin
-    /// guarantees that leaf is within the statically bounded drift of the
-    /// exact value, and the prune mask's poison fixpoint guarantees the
-    /// substitution is invisible in the report.
-    pub(crate) fn on_pruned_compute(&mut self, pc: usize, op: RealOp, dest: Addr) {
+    /// destination gets a leaf shadow of the client `result` — the
+    /// certification margin guarantees that leaf is within the statically
+    /// bounded drift of the exact value. Its trace is `placeholder` (the
+    /// interner's kept `0.0` leaf), not a leaf of `result`: the prune mask's
+    /// poison fixpoint guarantees that neither the shadow value nor the
+    /// trace stored at `dest` is visible in the report, so consumers neither
+    /// rebuild a lazy leaf nor intern one per fresh value.
+    pub(crate) fn on_pruned_compute(
+        &mut self,
+        pc: usize,
+        op: RealOp,
+        dest: Addr,
+        result: f64,
+        placeholder: Arc<ConcreteExpr>,
+    ) {
         self.state.op_record(pc, op);
-        put_shadow(&mut self.shadow_slots, self.shadow_gen, dest, None);
+        self.set_const_shadow(dest, result, placeholder);
     }
 
     /// Arms deterministic fault injection for the next run with the
@@ -526,9 +599,10 @@ impl<R: Real> Herbgrind<R> {
         );
     }
 
-    /// Writes a constant-leaf shadow (the serial `on_const_f` effect) with a
-    /// caller-supplied trace leaf — the batched analysis builds the leaf once
-    /// per group and shares it across the group's lanes.
+    /// Writes a leaf shadow of `value` with a caller-supplied trace leaf: the
+    /// serial `on_const_f` effect, whose leaf the batched analysis builds
+    /// once per group and shares across the group's lanes, and a pruned
+    /// compute's result under its placeholder trace.
     pub(crate) fn set_const_shadow(&mut self, dest: Addr, value: f64, expr: Arc<ConcreteExpr>) {
         let shadow = Shadow {
             real: self.shadow_leaf(value),
@@ -589,6 +663,7 @@ impl<R: Real> Herbgrind<R> {
         node: Arc<ConcreteExpr>,
     ) {
         shadow_ops_counter::<R>().incr();
+        let counts_only = self.observe(pc) == Observe::Counts;
         // Split field borrows: operand shadows stay borrowed from the slot
         // table while influences accumulate; only the destination is written.
         let Herbgrind {
@@ -628,17 +703,29 @@ impl<R: Real> Herbgrind<R> {
                 .expect("operand shadow populated");
             influences.union_with(&shadow.influences);
         } else {
-            if erroneous {
-                influences.insert(pc);
-            }
             let (record, config) = state.op_record(pc, op);
-            record.record_bounded(
-                &node,
-                config.max_expression_depth,
-                local_err,
-                erroneous,
-                config,
-            );
+            if counts_only {
+                // Outside the demand set: the certify pass proved the
+                // statement never erroneous on this sweep, so no report
+                // reads more than its counts.
+                debug_assert!(
+                    !erroneous,
+                    "statement {pc} is erroneous outside the demand set"
+                );
+                telemetry::ANALYSIS_COUNTS_ONLY_UPDATES.incr();
+                record.record_counts(local_err);
+            } else {
+                if erroneous {
+                    influences.insert(pc);
+                }
+                record.record_bounded(
+                    &node,
+                    config.max_expression_depth,
+                    local_err,
+                    erroneous,
+                    config,
+                );
+            }
         }
 
         // Update the destination shadow (the only slot written).
@@ -898,9 +985,10 @@ impl<R: Real> Tracer for Herbgrind<R> {
         // Tier 0: a statement certified stable by the static pass skips
         // shadow arithmetic entirely (after the injection consult, so
         // injected faults still fire at pruned sites).
-        if self.prune.as_ref().is_some_and(|m| m.is_pruned(pc)) {
+        if self.observe(pc) == Observe::Pruned {
             telemetry::TIER0_PRUNED_EXECUTIONS.incr();
-            self.on_pruned_compute(pc, op, dest);
+            let placeholder = self.interner.leaf(0.0);
+            self.on_pruned_compute(pc, op, dest, result, placeholder);
             return;
         }
         // Make sure every operand has a shadow (creating leaf shadows
@@ -921,7 +1009,7 @@ impl<R: Real> Tracer for Herbgrind<R> {
             exact_result = R::from_f64_prec(f64::NAN, self.state.config.shadow_precision);
             local_err = MAX_ERROR_BITS;
         }
-        let node = {
+        let node = if self.traces() {
             let Herbgrind {
                 state,
                 shadow_slots,
@@ -938,6 +1026,9 @@ impl<R: Real> Tracer for Herbgrind<R> {
                 &operand_traces(shadow_slots, *shadow_gen, args)[..args.len()],
                 result,
             )
+        } else {
+            // No record of this sweep reads a trace.
+            self.interner.leaf(0.0)
         };
         self.finish_compute(
             pc,

@@ -43,7 +43,9 @@
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind};
+use crate::analysis::{
+    build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind, Observe, StatementMask,
+};
 use crate::config::AnalysisConfig;
 use crate::quarantine::{batched_family, fail_fast};
 use crate::report::Report;
@@ -159,10 +161,10 @@ pub(crate) struct BatchHerbgrind<R: Real, const W: usize> {
     /// injected failures) awaiting delivery through the batch scheduler's
     /// per-group [`BatchTracer::lane_fault`] poll, which masks the lane out.
     lane_faults: [Option<MachineError>; MAX_LANES],
-    /// Tier-0 static prune mask, shared by all lanes (pruning is a
-    /// per-statement decision, identical across lanes). Installed only by
-    /// tiered sweeps whose inputs all lie inside the declared static region.
-    prune: Option<Arc<staticerr::PruneMask>>,
+    /// The sweep's statement mask, shared by all lanes (every decision in
+    /// it is per statement, identical across lanes). Installed only by
+    /// tiered sweeps.
+    mask: Option<Arc<StatementMask>>,
 }
 
 impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
@@ -177,20 +179,18 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
             config,
             interner: ExprInterner::new(),
             lane_faults: std::array::from_fn(|_| None),
-            prune: None,
+            mask: None,
         }
     }
 
-    /// Installs (or clears) the tier-0 static prune mask consulted by every
-    /// compute group, forwarding it to the lane shards so a lane driven
-    /// through its serial [`Tracer`] interface prunes identically. The
-    /// caller guarantees every input in the pass lies inside the mask's
-    /// declared region.
-    fn set_prune_mask(&mut self, mask: Option<Arc<staticerr::PruneMask>>) {
+    /// Installs (or clears) the statement mask consulted by every compute
+    /// group, forwarding it to the lane shards, whose record step reads it
+    /// too ([`Herbgrind::set_mask`]).
+    fn set_mask(&mut self, mask: Option<Arc<StatementMask>>) {
         for lane in &mut self.lanes {
-            lane.set_prune_mask(mask.clone());
+            lane.set_mask(mask.clone());
         }
-        self.prune = mask;
+        self.mask = mask;
     }
 
     /// Folds the lane shards in lane order — with contiguous-chunk lane
@@ -245,16 +245,23 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
         }
         // Tier 0: a statically certified statement skips the group's shadow
         // work entirely — each active lane records the op's existence and
-        // invalidates the destination shadow, exactly like the serial
-        // analysis does for pruned statements (after the injection consult,
-        // so injected faults still fire at pruned sites).
-        if self.prune.as_ref().is_some_and(|m| m.is_pruned(pc)) {
+        // writes a leaf shadow of its result under the group interner's
+        // placeholder trace, exactly like the serial analysis does for
+        // pruned statements (after the injection consult, so injected faults
+        // still fire at pruned sites).
+        if self
+            .mask
+            .as_deref()
+            .is_some_and(|mask| mask.observe(pc) == Observe::Pruned)
+        {
             telemetry::TIER0_PRUNED_EXECUTIONS.add(u64::from(mask.count_ones()));
+            let placeholder = self.interner.leaf(0.0);
             for l in lane_indices(mask) {
-                self.lanes[l].on_pruned_compute(pc, op, dest);
+                self.lanes[l].on_pruned_compute(pc, op, dest, results[l], Arc::clone(&placeholder));
             }
             return;
         }
+        let traces = self.mask.as_deref().is_none_or(StatementMask::traces);
         let BatchHerbgrind {
             lanes,
             config,
@@ -266,13 +273,14 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
         let intern_bound = intern_depth_bound(config);
         // Per lane, the serial steps up to the result trace: lazy operand
         // shadows (leaves through the group interner), exact result and local
-        // error, and the result node through the group interner. A deep node
-        // (past the interning bound, so never in the table) is taken from an
-        // earlier lane of the group with the same value bits and the same
-        // operand traces. The deep keys hold operand-trace addresses: this
-        // loop writes no lane's current-run shadows (lazy leaves fill only
-        // empty or stale slots), so every keyed trace stays alive until the
-        // shadow tails below.
+        // error, and the result node through the group interner — or the
+        // interner's kept `0.0` leaf when the sweep needs no traces. A deep
+        // node (past the interning bound, so never in the table) is taken
+        // from an earlier lane of the group with the same value bits and the
+        // same operand traces. The deep keys hold operand-trace addresses:
+        // this loop writes no lane's current-run shadows (lazy leaves fill
+        // only empty or stale slots), so every keyed trace stays alive until
+        // the shadow tails below.
         let mut steps: [Option<(f64, R, Arc<ConcreteExpr>)>; W] = std::array::from_fn(|_| None);
         let mut deep_keys: [Option<(u64, [usize; MAX_ARITY])>; W] = [None; W];
         for l in lane_indices(mask) {
@@ -282,6 +290,10 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
             }
             let lane: &Herbgrind<R> = lane;
             let (local_err, exact) = lane.local_error(op, args);
+            if !traces {
+                steps[l] = Some((local_err, exact, interner.leaf(0.0)));
+                continue;
+            }
             let children = lane.operand_traces(args);
             let children = &children[..n];
             let depth = 1 + children.iter().map(|c| c.depth()).max().unwrap_or(0);
@@ -435,20 +447,20 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
 /// unusable, and the isolating engine re-runs the chunk serially. Panics
 /// unwind to the caller.
 ///
-/// `prune` is the tier-0 static prune mask — `None` outside tiered sweeps
-/// whose inputs all lie in the declared region — and `inject`
-/// (fault-injection builds only) arms the lanes with the sweep-global index
-/// of `inputs[0]` and the pipeline stage, or is `None` for unarmed sweeps.
+/// `mask` is the sweep's statement mask — `None` outside tiered sweeps —
+/// and `inject` (fault-injection builds only) arms the lanes with the
+/// sweep-global index of `inputs[0]` and the pipeline stage, or is `None`
+/// for unarmed sweeps.
 pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
-    prune: Option<&Arc<staticerr::PruneMask>>,
+    mask: Option<&Arc<StatementMask>>,
     #[cfg(feature = "fault-injection")] inject: Option<(usize, crate::faultinject::InjectStage)>,
 ) -> Option<AnalysisState> {
     let batch = machine.batched::<W>();
     let mut tracer = BatchHerbgrind::<R, W>::new(config);
-    tracer.set_prune_mask(prune.map(Arc::clone));
+    tracer.set_mask(mask.map(Arc::clone));
     let mut memory = BatchMemory::new();
     for lanes in lane_passes::<W>(inputs.len()) {
         #[cfg(feature = "fault-injection")]
@@ -551,44 +563,23 @@ pub struct LocalErrorRow {
     pub max_error_bits: f64,
 }
 
-/// A fully lane-vectorized local-error probe over the `DoubleDouble` shadow.
-///
-/// This is the batched engine with the per-lane record machinery stripped
-/// away: shadow memory is a struct-of-arrays [`DdLanes`] plane per address
-/// (so operand reads need no gather at all), every compute evaluates the
-/// exact operation through the vectorized [`shadowreal::dd_batch`] kernels,
-/// and local error is tallied in integer ulps per statement — the
-/// `FpDebug`-style detection layer of the analysis at memory-bandwidth
-/// speed. It answers "where is local error introduced, how often, how big"
-/// without root-cause traces, which is exactly the per-op work the full
-/// analysis adds on top.
-#[derive(Debug)]
-pub(crate) struct DdErrorProbe<const W: usize> {
-    shadows: Vec<DdLanes<W>>,
-    executions: Vec<u64>,
-    erroneous: Vec<u64>,
-    max_ulps: Vec<u64>,
+/// The analysis's local-error decision (`bits_error(float, exact) > T`,
+/// Figure 4) made in integer ulps on `DoubleDouble` lanes: the test the
+/// local-error probe counts with, and the one the certify probe builds a
+/// tiered sweep's demand set from. `tests/probe_agreement.rs` pins it to the
+/// analysis's bits test on every execution.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UlpsThreshold {
     threshold_ulps: u64,
     /// True for negative thresholds, which every execution exceeds — `ulps >
     /// threshold_ulps` cannot express "including zero ulps" in a `u64`.
     flag_all: bool,
-    total_ops: u64,
 }
 
-/// The bits-of-error the analysis computes for a ulps distance: exactly
-/// [`shadowreal::bits_error`]'s arithmetic, expressed over the integer
-/// distance the probe counts in.
-fn bits_of_ulps(ulps: u64) -> f64 {
-    if ulps == u64::MAX {
-        return shadowreal::MAX_ERROR_BITS;
-    }
-    (((ulps as f64) + 1.0).log2()).min(shadowreal::MAX_ERROR_BITS)
-}
-
-impl<const W: usize> DdErrorProbe<W> {
-    /// A probe flagging statements whose local error exceeds
-    /// `threshold_bits` — by the *same decision* the full analysis makes
-    /// (`bits_error(float, exact) > T`), converted to an integer ulps bound.
+impl UlpsThreshold {
+    /// The test for local error above `threshold_bits` — by the *same
+    /// decision* the full analysis makes (`bits_error(float, exact) > T`),
+    /// converted to an integer ulps bound.
     ///
     /// In exact arithmetic `bits > T ⟺ ulps > 2^T − 1`, but the analysis
     /// computes bits as the **rounded** `log2(ulps + 1)`, so the naive
@@ -602,7 +593,7 @@ impl<const W: usize> DdErrorProbe<W> {
     /// boundary). Thresholds at or above [`shadowreal::MAX_ERROR_BITS`] (or
     /// NaN) flag nothing, exactly like the analysis, whose bits are clamped
     /// to that maximum; negative thresholds flag every execution.
-    fn new(threshold_bits: f64) -> Self {
+    pub(crate) fn new(threshold_bits: f64) -> Self {
         let exceeds = |ulps: u64| bits_of_ulps(ulps) > threshold_bits;
         let threshold_ulps =
             if threshold_bits.is_nan() || threshold_bits >= shadowreal::MAX_ERROR_BITS {
@@ -632,14 +623,97 @@ impl<const W: usize> DdErrorProbe<W> {
                 }
                 lo
             };
-        let flag_all = threshold_bits < 0.0;
+        UlpsThreshold {
+            threshold_ulps,
+            flag_all: threshold_bits < 0.0,
+        }
+    }
+
+    /// True when `ulps` of local error exceed the threshold: the analysis
+    /// would count the execution as erroneous.
+    #[inline]
+    pub(crate) fn exceeded_by(&self, ulps: u64) -> bool {
+        self.flag_all || ulps > self.threshold_ulps
+    }
+}
+
+/// The local error of `op` per lane, in ulps, from the `DoubleDouble`
+/// operand planes and the exact result plane: the float re-evaluation on the
+/// rounded operands (the hi planes) against the rounded exact result
+/// (`exact.hi`), exactly as [`shadowreal::ulps_between`] measures it.
+#[inline]
+pub(crate) fn local_error_ulps<const W: usize>(
+    op: RealOp,
+    operands: &[DdLanes<W>],
+    exact: &DdLanes<W>,
+) -> [u64; W] {
+    // The rounded exact operands are the hi planes, so the float
+    // re-evaluation is one vectorized lane call.
+    let mut rounded = [[0.0f64; W]; MAX_ARITY];
+    for (lanes, operand) in rounded.iter_mut().zip(operands) {
+        *lanes = operand.hi;
+    }
+    let float_results = apply_f64_lanes(op, &rounded[..operands.len()]);
+    // Branch-free ulps distance per lane, with the (rare) NaN lanes patched
+    // afterwards so every lane agrees exactly with
+    // `shadowreal::ulps_between`. NaN detection is itself branch-free:
+    // `x * 0.0` is NaN iff `x` is non-finite, and a non-finite shadow or
+    // float result is exactly the case the slow path must arbitrate.
+    let mut ulps = [0u64; W];
+    let mut nonfinite_probe = 0.0f64;
+    for l in 0..W {
+        ulps[l] = branchless_ordinal(float_results[l]).abs_diff(branchless_ordinal(exact.hi[l]));
+        nonfinite_probe += float_results[l] * 0.0 + exact.hi[l] * 0.0;
+    }
+    if nonfinite_probe.is_nan() {
+        for l in 0..W {
+            ulps[l] = shadowreal::ulps_between(float_results[l], exact.hi[l]);
+        }
+    }
+    ulps
+}
+
+/// A fully lane-vectorized local-error probe over the `DoubleDouble` shadow.
+///
+/// This is the batched engine with the per-lane record machinery stripped
+/// away: shadow memory is a struct-of-arrays [`DdLanes`] plane per address
+/// (so operand reads need no gather at all), every compute evaluates the
+/// exact operation through the vectorized [`shadowreal::dd_batch`] kernels,
+/// and local error is tallied in integer ulps per statement — the
+/// `FpDebug`-style detection layer of the analysis at memory-bandwidth
+/// speed. It answers "where is local error introduced, how often, how big"
+/// without root-cause traces, which is exactly the per-op work the full
+/// analysis adds on top.
+#[derive(Debug)]
+pub(crate) struct DdErrorProbe<const W: usize> {
+    shadows: Vec<DdLanes<W>>,
+    executions: Vec<u64>,
+    erroneous: Vec<u64>,
+    max_ulps: Vec<u64>,
+    threshold: UlpsThreshold,
+    total_ops: u64,
+}
+
+/// The bits-of-error the analysis computes for a ulps distance: exactly
+/// [`shadowreal::bits_error`]'s arithmetic, expressed over the integer
+/// distance the probe counts in.
+fn bits_of_ulps(ulps: u64) -> f64 {
+    if ulps == u64::MAX {
+        return shadowreal::MAX_ERROR_BITS;
+    }
+    (((ulps as f64) + 1.0).log2()).min(shadowreal::MAX_ERROR_BITS)
+}
+
+impl<const W: usize> DdErrorProbe<W> {
+    /// A probe flagging statements whose local error exceeds
+    /// `threshold_bits` ([`UlpsThreshold`]).
+    fn new(threshold_bits: f64) -> Self {
         DdErrorProbe {
             shadows: Vec::new(),
             executions: Vec::new(),
             erroneous: Vec::new(),
             max_ulps: Vec::new(),
-            threshold_ulps,
-            flag_all,
+            threshold: UlpsThreshold::new(threshold_bits),
             total_ops: 0,
         }
     }
@@ -736,44 +810,21 @@ impl<const W: usize> BatchTracer<W> for DdErrorProbe<W> {
             *lanes = self.plane_or_zero(addr);
         }
         let exact = shadowreal::dd_batch::apply(op, &operands[..args.len()]);
-        // Local error: the rounded exact operands are the hi planes, so the
-        // float re-evaluation is one vectorized lane call.
-        let mut rounded = [[0.0f64; W]; MAX_ARITY];
-        for (lanes, operand) in rounded.iter_mut().zip(&operands[..args.len()]) {
-            *lanes = operand.hi;
-        }
-        let float_results = apply_f64_lanes(op, &rounded[..args.len()]);
-        // Branch-free ulps distance per lane, with the (rare) NaN lanes
-        // patched afterwards so every lane agrees exactly with
-        // `shadowreal::ulps_between`. NaN detection is itself branch-free:
-        // `x * 0.0` is NaN iff `x` is non-finite, and a non-finite shadow or
-        // float result is exactly the case the slow path must arbitrate.
-        let mut ulps = [0u64; W];
-        let mut nonfinite_probe = 0.0f64;
-        for l in 0..W {
-            ulps[l] =
-                branchless_ordinal(float_results[l]).abs_diff(branchless_ordinal(exact.hi[l]));
-            nonfinite_probe += float_results[l] * 0.0 + exact.hi[l] * 0.0;
-        }
-        if nonfinite_probe.is_nan() {
-            for l in 0..W {
-                ulps[l] = shadowreal::ulps_between(float_results[l], exact.hi[l]);
-            }
-        }
+        let ulps = local_error_ulps(op, &operands[..args.len()], &exact);
         let mut erroneous = 0u64;
         self.ensure_pc(pc);
         let mut max_ulps = self.max_ulps[pc];
         let full = full_mask(W);
         if mask == full {
             for &u in &ulps {
-                erroneous += u64::from(self.flag_all || u > self.threshold_ulps);
+                erroneous += u64::from(self.threshold.exceeded_by(u));
                 max_ulps = max_ulps.max(u);
             }
         } else {
             for (l, &lane_ulps) in ulps.iter().enumerate() {
                 let active = lane_active(mask, l);
                 let u = if active { lane_ulps } else { 0 };
-                erroneous += u64::from(active && (self.flag_all || u > self.threshold_ulps));
+                erroneous += u64::from(active && self.threshold.exceeded_by(u));
                 max_ulps = max_ulps.max(u);
             }
         }
@@ -1145,9 +1196,9 @@ mod tests {
         // thresholds where the naive `2^T - 1` conversion misclassifies
         // (T = 60: log2(2^60 + 1) rounds to exactly 60.0).
         for threshold in [0.0f64, 0.3, 0.5, 1.0, 4.5, 5.0, 20.0, 32.3, 60.0, 63.9] {
-            let probe = DdErrorProbe::<1>::new(threshold);
-            let t = probe.threshold_ulps;
-            assert!(!probe.flag_all);
+            let test = UlpsThreshold::new(threshold);
+            let t = test.threshold_ulps;
+            assert!(!test.flag_all);
             assert!(
                 bits_of_ulps(t) <= threshold,
                 "T={threshold}: bits({t}) must not exceed the threshold"
@@ -1160,17 +1211,17 @@ mod tests {
         }
         // T = 60 regression: 2^60 ulps is *not* erroneous (its rounded bits
         // are exactly 60.0), though the naive conversion flags it.
-        assert!(DdErrorProbe::<1>::new(60.0).threshold_ulps >= 1u64 << 60);
+        assert!(UlpsThreshold::new(60.0).threshold_ulps >= 1u64 << 60);
         // At or above the maximum (or NaN), nothing is flagged — not even
         // the saturated NaN distance, whose bits are clamped to the maximum.
         for threshold in [shadowreal::MAX_ERROR_BITS, 100.0, f64::NAN] {
-            let probe = DdErrorProbe::<1>::new(threshold);
-            assert_eq!(probe.threshold_ulps, u64::MAX, "T={threshold}");
-            assert!(!probe.flag_all);
+            let test = UlpsThreshold::new(threshold);
+            assert_eq!(test.threshold_ulps, u64::MAX, "T={threshold}");
+            assert!(!test.flag_all);
         }
         // Negative thresholds flag everything, zero ulps included.
-        let probe = DdErrorProbe::<1>::new(-1.0);
-        assert!(probe.flag_all);
+        let test = UlpsThreshold::new(-1.0);
+        assert!(test.flag_all && test.exceeded_by(0));
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //! # How isolation works
 //!
 //! One private helper splits a sweep into balanced contiguous chunks, runs
-//! each on its own thread, and folds the chunk outcomes in input order; it
-//! is the only place any driver spawns threads.
+//! each on its own thread, and returns the chunk outcomes in input order;
+//! it is the only place any driver spawns threads. The analysis engines'
+//! outcomes fold in that order; the certify pass's verdicts concatenate.
 //!
 //! Machine faults are *per-input deterministic* here: the serial analysis
 //! clears its expression interner per run, so step budgets, trace budgets
@@ -59,14 +60,20 @@
 //! plain drivers' errors — independent of the batch width the fault
 //! happened to occur at.
 //!
-//! The tiered engine certifies each shard's inputs. A shard whose inputs
-//! all certified runs through the batched engine on the `DoubleDouble`
-//! shadow; every other shard runs on the serial engine, which picks each
-//! input's shadow and hands one record state between the two analyses, so
-//! the `BigFloat` tier never runs as a lane pass. Only the `BigFloat` tier
+//! The tiered engine runs in two sharded passes. The certify pass runs over
+//! every shard first and yields per-input verdicts and a demand set per
+//! shard; the demand sets are united, because a statement's records must be
+//! counts-only in every shard or in none. Then the escalate pass runs each
+//! shard with the sweep's statement mask. A shard whose inputs all
+//! certified runs through the batched engine on the `DoubleDouble` shadow;
+//! every other shard runs on the serial engine, which picks each input's
+//! shadow and hands one record state between the two analyses, so the
+//! `BigFloat` tier never runs as a lane pass. Only the `BigFloat` tier
 //! quarantines: the serial engine demotes an input the `DoubleDouble` tier
 //! faults on, so a fault scoped to that tier heals, and one the `BigFloat`
-//! tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
+//! tier also hits is quarantined at [`SweepStage::TieredBigFloat`]. A
+//! certify shard that panics or whose thread dies escalates its inputs and
+//! puts every statement in demand.
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engine catches them per input, the
@@ -80,14 +87,15 @@
 #![deny(clippy::unwrap_used)]
 
 use std::any::Any;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind};
+use crate::analysis::{balanced_chunks, AnalysisState, Herbgrind, StatementMask};
 use crate::batched::{batched_sweep_collect, effective_batch_width, with_lane_width};
 use crate::config::AnalysisConfig;
 use crate::report::Report;
-use crate::tiered::{arm_tier0, certify_inputs, TierStats};
+use crate::tiered::{arm_tier0, certify_inputs, statement_mask, Certified, TierStats};
 use fpvm::{Machine, MachineError, Program};
 use shadowreal::cert::CertParams;
 use shadowreal::{BigFloat, DoubleDouble, Real};
@@ -205,15 +213,15 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// What every engine of one sweep reads: the machine, decoded once and
-/// shared by every shard, the normalized configuration, the tier-0 prune
-/// mask, and whether runs consult the installed fault plan.
+/// shared by every shard, the normalized configuration, the statement mask,
+/// and whether runs consult the installed fault plan.
 struct Sweep<'p> {
     machine: Machine<'p>,
     config: AnalysisConfig,
-    /// Tier 0's static prune mask, consulted by every run of the sweep. Set
-    /// only by tiered sweeps whose inputs all lie in the declared region
-    /// ([`arm_tier0`]).
-    prune: Option<Arc<staticerr::PruneMask>>,
+    /// The statement mask every run of the sweep consults: tier 0's prune
+    /// mask and the demand set. Set only by tiered sweeps
+    /// ([`statement_mask`]).
+    mask: Option<Arc<StatementMask>>,
     /// Set only by the `*_isolated` drivers. The plain drivers never consult
     /// an installed fault plan, so they stay the uninjected oracle the
     /// fault-injection suite compares against.
@@ -230,7 +238,7 @@ impl<'p> Sweep<'p> {
         Sweep {
             machine,
             config,
-            prune: None,
+            mask: None,
             armed,
         }
     }
@@ -266,28 +274,21 @@ impl<'p> Sweep<'p> {
     }
 }
 
-/// A contiguous chunk's survivor state plus its quarantine records (and,
-/// for tiered chunks, the tier split).
+/// A contiguous chunk's survivor state plus its quarantine records.
 struct ChunkOutcome {
     state: AnalysisState,
     quarantined: Vec<QuarantinedInput>,
-    tiers: TierStats,
 }
 
 impl ChunkOutcome {
     fn new(state: AnalysisState, quarantined: Vec<QuarantinedInput>) -> ChunkOutcome {
-        ChunkOutcome {
-            state,
-            quarantined,
-            tiers: TierStats::default(),
-        }
+        ChunkOutcome { state, quarantined }
     }
 
     /// Folds the outcome of the next chunk (in input order) into this one.
     fn absorb(&mut self, next: ChunkOutcome) {
         self.state.merge(next.state);
         self.quarantined.extend(next.quarantined);
-        self.tiers.absorb(next.tiers);
     }
 }
 
@@ -317,8 +318,8 @@ fn serial_engine<R: Real>(
     loop {
         let mut analysis = Herbgrind::<R>::new(sweep.config.clone());
         let mut certified_tier = Herbgrind::<DoubleDouble>::new(sweep.config.clone());
-        analysis.set_prune_mask(sweep.prune.clone());
-        certified_tier.set_prune_mask(sweep.prune.clone());
+        analysis.set_mask(sweep.mask.clone());
+        certified_tier.set_mask(sweep.mask.clone());
         let mut memory = Vec::new();
         let (mut faults, mut demoted) = (Vec::new(), false);
         for (offset, input) in inputs.iter().enumerate() {
@@ -387,7 +388,7 @@ fn batched_engine<R: Real>(
                 &sweep.machine,
                 inputs,
                 &sweep.config,
-                sweep.prune.as_ref(),
+                sweep.mask.as_ref(),
                 #[cfg(feature = "fault-injection")]
                 sweep.inject(stage).map(|inject| (index_base, inject)),
             ))
@@ -403,88 +404,83 @@ fn batched_engine<R: Real>(
     outcome
 }
 
-/// Runs the tiered isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`: certify, then analyze
-/// the chunk on the shadows its verdicts pick.
+/// Runs the certify pass over one contiguous input chunk whose first input
+/// has sweep-global index `index_base`, timed as the certify phase.
 ///
-/// The certification probe is already fault-tolerant (a failed or injected
-/// run is simply uncertified); a *panicking* certify pass fails closed by
-/// escalating every input to the `BigFloat` tier. A non-empty chunk whose
-/// inputs all certified runs as one lane pass on the `DoubleDouble` tier; a
-/// faulted pass re-runs the chunk on the serial engine with the verdicts.
-/// Every other chunk runs on the serial engine directly, which picks each
-/// input's shadow in input order. Either way only the `BigFloat` tier
-/// quarantines: the serial engine demotes an input the `DoubleDouble` tier
-/// faults on, so a fault scoped to that tier heals. [`TierStats`] counts the
-/// probe's verdicts.
-fn tiered_engine(
+/// The probe is already fault-tolerant (a failed or injected run is simply
+/// uncertified); a *panicking* pass fails closed by escalating every input
+/// to the `BigFloat` tier and putting every statement in demand.
+fn certify_chunk(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
-    params: Option<&CertParams>,
+    params: &CertParams,
+) -> Certified {
+    #[cfg(not(feature = "fault-injection"))]
+    let _ = index_base;
+    let _certify_span = telemetry::span(telemetry::Phase::Certify);
+    catch_unwind(AssertUnwindSafe(|| {
+        with_lane_width!(width, W => certify_inputs::<W>(
+            &sweep.machine,
+            inputs,
+            params,
+            &sweep.config,
+            #[cfg(feature = "fault-injection")]
+            sweep.armed.then_some(index_base),
+        ))
+    }))
+    .unwrap_or_else(|_| Certified::escalate_all(inputs.len()))
+}
+
+/// Runs the tiered escalate pass over one contiguous input chunk whose first
+/// input has sweep-global index `index_base`: each input on the shadow its
+/// certify `verdicts` pick.
+///
+/// A non-empty chunk whose inputs all certified runs as one lane pass on the
+/// `DoubleDouble` tier; a faulted pass re-runs the chunk on the serial
+/// engine with the verdicts. Every other chunk runs on the serial engine
+/// directly, which picks each input's shadow in input order. Either way only
+/// the `BigFloat` tier quarantines: the serial engine demotes an input the
+/// `DoubleDouble` tier faults on, so a fault scoped to that tier heals.
+fn escalate_chunk(
+    sweep: &Sweep<'_>,
+    width: usize,
+    inputs: &[Vec<f64>],
+    index_base: usize,
+    verdicts: &[bool],
 ) -> ChunkOutcome {
-    let certified: Vec<bool> = match params {
-        Some(params) => {
-            let _certify_span = telemetry::span(telemetry::Phase::Certify);
-            catch_unwind(AssertUnwindSafe(|| {
-                with_lane_width!(width, W => certify_inputs::<W>(
-                    &sweep.machine,
-                    inputs,
-                    params,
-                    sweep.config.detect_compensation,
-                    #[cfg(feature = "fault-injection")]
-                    sweep.armed.then_some(index_base),
-                ))
-            }))
-            .unwrap_or_else(|_| vec![false; inputs.len()])
-        }
-        // Precision gate: below the tier threshold everything escalates.
-        None => {
-            telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
-            vec![false; inputs.len()]
-        }
-    };
-    let tiers = TierStats {
-        total_inputs: inputs.len(),
-        certified_inputs: certified.iter().filter(|&&c| c).count(),
-    };
-    telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
-    telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
-    let lane_pass = tiers.total_inputs > 0 && tiers.escalated_inputs() == 0;
     let stage = SweepStage::TieredBigFloat;
-    let serial = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, certified);
-    let outcome = if lane_pass {
+    let serial = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, verdicts.to_vec());
+    if !inputs.is_empty() && verdicts.iter().all(|&certified| certified) {
         let dd_stage = SweepStage::TieredDoubleDouble;
         batched_engine::<DoubleDouble>(sweep, width, inputs, index_base, dd_stage, serial)
     } else {
         serial()
-    };
-    ChunkOutcome { tiers, ..outcome }
+    }
 }
 
 /// Runs `engine` over at most `threads` balanced contiguous chunks of
-/// `inputs`, one thread per chunk, and folds the chunk outcomes in input
-/// order — by the merge laws, the outcome of one continuous sweep. This is
-/// the only place a sweep spawns threads; each shard thread records
-/// telemetry exactly when the calling thread does, into a tally folded into
-/// the calling thread's at join. The engines catch panics per input, so a
-/// shard thread dying is out of model (a panic while panicking, say); it
-/// fails closed by quarantining its whole chunk at `stage`, tally lost.
-fn sharded(
+/// `inputs`, one thread per chunk, and returns the chunk outcomes in input
+/// order. This is the only place a sweep spawns threads; each shard thread
+/// records telemetry exactly when the calling thread does, into a tally
+/// folded into the calling thread's at join. The engines catch panics, so a
+/// shard thread dying is out of model (a panic while panicking, say); its
+/// outcome is `lost` of the chunk's sweep-global indices and the panic
+/// message, and its tally is lost.
+fn sharded<T: Send>(
     inputs: &[Vec<f64>],
     threads: usize,
-    config: &AnalysisConfig,
-    stage: SweepStage,
-    engine: impl Fn(usize, &[Vec<f64>]) -> ChunkOutcome + Sync,
-) -> ChunkOutcome {
+    engine: impl Fn(usize, &[Vec<f64>]) -> T + Sync,
+    lost: impl Fn(Range<usize>, String) -> T,
+) -> Vec<T> {
     let chunks = balanced_chunks(inputs, threads);
     if chunks.len() == 1 {
-        return engine(0, inputs);
+        return vec![engine(0, inputs)];
     }
     let recording = telemetry::enabled();
     let engine = &engine;
-    let outcomes: Vec<ChunkOutcome> = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut start = 0;
         let handles: Vec<_> = chunks
             .into_iter()
@@ -503,25 +499,39 @@ fn sharded(
                     telemetry::absorb(&tally);
                     outcome
                 }
-                Err(payload) => {
-                    let message = panic_message(payload);
-                    let lost = indices
-                        .map(|input_index| QuarantinedInput {
-                            input_index,
-                            stage,
-                            error: SweepFault::Panic(message.clone()),
-                        })
-                        .collect();
-                    ChunkOutcome::new(AnalysisState::empty(config.clone()), lost)
-                }
+                Err(payload) => lost(indices, panic_message(payload)),
             })
             .collect()
-    });
-    let mut folded = ChunkOutcome::new(AnalysisState::empty(config.clone()), Vec::new());
-    for outcome in outcomes {
-        folded.absorb(outcome);
-    }
-    folded
+    })
+}
+
+/// [`sharded`] for the analysis engines: the chunk outcomes folded in input
+/// order — by the merge laws, the outcome of one continuous sweep. A lost
+/// shard thread fails closed by quarantining its whole chunk at `stage`.
+fn sharded_analysis(
+    inputs: &[Vec<f64>],
+    threads: usize,
+    config: &AnalysisConfig,
+    stage: SweepStage,
+    engine: impl Fn(usize, &[Vec<f64>]) -> ChunkOutcome + Sync,
+) -> ChunkOutcome {
+    let lost = |indices: Range<usize>, message: String| {
+        let lost = indices
+            .map(|input_index| QuarantinedInput {
+                input_index,
+                stage,
+                error: SweepFault::Panic(message.clone()),
+            })
+            .collect();
+        ChunkOutcome::new(AnalysisState::empty(config.clone()), lost)
+    };
+    sharded(inputs, threads, engine, lost)
+        .into_iter()
+        .reduce(|mut folded, next| {
+            folded.absorb(next);
+            folded
+        })
+        .expect("at least one chunk")
 }
 
 /// The telemetry fault-table cell for one quarantine record: the final
@@ -598,7 +608,7 @@ pub(crate) fn serial_family<R: Real>(
         SweepStage::ParallelShard => sweep.config.effective_threads(inputs.len()),
         _ => 1,
     };
-    assemble(sharded(
+    assemble(sharded_analysis(
         inputs,
         threads,
         &sweep.config,
@@ -619,7 +629,7 @@ pub(crate) fn batched_family<R: Real>(
     let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
     let stage = SweepStage::BatchedLane;
-    assemble(sharded(
+    assemble(sharded_analysis(
         inputs,
         threads,
         &sweep.config,
@@ -634,7 +644,13 @@ pub(crate) fn batched_family<R: Real>(
 
 /// The tiered family's sweep: tier 0 once per sweep (when
 /// [`AnalysisConfig::input_ranges`] is declared and covers every input),
-/// then the tiered engine per thread shard.
+/// then the certify pass over every thread shard, then the escalate pass
+/// over the same shards.
+///
+/// The escalate pass waits for the whole certify pass because its
+/// statement mask holds the union of every shard's demand set
+/// ([`statement_mask`]); each escalate shard reads its own inputs' verdicts.
+/// [`TierStats`] counts the verdicts.
 pub(crate) fn tiered_family(
     program: &Program,
     inputs: &[Vec<f64>],
@@ -642,18 +658,49 @@ pub(crate) fn tiered_family(
     armed: bool,
 ) -> (Report, TierStats) {
     let mut sweep = Sweep::new(program, config, armed);
-    sweep.prune = arm_tier0(program, &sweep.config, inputs);
+    let prune = arm_tier0(program, &sweep.config, inputs);
     let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
-    let params = CertParams::new(sweep.config.shadow_precision);
-    let outcome = sharded(
+    let certified = match CertParams::new(sweep.config.shadow_precision) {
+        Some(params) => {
+            let certify =
+                |start, chunk: &[Vec<f64>]| certify_chunk(&sweep, width, chunk, start, &params);
+            let lost = |indices: Range<usize>, _| Certified::escalate_all(indices.len());
+            sharded(inputs, threads, certify, lost)
+                .into_iter()
+                .reduce(|mut certified, next| {
+                    certified.absorb(next);
+                    certified
+                })
+                .expect("at least one chunk")
+        }
+        // Precision gate: below the tier threshold everything escalates.
+        None => {
+            telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
+            Certified::escalate_all(inputs.len())
+        }
+    };
+    let tiers = TierStats {
+        total_inputs: inputs.len(),
+        certified_inputs: certified.verdicts.iter().filter(|&&c| c).count(),
+    };
+    telemetry::TIERED_INPUTS_CERTIFIED.add(tiers.certified_inputs as u64);
+    telemetry::TIERED_INPUTS_ESCALATED.add(tiers.escalated_inputs() as u64);
+    if telemetry::enabled() {
+        telemetry::TIERED_DEMAND_STATEMENTS.add(certified.demand.computes(program) as u64);
+    }
+    sweep.mask = statement_mask(program, prune.as_ref(), &certified.demand, &sweep.config);
+    let verdicts = &certified.verdicts;
+    let outcome = sharded_analysis(
         inputs,
         threads,
         &sweep.config,
         SweepStage::TieredBigFloat,
-        |start, chunk| tiered_engine(&sweep, width, chunk, start, params.as_ref()),
+        |start, chunk| {
+            let verdicts = &verdicts[start..start + chunk.len()];
+            escalate_chunk(&sweep, width, chunk, start, verdicts)
+        },
     );
-    let tiers = outcome.tiers;
     (assemble(outcome), tiers)
 }
 

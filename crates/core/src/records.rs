@@ -448,11 +448,7 @@ impl OpRecord {
         config: &AnalysisConfig,
     ) {
         let had_prior_erroneous = self.erroneous > 0;
-        self.total += 1;
-        self.total_local_error.add(local_error);
-        if local_error > self.max_local_error {
-            self.max_local_error = local_error;
-        }
+        self.record_counts(local_error);
         if erroneous {
             self.erroneous += 1;
             if self.example_problematic.is_none() {
@@ -468,6 +464,21 @@ impl OpRecord {
             erroneous,
             had_prior_erroneous,
         );
+    }
+
+    /// Records one execution that was not erroneous, updating only its
+    /// counts: the execution count, the local-error sum and the maximum.
+    ///
+    /// A report reads a record's symbolic expression, input ranges and
+    /// example only once the statement was erroneous, so a tiered sweep
+    /// records the statements that cannot be erroneous this way and skips
+    /// their anti-unification and input summaries.
+    pub(crate) fn record_counts(&mut self, local_error: f64) {
+        self.total += 1;
+        self.total_local_error.add(local_error);
+        if local_error > self.max_local_error {
+            self.max_local_error = local_error;
+        }
     }
 
     /// Merges the record of a later input shard into this one: counts, exact

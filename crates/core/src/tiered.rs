@@ -14,7 +14,8 @@
 //!    double rounding feeding local and total error, the compensation
 //!    equality test (§5.3), a branch comparison — the probe checks that the
 //!    widened bound cannot flip the decision. A lane where any check fails
-//!    is marked uncertified for that input.
+//!    is marked uncertified for that input. The pass also names the
+//!    *demand set*: the statements that can be erroneous under `BigFloat`.
 //!
 //! 2. **Escalate pass.** Every input runs the full record-keeping analysis
 //!    on the shadow its verdict picks, in input order: certified inputs on
@@ -23,10 +24,14 @@
 //!    batched lane pass on the `DoubleDouble` tier. Every other chunk runs
 //!    on the serial engine, where the two analyses hand one
 //!    [`AnalysisState`](crate::AnalysisState) back and forth, so its records
-//!    accumulate in input order with no merge between tiers.
+//!    accumulate in input order with no merge between tiers. Statements
+//!    outside the demand set keep only their records' counts, and a sweep
+//!    whose demand set is empty builds no traces.
 //!
-//! Both passes run per thread shard on the tiered fault-isolating engine in
-//! [`crate::quarantine`]; [`analyze_tiered`] is its fail-fast view.
+//! The certify pass runs over every thread shard first, and its demand sets
+//! are united; then the escalate pass runs over the same shards. Both run
+//! on the tiered fault-isolating engine in [`crate::quarantine`];
+//! [`analyze_tiered`] is its fail-fast view.
 //!
 //! # Why the report is bit-identical to the all-`BigFloat` analysis
 //!
@@ -62,19 +67,37 @@
 //! anything (its own ~106-bit significand stops dominating the BigFloat
 //! rounding terms), so the driver skips the probe and runs the whole sweep
 //! in the `BigFloat` tier.
+//!
+//! # Why counts-only records leave the report unchanged
+//!
+//! A report reads an operation record's symbolic expression, input ranges
+//! and example only when the record was erroneous at least once, and
+//! influence sets hold only erroneous statements. A statement outside the
+//! demand set is never erroneous, so its record needs only the counts that
+//! `total_operations` and the averages read. The probe puts a statement in
+//! demand when a still-certified lane's local error exceeds the threshold —
+//! on such a lane the rounded operands and result are `BigFloat`'s, so the
+//! decision is too — and whenever a lane's certificate fails at or before
+//! the statement in the same run. A machine error, a panicking pass, the
+//! precision gate or a lost shard puts every statement in demand. Compensated
+//! executions only make the set larger. When no statement is in demand, no
+//! record reads a trace, so compute results carry the interner's kept `0.0`
+//! leaf; a trace budget is defined over the full traces, so a budgeted sweep
+//! keeps them. DESIGN.md, "Demand set", gives the whole argument.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::batched::lane_passes;
+use crate::analysis::{Observe, StatementMask};
+use crate::batched::{lane_passes, local_error_ulps, UlpsThreshold};
 use crate::config::AnalysisConfig;
 use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
 use fpcore::CmpOp;
 use fpvm::batch::{lane_indices, BatchMemory, BatchTracer, LaneMask};
-use fpvm::{Addr, Machine, MachineError, Program, Value, MAX_ARITY};
+use fpvm::{Addr, Machine, MachineError, Program, Statement, Value, MAX_ARITY};
 use shadowreal::cert::{self, CertParams};
 use shadowreal::{dd_batch, DdLanes, DoubleDouble, RealOp};
 use std::sync::Arc;
@@ -92,11 +115,6 @@ impl TierStats {
     /// Inputs escalated to the `BigFloat` tier.
     pub fn escalated_inputs(&self) -> usize {
         self.total_inputs - self.certified_inputs
-    }
-
-    pub(crate) fn absorb(&mut self, other: TierStats) {
-        self.total_inputs += other.total_inputs;
-        self.certified_inputs += other.certified_inputs;
     }
 }
 
@@ -148,20 +166,42 @@ pub(crate) struct CertifyProbe<const W: usize> {
     /// Whether the full analysis will run compensation detection (§5.3),
     /// whose pass-through equality tests must then be certified too.
     detect_compensation: bool,
+    /// The analysis's local-error test, made on certified lanes for the
+    /// demand set.
+    threshold: UlpsThreshold,
+    /// The demand set so far, by pc: statements that can be erroneous under
+    /// `BigFloat` on some input of this pass. Accumulates across runs.
+    demand: Vec<bool>,
 }
 
 impl<const W: usize> CertifyProbe<W> {
     /// A probe certifying against `params`, mirroring an analysis configured
-    /// with `detect_compensation`.
-    fn new(params: CertParams, detect_compensation: bool) -> Self {
+    /// like `config`.
+    fn new(params: CertParams, config: &AnalysisConfig) -> Self {
         CertifyProbe {
             values: Vec::new(),
             errs: Vec::new(),
             certified: [true; W],
             fail_kinds: [None; W],
             params,
-            detect_compensation,
+            detect_compensation: config.detect_compensation,
+            threshold: UlpsThreshold::new(config.local_error_threshold),
+            demand: Vec::new(),
         }
+    }
+
+    /// Whether statement `pc` is in the demand set already.
+    #[inline]
+    fn demanded(&self, pc: usize) -> bool {
+        self.demand.get(pc).copied().unwrap_or(false)
+    }
+
+    /// Puts statement `pc` in the demand set.
+    fn demand(&mut self, pc: usize) {
+        if pc >= self.demand.len() {
+            self.demand.resize(pc + 1, false);
+        }
+        self.demand[pc] = true;
     }
 
     /// The plane of `addr` and its bounds; past the table, the zero plane
@@ -216,7 +256,7 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
 
     fn on_compute(
         &mut self,
-        _pc: usize,
+        pc: usize,
         op: RealOp,
         dest: Addr,
         args: &[Addr],
@@ -234,9 +274,21 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
             (operands[i], operand_errs[i]) = self.read(addr);
         }
         let exact = dd_batch::apply(op, &operands[..n]);
+        // The demand set. On a lane whose checks all pass, the rounded
+        // operands and result are `BigFloat`'s, so the local-error test on
+        // them is `BigFloat`'s decision. A lane whose certificate fails here
+        // or failed earlier in the run decides nothing, so it puts the
+        // statement in demand. A statement in demand already needs no test.
+        let mut demanded = self.demanded(pc);
+        let ulps = if demanded {
+            [0; W]
+        } else {
+            local_error_ulps(op, &operands[..n], &exact)
+        };
         let mut result_errs = [f64::INFINITY; W];
         for l in lane_indices(mask) {
             if !self.certified[l] {
+                demanded = true;
                 continue;
             }
             let lane_args: [DoubleDouble; MAX_ARITY] = std::array::from_fn(|i| operands[i].get(l));
@@ -270,10 +322,15 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
             }
             if ok {
                 result_errs[l] = e;
+                demanded |= self.threshold.exceeded_by(ulps[l]);
             } else {
                 self.certified[l] = false;
                 self.fail_kinds[l].get_or_insert(fail_kind);
+                demanded = true;
             }
+        }
+        if demanded {
+            self.demand(pc);
         }
         for l in lane_indices(mask) {
             self.write(dest, l, exact.get(l), result_errs[l]);
@@ -340,32 +397,110 @@ impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
     }
 }
 
+/// The demand set D of a tiered sweep: the compute statements whose local
+/// error can exceed the threshold under the `BigFloat` shadow on some input
+/// of the sweep. Every other statement is never erroneous, so its records
+/// keep only their counts ([`Observe::Counts`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Demand {
+    /// Every statement: the certify pass could not bound what `BigFloat`
+    /// decides (a machine error, a panic, the precision gate, a lost shard).
+    Every,
+    /// The marked statements, by pc; statements past the end are unmarked.
+    Marked(Vec<bool>),
+}
+
+impl Demand {
+    /// Adds the statements of `other`.
+    fn union(&mut self, other: Demand) {
+        match (&mut *self, other) {
+            (Demand::Every, _) => {}
+            (_, Demand::Every) => *self = Demand::Every,
+            (Demand::Marked(mine), Demand::Marked(theirs)) => {
+                if mine.len() < theirs.len() {
+                    mine.resize(theirs.len(), false);
+                }
+                for (mine, theirs) in mine.iter_mut().zip(theirs) {
+                    *mine |= theirs;
+                }
+            }
+        }
+    }
+
+    /// Whether statement `pc` is in the set.
+    pub(crate) fn contains(&self, pc: usize) -> bool {
+        match self {
+            Demand::Every => true,
+            Demand::Marked(marked) => marked.get(pc).copied().unwrap_or(false),
+        }
+    }
+
+    /// How many of `program`'s compute statements are in the set.
+    pub(crate) fn computes(&self, program: &Program) -> usize {
+        let computes = program.statements.iter().enumerate();
+        computes
+            .filter(|&(pc, statement)| {
+                matches!(statement, Statement::Compute { .. }) && self.contains(pc)
+            })
+            .count()
+    }
+}
+
+/// What the certify pass decided for a contiguous run of inputs: the
+/// per-input verdicts, in input order, and the demand set of those inputs.
+#[derive(Debug)]
+pub(crate) struct Certified {
+    pub(crate) verdicts: Vec<bool>,
+    pub(crate) demand: Demand,
+}
+
+impl Certified {
+    /// The fail-closed outcome for `len` inputs the pass could not decide:
+    /// every input escalates, and every statement is in demand.
+    pub(crate) fn escalate_all(len: usize) -> Certified {
+        Certified {
+            verdicts: vec![false; len],
+            demand: Demand::Every,
+        }
+    }
+
+    /// Appends the outcome of the next inputs, in input order.
+    pub(crate) fn absorb(&mut self, next: Certified) {
+        self.verdicts.extend(next.verdicts);
+        self.demand.union(next.demand);
+    }
+}
+
 /// Runs the certify pass at compile-time width `W` and returns the per-input
-/// verdicts, in input order.
+/// verdicts, in input order, with the inputs' demand set.
 ///
 /// Inputs whose run fails with a [`MachineError`] are marked uncertified —
 /// the escalate pass reruns them in the `BigFloat` tier, which quarantines
-/// them with the same error a plain sweep stops at. The failing lane keeps
-/// consuming its chunk: unlike the analysis sweeps, the probe must classify
-/// *every* input. `inject_base` (fault-injection builds only) arms injected
-/// certification verdicts with the sweep-global index of `inputs[0]`;
-/// unarmed sweeps pass `None`.
+/// them with the same error a plain sweep stops at — and put every statement
+/// in demand: a deadline can stop the probe's run before the `BigFloat`
+/// run of the same input stops. The failing lane keeps consuming its chunk:
+/// unlike the analysis sweeps, the probe must classify *every* input.
+/// `inject_base` (fault-injection builds only) arms injected certification
+/// verdicts with the sweep-global index of `inputs[0]`; unarmed sweeps pass
+/// `None`.
 pub(crate) fn certify_inputs<const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     params: &CertParams,
-    detect_compensation: bool,
+    config: &AnalysisConfig,
     #[cfg(feature = "fault-injection")] inject_base: Option<usize>,
-) -> Vec<bool> {
+) -> Certified {
     let batch = machine.batched::<W>();
-    let mut probe = CertifyProbe::<W>::new(*params, detect_compensation);
+    let mut probe = CertifyProbe::<W>::new(*params, config);
     let mut memory = BatchMemory::new();
     let mut certified = vec![false; inputs.len()];
+    let mut machine_fault = false;
     for lanes in lane_passes::<W>(inputs.len()) {
         let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
         let outcome = batch.run_batch(&lane_inputs, &mut probe, &mut memory);
         for (l, index) in lanes.into_iter().enumerate() {
             let Some(index) = index else { continue };
+            machine_fault |= outcome.errors[l].is_some();
             #[allow(unused_mut)]
             let mut verdict = probe.certified[l] && outcome.errors[l].is_none();
             if telemetry::enabled() && !verdict {
@@ -403,7 +538,15 @@ pub(crate) fn certify_inputs<const W: usize>(
             certified[index] = verdict;
         }
     }
-    certified
+    let demand = if machine_fault {
+        Demand::Every
+    } else {
+        Demand::Marked(probe.demand)
+    };
+    Certified {
+        verdicts: certified,
+        demand,
+    }
 }
 
 /// Arms tier 0 for a tiered sweep: the static prune mask of the program
@@ -423,13 +566,19 @@ pub(crate) fn certify_inputs<const W: usize>(
 /// unpruned and the static pass is skipped, so the bit-identity contract
 /// holds even when the declared ranges are wrong. Returns `None` as well
 /// when no ranges are declared, when they do not match the program's arity
-/// (fail closed), or when nothing prunable was certified.
+/// (fail closed), when nothing prunable was certified, or when the sweep
+/// has a trace budget: the budget is defined over the full traces, and a
+/// pruned statement builds none, so an input that exhausts the budget
+/// unpruned could pass it pruned.
 pub(crate) fn arm_tier0(
     program: &Program,
     config: &AnalysisConfig,
     inputs: &[Vec<f64>],
-) -> Option<Arc<staticerr::PruneMask>> {
+) -> Option<staticerr::PruneMask> {
     let ranges = config.input_ranges.as_ref()?;
+    if config.trace_node_budget != 0 {
+        return None;
+    }
     let inside = |input: &Vec<f64>| {
         input.len() == ranges.len()
             && input
@@ -450,7 +599,39 @@ pub(crate) fn arm_tier0(
     let mask = staticerr::prune_mask(program, &analysis);
     telemetry::TIER0_STATEMENTS_CERTIFIED.add(analysis.certified_computes as u64);
     telemetry::TIER0_STATEMENTS_PRUNED.add(mask.pruned_computes() as u64);
-    (!mask.is_empty()).then(|| Arc::new(mask))
+    (!mask.is_empty()).then_some(mask)
+}
+
+/// The statement mask of a tiered sweep's escalate pass: tier 0's pruned
+/// statements ([`arm_tier0`]), the statements outside the sweep's demand
+/// set, and whether compute results need traces. `None` when it would
+/// change nothing: no statement is pruned and every statement is in demand.
+///
+/// The demand set must be the whole sweep's. A thread shard's records merge
+/// with the other shards' record by record, and a counts-only record merged
+/// with a full one would drop that shard's observations.
+pub(crate) fn statement_mask(
+    program: &Program,
+    prune: Option<&staticerr::PruneMask>,
+    demand: &Demand,
+    config: &AnalysisConfig,
+) -> Option<Arc<StatementMask>> {
+    if prune.is_none() && *demand == Demand::Every {
+        return None;
+    }
+    let observe: Vec<Observe> = (0..program.len())
+        .map(|pc| {
+            if prune.is_some_and(|mask| mask.is_pruned(pc)) {
+                Observe::Pruned
+            } else if demand.contains(pc) {
+                Observe::Full
+            } else {
+                Observe::Counts
+            }
+        })
+        .collect();
+    let traces = config.trace_node_budget != 0 || observe.contains(&Observe::Full);
+    Some(Arc::new(StatementMask::new(observe, traces)))
 }
 
 /// Runs the tiered adaptive-precision analysis and returns the report
@@ -500,6 +681,7 @@ mod tests {
 
     use super::*;
     use crate::analysis::analyze;
+    use crate::quarantine::analyze_tiered_isolated;
     use fpcore::parse_core;
     use fpvm::compile_core;
 
@@ -758,6 +940,26 @@ mod tests {
     }
 
     #[test]
+    fn tier0_budgeted_sweeps_run_unpruned_and_identical() {
+        // A trace budget counts the nodes of the full traces, which pruned
+        // statements do not build: pruned, every input would pass a budget
+        // that quarantines it unpruned.
+        let p = program("(FPCore (x) (+ (* x x) (+ x 2)))");
+        let inputs: Vec<Vec<f64>> = (0..12).map(|i| vec![1.0 + f64::from(i)]).collect();
+        let config = AnalysisConfig::default()
+            .with_threads(1)
+            .with_trace_node_budget(2);
+        let plain = analyze_tiered_isolated(&p, &inputs, &config);
+        assert_eq!(plain.quarantined.len(), inputs.len());
+        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+        let armed =
+            analyze_tiered_isolated(&p, &inputs, &config.with_input_ranges(vec![(1.0, 16.0)]));
+        let snap = capture.finish();
+        assert_eq!(format!("{plain:?}"), format!("{armed:?}"));
+        assert_eq!(snap.counter("tier0.pruned_executions"), 0, "{snap:?}");
+    }
+
+    #[test]
     fn tier0_arity_mismatch_fails_closed() {
         let p = program("(FPCore (x y) (+ x y))");
         let inputs: Vec<Vec<f64>> = (0..6).map(|i| vec![f64::from(i), 2.0]).collect();
@@ -784,5 +986,74 @@ mod tests {
         let (tiered, _) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
         assert_eq!(format!("{serial:?}"), format!("{tiered:?}"));
         assert!(tiered.has_significant_error());
+    }
+
+    #[test]
+    fn faulted_certify_runs_demand_every_statement() {
+        // A run the certify pass cannot finish decides nothing about the
+        // statements after its fault, so the whole sweep keeps full records.
+        let p = program("(FPCore (n) (while (< t n) ((t 0 (+ t 0.125)) (c 0 (+ c 1))) c))");
+        let inputs: Vec<Vec<f64>> = vec![vec![1.0], vec![800.0]];
+        let config = AnalysisConfig {
+            step_limit: 100,
+            ..AnalysisConfig::default()
+        }
+        .normalize();
+        let params = CertParams::new(config.shadow_precision).unwrap();
+        let machine = Machine::new(&p).with_step_limit(config.step_limit);
+        let certify = |inputs: &[Vec<f64>]| {
+            certify_inputs::<8>(
+                &machine,
+                inputs,
+                &params,
+                &config,
+                #[cfg(feature = "fault-injection")]
+                None,
+            )
+        };
+        let certified = certify(&inputs);
+        assert_eq!(certified.verdicts, [true, false]);
+        assert_eq!(certified.demand, Demand::Every);
+        assert!(statement_mask(&p, None, &certified.demand, &config).is_none());
+        let clean = certify(&inputs[..1]);
+        assert_eq!(clean.demand.computes(&p), 0);
+        let mask = statement_mask(&p, None, &clean.demand, &config).unwrap();
+        assert!(!mask.traces());
+        // A trace budget is defined over the full traces, so it keeps them.
+        let budgeted = config.clone().with_trace_node_budget(1 << 20);
+        assert!(statement_mask(&p, None, &clean.demand, &budgeted)
+            .unwrap()
+            .traces());
+    }
+
+    #[test]
+    fn empty_demand_sets_skip_record_summaries_and_traces() {
+        // Every input certifies and nothing is erroneous: the tiered sweep
+        // keeps only counts and builds no result node, and its report is
+        // still the serial one.
+        let p = program("(FPCore (n) (while (< i n) ((s 0 (+ s (/ 1 i))) (i 1 (+ i 1))) s))");
+        let inputs: Vec<Vec<f64>> = (1..23).map(|i| vec![f64::from(i * 3)]).collect();
+        let serial = analyze(&p, &inputs, &AnalysisConfig::default().with_threads(1)).unwrap();
+        for (threads, width) in [(1, 1), (1, 8), (2, 4)] {
+            let config = AnalysisConfig::default()
+                .with_threads(threads)
+                .with_batch_width(width);
+            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+            let (tiered, stats) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
+            let snap = capture.finish();
+            let context = format!("threads={threads} width={width}");
+            assert_eq!(format!("{serial:?}"), format!("{tiered:?}"), "{context}");
+            assert_eq!(stats.escalated_inputs(), 0, "{context}");
+            assert_eq!(snap.counter("tiered.demand_statements"), 0, "{context}");
+            // Every analyzed op updates counts only, except the detected
+            // compensations, which update no record at all.
+            assert_eq!(
+                snap.counter("analysis.counts_only_updates") + tiered.compensations_detected,
+                snap.counter("shadow.dd_ops"),
+                "{context}"
+            );
+            let nodes = snap.counter("interner.probe_hits") + snap.counter("interner.probe_misses");
+            assert_eq!(nodes, 0, "{context}");
+        }
     }
 }

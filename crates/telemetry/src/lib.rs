@@ -216,6 +216,9 @@ declare_counters! {
      "Deep trace nodes (past the interning depth bound) a lane took from an earlier lane of its group."),
     (BATCH_GROUP_SPLIT_NODES, "batch.group_split_nodes", false,
      "Deep trace nodes (past the interning depth bound) a lane built itself."),
+    // Analysis record layer.
+    (ANALYSIS_COUNTS_ONLY_UPDATES, "analysis.counts_only_updates", true,
+     "Operation-record updates that kept only counts: statements outside a tiered sweep's demand set."),
     // Shadow op counts attributed by Real::kind_name().
     (SHADOW_F64_OPS, "shadow.f64_ops", true,
      "Analyzed operations executed under the f64 reference shadow."),
@@ -260,6 +263,8 @@ declare_counters! {
      "Inputs escalated wholesale because the shadow precision has no certificate parameters."),
     (TIERED_ESCALATE_INJECTED, "tiered.escalate_injected", true,
      "Escalations forced by the fault-injection harness."),
+    (TIERED_DEMAND_STATEMENTS, "tiered.demand_statements", true,
+     "Compute statements in a tiered sweep's demand set (those that can be erroneous), summed over sweeps."),
     // Static tier 0 (error-dataflow certification over the tape).
     (TIER0_STATEMENTS_CERTIFIED, "tier0.statements_certified", true,
      "Compute statements the static tier-0 pass certified stable."),

@@ -3,8 +3,9 @@
 //! 1. **Order-independent metrics are execution-plan-invariant** — every
 //!    counter the registry marks *stable* (machine steps, shadow op counts
 //!    by kind, `BigFloat` division dispatch, tier verdicts and escalation
-//!    causes, quarantine totals) is identical across thread counts and
-//!    batch widths. Width-dependent metrics (pass counts, divergence
+//!    causes, the demand set and its counts-only record updates,
+//!    quarantine totals) is identical across thread counts and batch
+//!    widths. Width-dependent metrics (pass counts, divergence
 //!    events, interner traffic, cache hits) are deliberately excluded from
 //!    the stable set.
 //! 2. **Telemetry never feeds back into analysis** — the report is
@@ -116,6 +117,36 @@ fn tiered_stable_counters_are_batch_width_invariant() {
     assert_eq!(total, prepared.inputs.len() as u64, "tier verdict totals");
     for (width, tel) in &snapshots[1..] {
         assert_stable_counters_match(baseline, tel, &format!("tiered width {width} vs 1"));
+    }
+}
+
+#[test]
+fn tiered_stable_counters_are_thread_count_invariant() {
+    // Every shard's escalate pass reads the union of every shard's demand
+    // set, so the set's size and the record updates it keeps counts-only do
+    // not depend on the thread count either.
+    for name in ["NMSE example 3.1", "naive variance accumulation"] {
+        let core = fpbench::by_name(name).expect("benchmark present");
+        let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
+        let sweep = |threads: usize| {
+            let config = AnalysisConfig::default().with_threads(threads);
+            let (report, tel) = captured(TelemetryMode::On, || {
+                analyze_tiered(&prepared.program, &prepared.inputs, &config)
+            });
+            report.unwrap_or_else(|e| panic!("{name}, threads={threads}: {e:?}"));
+            tel
+        };
+        let baseline = sweep(1);
+        assert!(baseline.counter("tiered.demand_statements") > 0, "{name}");
+        assert!(
+            baseline.counter("analysis.counts_only_updates") > 0,
+            "{name}"
+        );
+        for threads in [2usize, 3, 4] {
+            let tel = sweep(threads);
+            let context = format!("{name}, tiered {threads} threads vs 1");
+            assert_stable_counters_match(&baseline, &tel, &context);
+        }
     }
 }
 

@@ -52,34 +52,58 @@ fn assert_tiered_matches_oracles(
 
 #[test]
 fn tiered_matches_the_reference_on_the_benchmark_suite() {
-    let mut totals = TierStats::default();
-    for core in fpbench::suite() {
-        let name = core.display_name().to_string();
-        let prepared = fpbench::prepare(&core, 12, 2024).expect("prepare");
-        let stats = assert_tiered_matches_oracles(
-            &prepared.program,
-            &prepared.inputs,
-            &AnalysisConfig::default(),
-            &name,
+    // One and two threads: the demand set is the union of every thread
+    // shard's certify pass, and a shard-local set would give a statement
+    // counts-only records in one shard and full ones in another, which
+    // breaks only where shards merge.
+    for threads in [1, 2] {
+        let config = AnalysisConfig::default().with_threads(threads);
+        let mut totals = TierStats::default();
+        let (mut empty_demand, mut counts_only) = (0, 0);
+        for core in fpbench::suite() {
+            let name = core.display_name().to_string();
+            let prepared = fpbench::prepare(&core, 12, 2024).expect("prepare");
+            let context = format!("{name}, threads={threads}");
+            let capture = herbgrind::SweepCapture::begin(herbgrind::TelemetryMode::On);
+            let stats = assert_tiered_matches_oracles(
+                &prepared.program,
+                &prepared.inputs,
+                &config,
+                &context,
+            );
+            let telemetry = capture.finish();
+            totals.total_inputs += stats.total_inputs;
+            totals.certified_inputs += stats.certified_inputs;
+            empty_demand += usize::from(telemetry.counter("tiered.demand_statements") == 0);
+            counts_only += telemetry.counter("analysis.counts_only_updates");
+        }
+        // Both tiers must actually run across the suite: a probe that
+        // certifies nothing degenerates to the plain analysis, one that
+        // certifies everything is not being conservative about specials and
+        // domain edges. (The whole suite is the honest denominator here —
+        // the NMSE kernels at the front are cancellation stress tests where
+        // escalation is the *correct* verdict, and a subset-only rate would
+        // hide a probe that stopped certifying the accumulation and
+        // polynomial benchmarks.)
+        assert!(
+            totals.certified_inputs * 2 > totals.total_inputs,
+            "suite should be mostly certified at {threads} threads: {totals:?}"
         );
-        totals.total_inputs += stats.total_inputs;
-        totals.certified_inputs += stats.certified_inputs;
+        assert!(
+            totals.certified_inputs < totals.total_inputs,
+            "suite should escalate somewhere at {threads} threads: {totals:?}"
+        );
+        // The demand set is not vacuous: records were kept counts-only, and
+        // some sweep needed no full record at all.
+        assert!(
+            counts_only > 0,
+            "no record update was counts-only at {threads} threads"
+        );
+        assert!(
+            empty_demand > 0,
+            "no sweep had an empty demand set at {threads} threads"
+        );
     }
-    // Both tiers must actually run across the suite: a probe that certifies
-    // nothing degenerates to the plain analysis, one that certifies
-    // everything is not being conservative about specials and domain edges.
-    // (The whole suite is the honest denominator here — the NMSE kernels at
-    // the front are cancellation stress tests where escalation is the
-    // *correct* verdict, and a subset-only rate would hide a probe that
-    // stopped certifying the accumulation and polynomial benchmarks.)
-    assert!(
-        totals.certified_inputs * 2 > totals.total_inputs,
-        "suite should be mostly certified: {totals:?}"
-    );
-    assert!(
-        totals.certified_inputs < totals.total_inputs,
-        "suite should escalate somewhere: {totals:?}"
-    );
 }
 
 #[test]
@@ -106,6 +130,71 @@ fn tier0_armed_tiered_matches_the_oracles_on_the_whole_suite() {
     assert!(
         telemetry.counter("tier0.pruned_executions") > 0,
         "tier 0 masks exist but no execution ever skipped shadowing"
+    );
+}
+
+#[test]
+fn demand_set_spans_every_thread_shard() {
+    // A statement erroneous only on the second shard's inputs: the first
+    // shard alone would keep it counts-only.
+    let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").unwrap();
+    let program = fpvm::compile_core(&core, Default::default()).unwrap();
+    let inputs: Vec<Vec<f64>> = (0..12)
+        .map(|i| match i {
+            0..=5 => vec![1.5 + f64::from(i)],
+            _ => vec![10f64.powi(2 + i)],
+        })
+        .collect();
+    for threads in [1, 2] {
+        let config = AnalysisConfig::default().with_threads(threads);
+        let context = format!("second-shard error, threads={threads}");
+        assert_tiered_matches_oracles(&program, &inputs, &config, &context);
+    }
+}
+
+#[test]
+fn demand_set_is_the_flagged_set_on_fully_certified_sweeps() {
+    // Tightness. With compensation detection off, a sweep whose every input
+    // certifies puts in demand only the statements the analysis flags. The
+    // flat comparison shows the demand set holds every flagged statement (a
+    // flagged statement outside it would change the report), so equal sizes
+    // mean equal sets. A demand set grown to every statement would keep
+    // every report right and lose the whole saving; only this test sees it.
+    let config = AnalysisConfig::default().with_compensation_detection(false);
+    let (mut exact, mut with_flags, mut empty) = (0, 0, 0);
+    for core in fpbench::suite() {
+        let name = core.display_name().to_string();
+        let prepared = fpbench::prepare(&core, 12, 2024).expect("prepare");
+        let capture = herbgrind::SweepCapture::begin(herbgrind::TelemetryMode::On);
+        let tiered = analyze_tiered_with_stats(&prepared.program, &prepared.inputs, &config);
+        let telemetry = capture.finish();
+        let flat = analyze(&prepared.program, &prepared.inputs, &config);
+        let (report, stats) = match (tiered, flat) {
+            (Ok((report, stats)), Ok(flat)) => {
+                assert_eq!(format!("{report:?}"), format!("{flat:?}"), "{name}");
+                (report, stats)
+            }
+            (tiered, flat) => {
+                assert_eq!(
+                    format!("{:?}", tiered.err()),
+                    format!("{:?}", flat.err()),
+                    "{name}"
+                );
+                continue;
+            }
+        };
+        if stats.escalated_inputs() > 0 {
+            continue;
+        }
+        let demand = telemetry.counter("tiered.demand_statements");
+        assert_eq!(demand, report.flagged_operations as u64, "{name}");
+        exact += 1;
+        with_flags += usize::from(report.flagged_operations > 0);
+        empty += usize::from(report.flagged_operations == 0);
+    }
+    assert!(
+        with_flags > 0 && empty > 0,
+        "{exact} fully certified sweeps: {with_flags} with flagged operations, {empty} without"
     );
 }
 
