@@ -21,16 +21,6 @@ pub struct BzReport {
 }
 
 impl BzReport {
-    /// Statements flagged at least once.
-    pub fn flagged_statements(&self) -> Vec<usize> {
-        self.per_branch
-            .iter()
-            .chain(self.per_conversion.iter())
-            .filter(|(_, (_, flagged))| *flagged > 0)
-            .map(|(&pc, _)| pc)
-            .collect()
-    }
-
     /// Total number of flagged evaluations.
     pub fn flagged_evaluations(&self) -> u64 {
         self.per_branch

@@ -38,7 +38,7 @@ use criterion::{criterion_group, Criterion};
 use fpcore::Expr;
 use fpvm::{Machine, Program, Tracer, Value};
 use herbgrind::{analyze, analyze_parallel, AnalysisConfig};
-use herbgrind_bench::quality_benchmarks;
+use herbgrind_bench::{quality_benchmarks, quartiles, ratio_quartiles};
 use shadowreal::RealOp;
 use std::hint::black_box;
 use std::time::Instant;
@@ -183,17 +183,6 @@ fn timed(work: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn median(values: &mut [f64]) -> f64 {
-    quartiles(values).1
-}
-
-/// The lower quartile, median and upper quartile (nearest rank).
-fn quartiles(values: &mut [f64]) -> (f64, f64, f64) {
-    values.sort_by(f64::total_cmp);
-    let at = |q: f64| values[((values.len() - 1) as f64 * q).round() as usize];
-    (at(0.25), at(0.5), at(0.75))
-}
-
 fn loop_scaling() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
     let (reps, inputs) = if smoke { (1, 4) } else { (11, LOOP_INPUTS) };
@@ -248,14 +237,7 @@ fn loop_scaling() {
             secs[row].push(rows[row].3());
         }
     }
-    let ratio = |num: usize, den: usize| {
-        let mut ratios: Vec<f64> = secs[num]
-            .iter()
-            .zip(&secs[den])
-            .map(|(n, d)| n / d)
-            .collect();
-        median(&mut ratios)
-    };
+    let ratio = |num: usize, den: usize| ratio_quartiles(&secs[num], &secs[den])[1];
     let parallel_speedup = ratio(0, 1);
     let concurrent_slowdown = ratio(2, 0);
     let control_slowdown = ratio(3, 4);
@@ -266,12 +248,9 @@ fn loop_scaling() {
         kernels.len()
     ));
     for (row, &(name, threads, sweeps, _)) in rows.iter().enumerate().take(4) {
-        let (q1, med, q3) = quartiles(&mut secs[row].clone());
+        let [q1, med, q3] = quartiles(&secs[row]);
         let work = if sweeps == 0 {
-            format!(
-                "\"one_thread_median_s\": {:.4}",
-                median(&mut secs[4].clone())
-            )
+            format!("\"one_thread_median_s\": {:.4}", quartiles(&secs[4])[1])
         } else {
             format!("\"ops_per_sec\": {:.0}", (sweeps * total_ops) as f64 / med)
         };

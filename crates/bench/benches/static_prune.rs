@@ -17,18 +17,24 @@
 //!   flags as erroneous may carry the `CertifiedStable` verdict (the
 //!   suite-wide soundness count, reported as `unsound_certifications`).
 //!
+//! The two sweep modes are timed round-robin
+//! (`herbgrind_bench::round_robin`): each round sweeps both, in alternating
+//! order, so a slow spell on a shared machine costs both alike. A row's
+//! ns/op is its median over the rounds, and the speedup is the median of
+//! the per-round ratios, reported with its quartiles and the round count.
+//!
 //! Output is human-readable rows plus machine-readable JSON between
 //! `STATIC_PRUNE_JSON_BEGIN`/`END` markers; `STATIC_PRUNE_JSON=path` also
 //! writes the JSON to a file (the committed `BENCH_static_prune.json`
 //! baseline is produced that way), and `BENCH_SMOKE=1` switches to a few
-//! samples and one short iteration per measurement for CI.
+//! samples and one round for CI.
 
 use fpvm::{Addr, Machine, Program, Tracer};
 use herbgrind::staticerr::{analyze_program, StaticParams, StaticVerdict};
 use herbgrind::{analyze_tiered, AnalysisConfig, SweepCapture, TelemetryMode};
+use herbgrind_bench::{quartiles, ratio_quartiles, round_robin};
 use shadowreal::RealOp;
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Counts executed floating-point operations (the denominator of every
 /// ops/sec figure; identical across modes because the analysis follows the
@@ -44,31 +50,6 @@ impl Tracer for OpCounter {
     }
 }
 
-struct Row {
-    mode: &'static str,
-    ns_per_op: f64,
-}
-
-impl Row {
-    fn ops_per_sec(&self) -> f64 {
-        1e9 / self.ns_per_op
-    }
-}
-
-/// Best-of-`reps` ns per analyzed op for one full sweep.
-fn measure<F: FnMut()>(total_ops: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let ns = start.elapsed().as_nanos() as f64 / total_ops as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
 struct PreparedSweep {
     program: Program,
     inputs: Vec<Vec<f64>>,
@@ -77,7 +58,7 @@ struct PreparedSweep {
 
 fn main() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let reps = if smoke { 1 } else { 7 };
+    let rounds = if smoke { 1 } else { 41 };
     let samples = if smoke { 4 } else { 24 };
     let suite = fpbench::suite();
 
@@ -173,60 +154,58 @@ fn main() {
     );
 
     // --- Measure ----------------------------------------------------------
-    let mut rows: Vec<Row> = Vec::new();
-    let ns = measure(total_ops, reps, || {
-        for p in &prepared {
-            black_box(analyze_tiered(&p.program, &p.inputs, &plain).ok());
-        }
-    });
-    rows.push(Row {
-        mode: "tiered",
-        ns_per_op: ns,
-    });
     let armed_configs: Vec<AnalysisConfig> = prepared
         .iter()
         .map(|p| plain.clone().with_input_ranges(p.region.clone()))
         .collect();
-    let ns = measure(total_ops, reps, || {
-        for (p, config) in prepared.iter().zip(&armed_configs) {
-            black_box(analyze_tiered(&p.program, &p.inputs, config).ok());
-        }
-    });
-    rows.push(Row {
-        mode: "tiered+tier0",
-        ns_per_op: ns,
-    });
+    let modes = ["tiered", "tiered+tier0"];
+    let secs = round_robin(
+        rounds,
+        &mut [
+            &mut || {
+                for p in &prepared {
+                    black_box(analyze_tiered(&p.program, &p.inputs, &plain).ok());
+                }
+            },
+            &mut || {
+                for (p, config) in prepared.iter().zip(&armed_configs) {
+                    black_box(analyze_tiered(&p.program, &p.inputs, config).ok());
+                }
+            },
+        ],
+    );
 
     // --- Report -----------------------------------------------------------
-    for row in &rows {
+    let ns_per_op: Vec<f64> = secs
+        .iter()
+        .map(|mode| quartiles(mode)[1] * 1e9 / total_ops as f64)
+        .collect();
+    for (mode, ns) in modes.iter().zip(&ns_per_op) {
         println!(
-            "bench static_prune/{}: {:.1} ns/op  ({:.2e} analyzed ops/s)",
-            row.mode,
-            row.ns_per_op,
-            row.ops_per_sec()
+            "bench static_prune/{mode}: {ns:.1} ns/op  ({:.2e} analyzed ops/s)",
+            1e9 / ns
         );
     }
-    let speedup = rows[0].ns_per_op / rows[1].ns_per_op;
+    let [q1, speedup, q3] = ratio_quartiles(&secs[0], &secs[1]);
     println!(
-        "bench static_prune: tier-0-armed vs plain tiered: {speedup:.2}x \
-         ({}; {pruned_executions} pruned statement-executions over \
-         {total_inputs} inputs; {total_ops} analyzed ops per sweep)",
+        "bench static_prune: tier-0-armed vs plain tiered: {speedup:.2}x [{q1:.2}, {q3:.2}] \
+         (median and quartiles of {rounds} round-robin rounds; {}; \
+         {pruned_executions} pruned statement-executions over {total_inputs} inputs; \
+         {total_ops} analyzed ops per sweep)",
         survey.to_text()
     );
 
     let mut json = String::from("{\n  \"bench\": \"static_prune\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    for (i, (mode, ns)) in modes.iter().zip(&ns_per_op).enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"ns_per_op\": {:.2}, \"ops_per_sec\": {:.0}}}{}\n",
-            row.mode,
-            row.ns_per_op,
-            row.ops_per_sec(),
-            if i + 1 == rows.len() { "" } else { "," }
+            "    {{\"mode\": \"{mode}\", \"ns_per_op\": {ns:.2}, \"ops_per_sec\": {:.0}}}{}\n",
+            1e9 / ns,
+            if i + 1 == modes.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"analyzed_ops_per_sweep\": {total_ops},\n  \"total_inputs\": {total_inputs},\n  \"pruned_executions\": {pruned_executions},\n  \"unsound_certifications\": {unsound_certifications},\n  \"speedup\": {{\"tier0_armed_vs_plain\": {speedup:.2}}},\n"
+        "  \"analyzed_ops_per_sweep\": {total_ops},\n  \"total_inputs\": {total_inputs},\n  \"pruned_executions\": {pruned_executions},\n  \"unsound_certifications\": {unsound_certifications},\n  \"rounds\": {rounds},\n  \"speedup\": {{\"tier0_armed_vs_plain\": {speedup:.2}}},\n  \"speedup_quartiles\": {{\"tier0_armed_vs_plain\": [{q1:.2}, {q3:.2}]}},\n"
     ));
     // The survey JSON is itself schema-stable (`herbgrind-static-prune` v1);
     // embed it verbatim as the `survey` member.

@@ -25,19 +25,25 @@
 //!   all-dd analysis, as context for how much of the remaining gap is
 //!   probe overhead vs. shadow arithmetic.
 //!
+//! The modes are timed round-robin (`herbgrind_bench::round_robin`): each
+//! round sweeps every mode once, in rotating order, so a slow spell on a
+//! shared machine costs every mode alike. A row's ns/op is its median over
+//! the rounds, and each speedup is the median of the per-round ratios,
+//! reported with its quartiles and the round count.
+//!
 //! Output is human-readable rows plus machine-readable JSON between
 //! `TIERED_SWEEP_JSON_BEGIN`/`END` markers; `TIERED_SWEEP_JSON=path` also
 //! writes the JSON to a file (the committed `BENCH_tiered_sweep.json`
 //! baseline is produced that way), and `BENCH_SMOKE=1` switches to one
-//! short iteration per measurement for CI.
+//! short round for CI.
 
 use fpvm::{Addr, Machine, Program, Tracer};
 use herbgrind::{
     analyze, analyze_tiered, analyze_tiered_with_stats, analyze_with_shadow, AnalysisConfig,
 };
+use herbgrind_bench::{quartiles, ratio_quartiles, round_robin};
 use shadowreal::{DoubleDouble, RealOp};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Counts executed floating-point operations (the denominator of every
 /// ops/sec figure; identical across modes because the analysis follows the
@@ -51,31 +57,6 @@ impl Tracer for OpCounter {
     fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
         self.computes += 1;
     }
-}
-
-struct Row {
-    mode: &'static str,
-    ns_per_op: f64,
-}
-
-impl Row {
-    fn ops_per_sec(&self) -> f64 {
-        1e9 / self.ns_per_op
-    }
-}
-
-/// Best-of-`reps` ns per analyzed op for one full sweep.
-fn measure<F: FnMut()>(total_ops: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let ns = start.elapsed().as_nanos() as f64 / total_ops as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
 }
 
 struct SweepKernel {
@@ -129,7 +110,7 @@ fn sweep_kernels(smoke: bool) -> Vec<SweepKernel> {
 
 fn main() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
-    let reps = if smoke { 1 } else { 9 };
+    let rounds = if smoke { 1 } else { 101 };
     let prepared = sweep_kernels(smoke);
     // One analysis thread throughout: this bench measures the tiering.
     let config = AnalysisConfig::default().with_threads(1);
@@ -168,75 +149,63 @@ fn main() {
         "kernels drifted out of the certificate domains: {certified_inputs}/{total_inputs} certified"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
-    let ns = measure(total_ops, reps, || {
-        for p in &prepared {
-            black_box(analyze(&p.program, &p.inputs, &config).expect("full-report"));
-        }
-    });
-    rows.push(Row {
-        mode: "full-report",
-        ns_per_op: ns,
-    });
-    let ns = measure(total_ops, reps, || {
-        for p in &prepared {
-            black_box(analyze_tiered(&p.program, &p.inputs, &config).expect("tiered"));
-        }
-    });
-    rows.push(Row {
-        mode: "tiered",
-        ns_per_op: ns,
-    });
-    let ns = measure(total_ops, reps, || {
-        for p in &prepared {
-            black_box(
-                analyze_with_shadow::<DoubleDouble>(&p.program, &p.inputs, &config)
-                    .expect("dd-full"),
-            );
-        }
-    });
-    rows.push(Row {
-        mode: "dd-full",
-        ns_per_op: ns,
-    });
+    let modes = ["full-report", "tiered", "dd-full"];
+    let secs = round_robin(
+        rounds,
+        &mut [
+            &mut || {
+                for p in &prepared {
+                    black_box(analyze(&p.program, &p.inputs, &config).expect("full-report"));
+                }
+            },
+            &mut || {
+                for p in &prepared {
+                    black_box(analyze_tiered(&p.program, &p.inputs, &config).expect("tiered"));
+                }
+            },
+            &mut || {
+                for p in &prepared {
+                    black_box(
+                        analyze_with_shadow::<DoubleDouble>(&p.program, &p.inputs, &config)
+                            .expect("dd-full"),
+                    );
+                }
+            },
+        ],
+    );
 
     // --- Report -----------------------------------------------------------
-    let find = |mode: &str| {
-        rows.iter()
-            .find(|r| r.mode == mode)
-            .expect("row present")
-            .ns_per_op
-    };
-    for row in &rows {
+    let ns_per_op: Vec<f64> = secs
+        .iter()
+        .map(|mode| quartiles(mode)[1] * 1e9 / total_ops as f64)
+        .collect();
+    for (mode, ns) in modes.iter().zip(&ns_per_op) {
         println!(
-            "bench tiered_sweep/{}: {:.1} ns/op  ({:.2e} analyzed ops/s)",
-            row.mode,
-            row.ns_per_op,
-            row.ops_per_sec()
+            "bench tiered_sweep/{mode}: {ns:.1} ns/op  ({:.2e} analyzed ops/s)",
+            1e9 / ns
         );
     }
-    let tiered_vs_full = find("full-report") / find("tiered");
-    let dd_vs_full = find("full-report") / find("dd-full");
+    let [tiered_q1, tiered_vs_full, tiered_q3] = ratio_quartiles(&secs[0], &secs[1]);
+    let [dd_q1, dd_vs_full, dd_q3] = ratio_quartiles(&secs[0], &secs[2]);
     println!(
         "bench tiered_sweep: tiered vs full-report: {tiered_vs_full:.2}x \
-         (uncertified all-dd context: {dd_vs_full:.2}x; \
+         [{tiered_q1:.2}, {tiered_q3:.2}] (uncertified all-dd context: {dd_vs_full:.2}x; \
+         medians and quartiles of {rounds} round-robin rounds; \
          {certified_inputs}/{total_inputs} inputs certified; \
          {total_ops} analyzed ops per sweep)"
     );
 
     let mut json = String::from("{\n  \"bench\": \"tiered_sweep\",\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
+    for (i, (mode, ns)) in modes.iter().zip(&ns_per_op).enumerate() {
         json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"ns_per_op\": {:.2}, \"ops_per_sec\": {:.0}}}{}\n",
-            row.mode,
-            row.ns_per_op,
-            row.ops_per_sec(),
-            if i + 1 == rows.len() { "" } else { "," }
+            "    {{\"mode\": \"{mode}\", \"ns_per_op\": {ns:.2}, \"ops_per_sec\": {:.0}}}{}\n",
+            1e9 / ns,
+            if i + 1 == modes.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"analyzed_ops_per_sweep\": {total_ops},\n  \"total_inputs\": {total_inputs},\n  \"certified_inputs\": {certified_inputs},\n  \"speedup\": {{\"tiered_vs_full_report\": {tiered_vs_full:.2}, \"dd_full_vs_full_report\": {dd_vs_full:.2}}}\n}}\n"
+        "  \"analyzed_ops_per_sweep\": {total_ops},\n  \"total_inputs\": {total_inputs},\n  \"certified_inputs\": {certified_inputs},\n  \"rounds\": {rounds},\n  \"speedup\": {{\"tiered_vs_full_report\": {tiered_vs_full:.2}, \"dd_full_vs_full_report\": {dd_vs_full:.2}}},\n  \"speedup_quartiles\": {{\"tiered_vs_full_report\": [{tiered_q1:.2}, {tiered_q3:.2}], \"dd_full_vs_full_report\": [{dd_q1:.2}, {dd_q3:.2}]}}\n}}\n"
     ));
     println!("TIERED_SWEEP_JSON_BEGIN");
     print!("{json}");

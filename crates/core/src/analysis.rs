@@ -297,9 +297,9 @@ pub(crate) enum Observe {
 /// The per-statement decisions a tiered sweep makes before any input runs,
 /// consulted by every compute observation of every run: tier 0's static
 /// prune mask, the certify pass's demand set, and whether compute results
-/// need traces at all. The serial analysis, its `DoubleDouble` tier and the
-/// batched lanes all read it through [`Herbgrind`], so one mask reaches
-/// every engine a sweep runs.
+/// need traces at all. A tiered sweep runs every input on the serial engine,
+/// whose two analyses (one per shadow tier) both read it through
+/// [`Herbgrind`].
 #[derive(Debug)]
 pub(crate) struct StatementMask {
     /// Indexed by pc; statements past the end are observed fully.
@@ -422,7 +422,7 @@ impl<R: Real> Herbgrind<R> {
     /// poison fixpoint guarantees that neither the shadow value nor the
     /// trace stored at `dest` is visible in the report, so consumers neither
     /// rebuild a lazy leaf nor intern one per fresh value.
-    pub(crate) fn on_pruned_compute(
+    fn on_pruned_compute(
         &mut self,
         pc: usize,
         op: RealOp,
@@ -477,8 +477,8 @@ impl<R: Real> Herbgrind<R> {
                 false
             }
             // Poisoning is defined for the serial stages only, like in the
-            // batched tracer: a serial re-run of a faulted batched or tiered
-            // pass must not poison what the lane pass would not have.
+            // batched tracer: a serial re-run of a faulted batched pass must
+            // not poison what the lane pass would not have.
             Some(InjectKind::NanPoison) => {
                 matches!(stage, InjectStage::Serial | InjectStage::Parallel)
             }
@@ -532,17 +532,6 @@ impl<R: Real> Herbgrind<R> {
     pub fn op_records(&self) -> BTreeMap<usize, &OpRecord> {
         self.state
             .op_slots
-            .iter()
-            .enumerate()
-            .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record)))
-            .collect()
-    }
-
-    /// Per-statement spot records, assembled on demand from the pc-indexed
-    /// slot table.
-    pub fn spot_records(&self) -> BTreeMap<usize, &SpotRecord> {
-        self.state
-            .spot_slots
             .iter()
             .enumerate()
             .filter_map(|(pc, slot)| slot.as_ref().map(|record| (pc, record)))

@@ -43,9 +43,7 @@
 // panic, so bare unwraps are denied here (tests opt back in locally).
 #![deny(clippy::unwrap_used)]
 
-use crate::analysis::{
-    build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind, Observe, StatementMask,
-};
+use crate::analysis::{build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind};
 use crate::config::AnalysisConfig;
 use crate::quarantine::{batched_family, fail_fast};
 use crate::report::Report;
@@ -161,10 +159,6 @@ pub(crate) struct BatchHerbgrind<R: Real, const W: usize> {
     /// injected failures) awaiting delivery through the batch scheduler's
     /// per-group [`BatchTracer::lane_fault`] poll, which masks the lane out.
     lane_faults: [Option<MachineError>; MAX_LANES],
-    /// The sweep's statement mask, shared by all lanes (every decision in
-    /// it is per statement, identical across lanes). Installed only by
-    /// tiered sweeps.
-    mask: Option<Arc<StatementMask>>,
 }
 
 impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
@@ -179,18 +173,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
             config,
             interner: ExprInterner::new(),
             lane_faults: std::array::from_fn(|_| None),
-            mask: None,
         }
-    }
-
-    /// Installs (or clears) the statement mask consulted by every compute
-    /// group, forwarding it to the lane shards, whose record step reads it
-    /// too ([`Herbgrind::set_mask`]).
-    fn set_mask(&mut self, mask: Option<Arc<StatementMask>>) {
-        for lane in &mut self.lanes {
-            lane.set_mask(mask.clone());
-        }
-        self.mask = mask;
     }
 
     /// Folds the lane shards in lane order — with contiguous-chunk lane
@@ -243,38 +226,17 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
                 self.lane_faults[l] = Some(fault);
             }
         }
-        // Tier 0: a statically certified statement skips the group's shadow
-        // work entirely — each active lane records the op's existence and
-        // writes a leaf shadow of its result under the group interner's
-        // placeholder trace, exactly like the serial analysis does for
-        // pruned statements (after the injection consult, so injected faults
-        // still fire at pruned sites).
-        if self
-            .mask
-            .as_deref()
-            .is_some_and(|mask| mask.observe(pc) == Observe::Pruned)
-        {
-            telemetry::TIER0_PRUNED_EXECUTIONS.add(u64::from(mask.count_ones()));
-            let placeholder = self.interner.leaf(0.0);
-            for l in lane_indices(mask) {
-                self.lanes[l].on_pruned_compute(pc, op, dest, results[l], Arc::clone(&placeholder));
-            }
-            return;
-        }
-        let traces = self.mask.as_deref().is_none_or(StatementMask::traces);
         let BatchHerbgrind {
             lanes,
             config,
             interner,
             lane_faults,
-            ..
         } = self;
         let n = args.len();
         let intern_bound = intern_depth_bound(config);
         // Per lane, the serial steps up to the result trace: lazy operand
         // shadows (leaves through the group interner), exact result and local
-        // error, and the result node through the group interner — or the
-        // interner's kept `0.0` leaf when the sweep needs no traces. A deep
+        // error, and the result node through the group interner. A deep
         // node (past the interning bound, so never in the table) is taken
         // from an earlier lane of the group with the same value bits and the
         // same operand traces. The deep keys hold operand-trace addresses:
@@ -290,10 +252,6 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
             }
             let lane: &Herbgrind<R> = lane;
             let (local_err, exact) = lane.local_error(op, args);
-            if !traces {
-                steps[l] = Some((local_err, exact, interner.leaf(0.0)));
-                continue;
-            }
             let children = lane.operand_traces(args);
             let children = &children[..n];
             let depth = 1 + children.iter().map(|c| c.depth()).max().unwrap_or(0);
@@ -447,20 +405,17 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
 /// unusable, and the isolating engine re-runs the chunk serially. Panics
 /// unwind to the caller.
 ///
-/// `mask` is the sweep's statement mask — `None` outside tiered sweeps —
-/// and `inject` (fault-injection builds only) arms the lanes with the
+/// `inject` (fault-injection builds only) arms the lanes with the
 /// sweep-global index of `inputs[0]` and the pipeline stage, or is `None`
 /// for unarmed sweeps.
 pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
-    mask: Option<&Arc<StatementMask>>,
     #[cfg(feature = "fault-injection")] inject: Option<(usize, crate::faultinject::InjectStage)>,
 ) -> Option<AnalysisState> {
     let batch = machine.batched::<W>();
     let mut tracer = BatchHerbgrind::<R, W>::new(config);
-    tracer.set_mask(mask.map(Arc::clone));
     let mut memory = BatchMemory::new();
     for lanes in lane_passes::<W>(inputs.len()) {
         #[cfg(feature = "fault-injection")]

@@ -65,12 +65,15 @@ pub struct AnalysisConfig {
     /// [`analyze_parallel`](crate::analysis::analyze_parallel).
     pub threads: usize,
     /// Lane width used by
-    /// [`analyze_batched`](crate::batched::analyze_batched): how many inputs
-    /// one batched tape pass executes in lockstep. Widths outside the
-    /// engine's supported menu fall back to the nearest smaller supported
-    /// width ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and `1` run
-    /// single-lane batches. The report is bit-identical for every setting,
-    /// up to the same shard-merge exception as [`AnalysisConfig::threads`].
+    /// [`analyze_batched`](crate::batched::analyze_batched) and by the
+    /// certify pass of [`analyze_tiered`](crate::tiered::analyze_tiered):
+    /// how many inputs one batched tape pass executes in lockstep. Widths
+    /// outside the engine's supported menu fall back to the nearest smaller
+    /// supported width ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and
+    /// `1` run single-lane batches. The report is bit-identical for every
+    /// setting, up to the shard-merge exception of
+    /// [`AnalysisConfig::threads`], which the batched driver's lane shards
+    /// share.
     pub batch_width: usize,
     /// Declared input region for tier 0 of the tiered analysis
     /// ([`analyze_tiered`](crate::tiered::analyze_tiered)): one `(lo, hi)`

@@ -55,8 +55,7 @@ pub enum InjectStage {
     TieredCertify,
     /// The tiered driver's certified (`DoubleDouble`) tier.
     TieredDoubleDouble,
-    /// The tiered driver's escalation (`BigFloat`) tier, whose runs are
-    /// always serial.
+    /// The tiered driver's escalation (`BigFloat`) tier.
     TieredBigFloat,
 }
 

@@ -64,15 +64,13 @@
 //! every shard first and yields per-input verdicts and a demand set per
 //! shard; the demand sets are united, because a statement's records must be
 //! counts-only in every shard or in none. Then the escalate pass runs each
-//! shard with the sweep's statement mask. A shard whose inputs all
-//! certified runs through the batched engine on the `DoubleDouble` shadow;
-//! every other shard runs on the serial engine, which picks each input's
-//! shadow and hands one record state between the two analyses, so the
-//! `BigFloat` tier never runs as a lane pass. Only the `BigFloat` tier
-//! quarantines: the serial engine demotes an input the `DoubleDouble` tier
-//! faults on, so a fault scoped to that tier heals, and one the `BigFloat`
-//! tier also hits is quarantined at [`SweepStage::TieredBigFloat`]. A
-//! certify shard that panics or whose thread dies escalates its inputs and
+//! shard on the serial engine with the sweep's statement mask. The serial
+//! engine picks each input's shadow and hands one record state between the
+//! two analyses, so neither tier runs as a lane pass. Only the `BigFloat`
+//! tier quarantines: the serial engine demotes an input the `DoubleDouble`
+//! tier faults on, so a fault scoped to that tier heals, and one the
+//! `BigFloat` tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
+//! A certify shard that panics or whose thread dies escalates its inputs and
 //! puts every statement in demand.
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
@@ -117,9 +115,8 @@ pub enum SweepStage {
     /// quarantines (a fault there demotes the input to the `BigFloat` tier);
     /// it is the stage `DoubleDouble` runs inject faults at.
     TieredDoubleDouble,
-    /// The tiered driver's `BigFloat` tier, whose runs are always serial —
-    /// the only tier that quarantines, so tiered quarantines report this
-    /// stage.
+    /// The tiered driver's `BigFloat` tier — the only tier that
+    /// quarantines, so tiered quarantines report this stage.
     TieredBigFloat,
 }
 
@@ -178,8 +175,8 @@ impl std::fmt::Display for QuarantinedInput {
 }
 
 impl SweepStage {
-    /// The telemetry phase that times runs and lane passes at this stage:
-    /// each tier's own, none outside tiered sweeps.
+    /// The telemetry phase that times runs at this stage: each tier's own,
+    /// none outside tiered sweeps.
     fn phase(self) -> Option<telemetry::Phase> {
         match self {
             SweepStage::TieredDoubleDouble => Some(telemetry::Phase::TierDoubleDouble),
@@ -362,43 +359,36 @@ fn serial_engine<R: Real>(
 
 /// Runs the batched isolating engine over one contiguous input chunk whose
 /// first input has sweep-global index `index_base`: one lane pass on the `R`
-/// shadow at `stage`, timed as the stage's phase.
+/// shadow at [`SweepStage::BatchedLane`].
 ///
 /// When no lane faults, the pass's state is the chunk's outcome. A faulted
 /// pass cannot be trusted to name its culprit — the pass's trace interner is
 /// shared by every lane, so a trace-budget fault is collective, and a panic
-/// belongs to no lane — so the engine discards the pass and `rerun`, the
-/// serial engine over the same chunk, decides it. Serial verdicts are
-/// per-input deterministic, which keeps quarantine lists (and the plain
-/// drivers' errors) independent of the batch width the fault surfaced at.
+/// belongs to no lane — so the engine discards the pass and the serial
+/// engine re-runs the chunk and decides it. Serial verdicts are per-input
+/// deterministic, which keeps quarantine lists (and the plain drivers'
+/// errors) independent of the batch width the fault surfaced at.
 fn batched_engine<R: Real>(
     sweep: &Sweep<'_>,
     width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
-    stage: SweepStage,
-    rerun: impl FnOnce() -> ChunkOutcome,
 ) -> ChunkOutcome {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = index_base;
-    let swept = {
-        let _tier_span = stage.phase().map(telemetry::span);
-        catch_unwind(AssertUnwindSafe(|| {
-            with_lane_width!(width, W => batched_sweep_collect::<R, W>(
-                &sweep.machine,
-                inputs,
-                &sweep.config,
-                sweep.mask.as_ref(),
-                #[cfg(feature = "fault-injection")]
-                sweep.inject(stage).map(|inject| (index_base, inject)),
-            ))
-        }))
-    };
+    let stage = SweepStage::BatchedLane;
+    let swept = catch_unwind(AssertUnwindSafe(|| {
+        with_lane_width!(width, W => batched_sweep_collect::<R, W>(
+            &sweep.machine,
+            inputs,
+            &sweep.config,
+            #[cfg(feature = "fault-injection")]
+            sweep.inject(stage).map(|inject| (index_base, inject)),
+        ))
+    }));
     if let Ok(Some(state)) = swept {
         return ChunkOutcome::new(state, Vec::new());
     }
     let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
-    let outcome = rerun();
+    let outcome = serial_engine::<R>(sweep, inputs, index_base, stage, vec![false; inputs.len()]);
     telemetry::QUARANTINE_LADDER_ATTEMPTS.add(inputs.len() as u64);
     telemetry::QUARANTINE_LADDER_HEALS.add((inputs.len() - outcome.quarantined.len()) as u64);
     outcome
@@ -431,33 +421,6 @@ fn certify_chunk(
         ))
     }))
     .unwrap_or_else(|_| Certified::escalate_all(inputs.len()))
-}
-
-/// Runs the tiered escalate pass over one contiguous input chunk whose first
-/// input has sweep-global index `index_base`: each input on the shadow its
-/// certify `verdicts` pick.
-///
-/// A non-empty chunk whose inputs all certified runs as one lane pass on the
-/// `DoubleDouble` tier; a faulted pass re-runs the chunk on the serial
-/// engine with the verdicts. Every other chunk runs on the serial engine
-/// directly, which picks each input's shadow in input order. Either way only
-/// the `BigFloat` tier quarantines: the serial engine demotes an input the
-/// `DoubleDouble` tier faults on, so a fault scoped to that tier heals.
-fn escalate_chunk(
-    sweep: &Sweep<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    index_base: usize,
-    verdicts: &[bool],
-) -> ChunkOutcome {
-    let stage = SweepStage::TieredBigFloat;
-    let serial = || serial_engine::<BigFloat>(sweep, inputs, index_base, stage, verdicts.to_vec());
-    if !inputs.is_empty() && verdicts.iter().all(|&certified| certified) {
-        let dd_stage = SweepStage::TieredDoubleDouble;
-        batched_engine::<DoubleDouble>(sweep, width, inputs, index_base, dd_stage, serial)
-    } else {
-        serial()
-    }
 }
 
 /// Runs `engine` over at most `threads` balanced contiguous chunks of
@@ -628,24 +591,19 @@ pub(crate) fn batched_family<R: Real>(
     let sweep = Sweep::new(program, config, armed);
     let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
-    let stage = SweepStage::BatchedLane;
     assemble(sharded_analysis(
         inputs,
         threads,
         &sweep.config,
-        stage,
-        |start, chunk| {
-            let rerun =
-                || serial_engine::<R>(&sweep, chunk, start, stage, vec![false; chunk.len()]);
-            batched_engine::<R>(&sweep, width, chunk, start, stage, rerun)
-        },
+        SweepStage::BatchedLane,
+        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start),
     ))
 }
 
 /// The tiered family's sweep: tier 0 once per sweep (when
 /// [`AnalysisConfig::input_ranges`] is declared and covers every input),
 /// then the certify pass over every thread shard, then the escalate pass
-/// over the same shards.
+/// over the same shards on the serial engine.
 ///
 /// The escalate pass waits for the whole certify pass because its
 /// statement mask holds the union of every shard's demand set
@@ -690,17 +648,11 @@ pub(crate) fn tiered_family(
         telemetry::TIERED_DEMAND_STATEMENTS.add(certified.demand.computes(program) as u64);
     }
     sweep.mask = statement_mask(program, prune.as_ref(), &certified.demand, &sweep.config);
-    let verdicts = &certified.verdicts;
-    let outcome = sharded_analysis(
-        inputs,
-        threads,
-        &sweep.config,
-        SweepStage::TieredBigFloat,
-        |start, chunk| {
-            let verdicts = &verdicts[start..start + chunk.len()];
-            escalate_chunk(&sweep, width, chunk, start, verdicts)
-        },
-    );
+    let stage = SweepStage::TieredBigFloat;
+    let outcome = sharded_analysis(inputs, threads, &sweep.config, stage, |start, chunk| {
+        let verdicts = certified.verdicts[start..start + chunk.len()].to_vec();
+        serial_engine::<BigFloat>(&sweep, chunk, start, stage, verdicts)
+    });
     (assemble(outcome), tiers)
 }
 

@@ -20,13 +20,12 @@
 //! 2. **Escalate pass.** Every input runs the full record-keeping analysis
 //!    on the shadow its verdict picks, in input order: certified inputs on
 //!    the `DoubleDouble` shadow, uncertified ones escalated to the
-//!    `BigFloat` shadow. A chunk whose inputs all certified runs as one
-//!    batched lane pass on the `DoubleDouble` tier. Every other chunk runs
-//!    on the serial engine, where the two analyses hand one
-//!    [`AnalysisState`](crate::AnalysisState) back and forth, so its records
-//!    accumulate in input order with no merge between tiers. Statements
-//!    outside the demand set keep only their records' counts, and a sweep
-//!    whose demand set is empty builds no traces.
+//!    `BigFloat` shadow. Every chunk runs on the serial engine, where the
+//!    two analyses hand one [`AnalysisState`](crate::AnalysisState) back
+//!    and forth, so its records accumulate in input order with no merge
+//!    between tiers or inputs. Statements outside the demand set keep only
+//!    their records' counts, and a sweep whose demand set is empty builds no
+//!    traces.
 //!
 //! The certify pass runs over every thread shard first, and its demand sets
 //! are united; then the escalate pass runs over the same shards. Both run
@@ -640,8 +639,8 @@ pub(crate) fn statement_mask(
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and the other
 /// drivers: the report is bit-identical for every batch width and thread
 /// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
-/// with the shard-merge exception of its thread shards and certified-tier
-/// lane passes (DESIGN.md, "Parallel engine"). With
+/// with the shard-merge exception of its thread shards (DESIGN.md,
+/// "Parallel engine"); a one-thread sweep merges nothing. With
 /// [`AnalysisConfig::input_ranges`] set and every input inside the declared
 /// region, tier 0 runs first and the sweep skips shadowing for statically
 /// certified statements. This is
@@ -796,68 +795,61 @@ mod tests {
     }
 
     #[test]
-    fn mixed_chunks_run_on_the_serial_engine() {
-        // A chunk whose verdicts differ runs on the serial engine, handing
-        // one record state between the tiers: no lane pass shares an
-        // interner across inputs (so the peak is the serial one), no faulted
-        // pass is re-run, and both tiers are timed.
-        let (p, inputs) = mixed_sweep();
-        let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
-        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-        let serial = analyze(&p, &inputs, &AnalysisConfig::default()).unwrap();
-        let serial_peak = peak(&capture.finish());
-        assert!(serial_peak > 0);
-        for width in [1, 8] {
-            let config = AnalysisConfig::default()
-                .with_threads(1)
-                .with_batch_width(width);
-            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-            let (tiered, stats) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
-            let snap = capture.finish();
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{tiered:?}"),
-                "width={width}"
-            );
-            assert!(stats.certified_inputs > 0, "{stats:?}");
-            assert!(stats.escalated_inputs() > 0, "{stats:?}");
-            assert_eq!(peak(&snap), serial_peak, "width={width}");
-            assert_eq!(snap.counter("quarantine.ladder_attempts"), 0);
-            assert!(snap.phase(telemetry::Phase::TierDoubleDouble).count > 0);
-            assert!(snap.phase(telemetry::Phase::TierBigFloat).count > 0);
-        }
-    }
-
-    #[test]
-    fn all_escalated_chunks_run_on_the_serial_engine() {
-        // Below the tier threshold the precision gate escalates every input,
-        // so no chunk runs a lane pass: each input is one serial `BigFloat`
-        // run, the interner peak is the serial one, and nothing is re-run.
-        let (p, inputs) = mixed_sweep();
-        let config = AnalysisConfig {
+    fn every_tiered_chunk_runs_on_the_serial_engine() {
+        // Whatever its verdicts, a chunk runs on the serial engine, which
+        // hands one record state between the tiers: each input is one run on
+        // its tier's shadow, timed as one span of that tier; no interner is
+        // shared across inputs, so the peak is the serial one; and no chunk
+        // is re-run as a recovery. The fully certified sweep cancels about
+        // 20 of the `DoubleDouble` tier's 106 bits, so every input certifies
+        // and the demand set holds the subtraction: its traces are built and
+        // its peak is comparable with serial's. Below the tier threshold the
+        // precision gate escalates every input.
+        let (p, mixed) = mixed_sweep();
+        let certified: Vec<Vec<f64>> = (0..24)
+            .map(|i| vec![1e6 * (1.0 + f64::from(i) / 7.0)])
+            .collect();
+        let gated = AnalysisConfig {
             shadow_precision: 128,
-            ..AnalysisConfig::default().with_threads(1)
+            ..AnalysisConfig::default()
         };
+        let sweeps = [
+            ("certified", &certified, AnalysisConfig::default()),
+            ("mixed", &mixed, AnalysisConfig::default()),
+            ("escalated", &mixed, gated),
+        ];
         let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
-        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-        let serial = analyze(&p, &inputs, &config).unwrap();
-        let serial_peak = peak(&capture.finish());
-        for width in [1, 8] {
-            let config = config.clone().with_batch_width(width);
+        for (label, inputs, config) in sweeps {
             let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-            let (tiered, stats) = analyze_tiered_with_stats(&p, &inputs, &config).unwrap();
-            let snap = capture.finish();
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{tiered:?}"),
-                "width={width}"
-            );
-            assert_eq!(stats.certified_inputs, 0, "{stats:?}");
-            assert_eq!(peak(&snap), serial_peak, "width={width}");
-            let phase = |phase| snap.phase(phase).count;
-            assert_eq!(phase(telemetry::Phase::TierBigFloat), inputs.len() as u64);
-            assert_eq!(phase(telemetry::Phase::TierDoubleDouble), 0);
-            assert_eq!(snap.counter("quarantine.ladder_attempts"), 0);
+            let serial = analyze(&p, inputs, &config.clone().with_threads(1)).unwrap();
+            let serial_peak = peak(&capture.finish());
+            assert!(serial_peak > 0, "{label}");
+            for width in [1, 8] {
+                let config = config.clone().with_threads(1).with_batch_width(width);
+                let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+                let (tiered, stats) = analyze_tiered_with_stats(&p, inputs, &config).unwrap();
+                let snap = capture.finish();
+                let context = format!("{label}, width={width}: {stats:?}");
+                assert_eq!(format!("{serial:?}"), format!("{tiered:?}"), "{context}");
+                match label {
+                    "certified" => {
+                        assert_eq!(stats.escalated_inputs(), 0, "{context}");
+                        assert!(snap.counter("tiered.demand_statements") > 0, "{context}");
+                    }
+                    "mixed" => {
+                        assert!(stats.certified_inputs > 0, "{context}");
+                        assert!(stats.escalated_inputs() > 0, "{context}");
+                    }
+                    _ => assert_eq!(stats.certified_inputs, 0, "{context}"),
+                }
+                assert_eq!(peak(&snap), serial_peak, "{context}");
+                assert_eq!(snap.counter("quarantine.ladder_attempts"), 0, "{context}");
+                let phase = |phase| snap.phase(phase).count as usize;
+                let dd_runs = phase(telemetry::Phase::TierDoubleDouble);
+                assert_eq!(dd_runs, stats.certified_inputs, "{context}");
+                let bigfloat_runs = phase(telemetry::Phase::TierBigFloat);
+                assert_eq!(bigfloat_runs, stats.escalated_inputs(), "{context}");
+            }
         }
     }
 

@@ -439,28 +439,6 @@ pub fn compile_core(core: &FPCore, options: CompileOptions) -> Result<Program, C
     Ok(program)
 }
 
-/// Compiles a bare expression (used by tests and by the Herbie-lite oracle to
-/// execute candidate rewrites on the machine).
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for unbound variables or misuse of booleans.
-pub fn compile_expr_program(
-    name: &str,
-    arguments: &[String],
-    expr: &Expr,
-    options: CompileOptions,
-) -> Result<Program, CompileError> {
-    let core = FPCore {
-        arguments: arguments.to_vec(),
-        name: Some(name.to_string()),
-        pre: None,
-        properties: Default::default(),
-        body: expr.clone(),
-    };
-    compile_core(&core, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,15 +156,6 @@ impl StaticAnalysis {
             .get(pc)
             .map_or(StaticVerdict::CertifiedStable, |s| s.verdict)
     }
-
-    /// Fraction of compute statements certified stable.
-    pub fn certified_fraction(&self) -> f64 {
-        if self.total_computes == 0 {
-            1.0
-        } else {
-            self.certified_computes as f64 / self.total_computes as f64
-        }
-    }
 }
 
 /// Which statements the tiered driver may skip dynamic shadowing for.

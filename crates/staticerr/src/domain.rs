@@ -159,11 +159,6 @@ impl AbsVal {
         }
     }
 
-    /// True when the interval is a single point.
-    pub fn is_point(&self) -> bool {
-        self.lo == self.hi && !self.lo.is_nan()
-    }
-
     /// True when the interval excludes zero (strictly positive or strictly
     /// negative) and cannot be NaN.
     pub fn excludes_zero(&self) -> bool {

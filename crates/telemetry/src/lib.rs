@@ -276,7 +276,7 @@ declare_counters! {
     (QUARANTINE_INPUTS, "quarantine.inputs_quarantined", true,
      "Inputs quarantined in the final report."),
     (QUARANTINE_LADDER_ATTEMPTS, "quarantine.ladder_attempts", false,
-     "Inputs the serial engine re-ran after a faulted batched or tiered pass."),
+     "Inputs the serial engine re-ran after a faulted batched lane pass."),
     (QUARANTINE_LADDER_HEALS, "quarantine.ladder_heals", false,
      "Serially re-run inputs that came back clean (not quarantined)."),
     // Fault injection (test harness).
@@ -330,11 +330,11 @@ pub enum Phase {
     Sweep,
     /// Tiered driver: DoubleDouble certify-probe pass.
     Certify,
-    /// Tiered driver: certified DoubleDouble lane passes and runs.
+    /// Tiered driver: certified DoubleDouble runs, one span each.
     TierDoubleDouble,
     /// Tiered driver: escalated BigFloat runs, one span each.
     TierBigFloat,
-    /// Serial re-runs of faulted batched or tiered `DoubleDouble` passes.
+    /// Serial re-runs of faulted batched lane passes.
     Ladder,
     /// Report assembly and merging.
     Report,

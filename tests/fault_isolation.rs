@@ -303,8 +303,7 @@ fn tier_escalation_exercises_the_full_retry_ladder() {
 #[test]
 fn stage_scoped_faults_heal_through_the_retry_ladder() {
     // A panic scoped to the DoubleDouble tier only: the input's DoubleDouble
-    // run fails on the serial engine (directly in a mixed chunk, or in the
-    // re-run of a faulted lane pass), which demotes the input to the
+    // run fails on the serial engine, which demotes the input to the
     // BigFloat tier, where it runs clean. The input *heals* — nothing is
     // quarantined, and the report equals the plain analysis of every input
     // (sound because certified inputs have identical DoubleDouble and

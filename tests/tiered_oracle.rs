@@ -153,6 +153,35 @@ fn demand_set_spans_every_thread_shard() {
 }
 
 #[test]
+fn one_thread_tiered_sweeps_are_exact_on_short_loop_runs() {
+    // Short loop runs are where a shard merge can lose input-range
+    // contributions (DESIGN.md, "Known exception: short loop runs"). A
+    // one-thread tiered sweep merges nothing: every input runs on the
+    // serial engine with one record state, at every batch width.
+    for name in [
+        "naive variance accumulation",
+        "compensation-free running sum",
+    ] {
+        let core = fpbench::by_name(name).expect("benchmark present");
+        for (samples, seed) in [(48, 3), (64, 7)] {
+            let prepared = fpbench::prepare(&core, samples, seed).expect("prepare");
+            for width in [1, 8] {
+                let config = AnalysisConfig::default()
+                    .with_threads(1)
+                    .with_batch_width(width);
+                let context = format!("{name}, {samples} inputs, seed {seed}, width={width}");
+                assert_tiered_matches_oracles(
+                    &prepared.program,
+                    &prepared.inputs,
+                    &config,
+                    &context,
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn demand_set_is_the_flagged_set_on_fully_certified_sweeps() {
     // Tightness. With compensation detection off, a sweep whose every input
     // certifies puts in demand only the statements the analysis flags. The
@@ -257,10 +286,10 @@ fn tiered_matches_across_configuration_knobs() {
             },
             &powers,
         ),
-        // Every input fits this trace budget alone, but a lane group of a
-        // tier shares one interner and overflows it: the tiered driver must
-        // re-run the group's lanes one input at a time and succeed like the
-        // flat analysis.
+        // Every input fits this trace budget alone, where a lane group
+        // sharing one interner would overflow it: the tiered driver runs
+        // every input with its own per-run interner and must succeed like
+        // the flat analysis.
         (
             AnalysisConfig::default()
                 .with_threads(1)
