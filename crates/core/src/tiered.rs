@@ -794,63 +794,81 @@ mod tests {
         (p, inputs)
     }
 
+    /// Sweeps `inputs` through serial `analyze` and one-thread tiered sweeps
+    /// at widths {1, 8}. Whatever its verdicts, a chunk runs on the serial
+    /// engine, which hands one record state between the tiers: each input is
+    /// one run on its tier's shadow, timed as one span of that tier; no
+    /// interner is shared across inputs, so the peak is the serial one; and no
+    /// chunk is re-run as a recovery. `check` adds the sweep's own assertions
+    /// on each tiered run's stats and telemetry.
+    fn assert_chunks_run_on_the_serial_engine(
+        p: &Program,
+        inputs: &[Vec<f64>],
+        config: &AnalysisConfig,
+        check: impl Fn(&TierStats, &telemetry::SweepTelemetry, &str),
+    ) {
+        let config = config.clone().with_threads(1);
+        let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
+        let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+        let serial = analyze(p, inputs, &config).unwrap();
+        let serial_peak = peak(&capture.finish());
+        assert!(serial_peak > 0);
+        for width in [1, 8] {
+            let config = config.clone().with_batch_width(width);
+            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+            let (tiered, stats) = analyze_tiered_with_stats(p, inputs, &config).unwrap();
+            let snap = capture.finish();
+            let context = format!("width={width}: {stats:?}");
+            assert_eq!(format!("{serial:?}"), format!("{tiered:?}"), "{context}");
+            check(&stats, &snap, &context);
+            assert_eq!(peak(&snap), serial_peak, "{context}");
+            assert_eq!(snap.counter("quarantine.ladder_attempts"), 0, "{context}");
+            let phase = |phase| snap.phase(phase).count as usize;
+            let dd_runs = phase(telemetry::Phase::TierDoubleDouble);
+            assert_eq!(dd_runs, stats.certified_inputs, "{context}");
+            let bigfloat_runs = phase(telemetry::Phase::TierBigFloat);
+            assert_eq!(bigfloat_runs, stats.escalated_inputs(), "{context}");
+        }
+    }
+
     #[test]
-    fn every_tiered_chunk_runs_on_the_serial_engine() {
-        // Whatever its verdicts, a chunk runs on the serial engine, which
-        // hands one record state between the tiers: each input is one run on
-        // its tier's shadow, timed as one span of that tier; no interner is
-        // shared across inputs, so the peak is the serial one; and no chunk
-        // is re-run as a recovery. The fully certified sweep cancels about
-        // 20 of the `DoubleDouble` tier's 106 bits, so every input certifies
-        // and the demand set holds the subtraction: its traces are built and
-        // its peak is comparable with serial's. Below the tier threshold the
-        // precision gate escalates every input.
-        let (p, mixed) = mixed_sweep();
-        let certified: Vec<Vec<f64>> = (0..24)
+    fn certified_chunks_run_on_the_serial_engine() {
+        // At x near 1e6 the subtraction cancels about 20 of the `DoubleDouble`
+        // tier's 106 bits, so every input certifies and the demand set holds
+        // the subtraction: its traces are built and its peak is comparable
+        // with serial's.
+        let (p, _) = mixed_sweep();
+        let inputs: Vec<Vec<f64>> = (0..24)
             .map(|i| vec![1e6 * (1.0 + f64::from(i) / 7.0)])
             .collect();
-        let gated = AnalysisConfig {
+        let config = AnalysisConfig::default();
+        assert_chunks_run_on_the_serial_engine(&p, &inputs, &config, |stats, snap, context| {
+            assert_eq!(stats.escalated_inputs(), 0, "{context}");
+            assert!(snap.counter("tiered.demand_statements") > 0, "{context}");
+        });
+    }
+
+    #[test]
+    fn mixed_chunks_run_on_the_serial_engine() {
+        let (p, inputs) = mixed_sweep();
+        let config = AnalysisConfig::default();
+        assert_chunks_run_on_the_serial_engine(&p, &inputs, &config, |stats, _, context| {
+            assert!(stats.certified_inputs > 0, "{context}");
+            assert!(stats.escalated_inputs() > 0, "{context}");
+        });
+    }
+
+    #[test]
+    fn all_escalated_chunks_run_on_the_serial_engine() {
+        // Below the tier threshold the precision gate escalates every input.
+        let (p, inputs) = mixed_sweep();
+        let config = AnalysisConfig {
             shadow_precision: 128,
             ..AnalysisConfig::default()
         };
-        let sweeps = [
-            ("certified", &certified, AnalysisConfig::default()),
-            ("mixed", &mixed, AnalysisConfig::default()),
-            ("escalated", &mixed, gated),
-        ];
-        let peak = |snap: &telemetry::SweepTelemetry| snap.gauge("interner.peak_nodes");
-        for (label, inputs, config) in sweeps {
-            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-            let serial = analyze(&p, inputs, &config.clone().with_threads(1)).unwrap();
-            let serial_peak = peak(&capture.finish());
-            assert!(serial_peak > 0, "{label}");
-            for width in [1, 8] {
-                let config = config.clone().with_threads(1).with_batch_width(width);
-                let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
-                let (tiered, stats) = analyze_tiered_with_stats(&p, inputs, &config).unwrap();
-                let snap = capture.finish();
-                let context = format!("{label}, width={width}: {stats:?}");
-                assert_eq!(format!("{serial:?}"), format!("{tiered:?}"), "{context}");
-                match label {
-                    "certified" => {
-                        assert_eq!(stats.escalated_inputs(), 0, "{context}");
-                        assert!(snap.counter("tiered.demand_statements") > 0, "{context}");
-                    }
-                    "mixed" => {
-                        assert!(stats.certified_inputs > 0, "{context}");
-                        assert!(stats.escalated_inputs() > 0, "{context}");
-                    }
-                    _ => assert_eq!(stats.certified_inputs, 0, "{context}"),
-                }
-                assert_eq!(peak(&snap), serial_peak, "{context}");
-                assert_eq!(snap.counter("quarantine.ladder_attempts"), 0, "{context}");
-                let phase = |phase| snap.phase(phase).count as usize;
-                let dd_runs = phase(telemetry::Phase::TierDoubleDouble);
-                assert_eq!(dd_runs, stats.certified_inputs, "{context}");
-                let bigfloat_runs = phase(telemetry::Phase::TierBigFloat);
-                assert_eq!(bigfloat_runs, stats.escalated_inputs(), "{context}");
-            }
-        }
+        assert_chunks_run_on_the_serial_engine(&p, &inputs, &config, |stats, _, context| {
+            assert_eq!(stats.certified_inputs, 0, "{context}");
+        });
     }
 
     #[test]
