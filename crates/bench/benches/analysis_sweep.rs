@@ -31,27 +31,13 @@
 //! `BENCH_SMOKE=1` switches to one short iteration per measurement for CI
 //! smoke coverage.
 
-use fpvm::{Addr, Machine, Program, Tracer};
+use fpvm::Machine;
 #[cfg(feature = "reference-analysis")]
 use herbgrind::reference::analyze_with_shadow_reference;
 use herbgrind::{analyze_with_shadow, AnalysisConfig};
-use shadowreal::{BigFloat, RealOp};
+use herbgrind_bench::{analyzed_ops, kernel, measure, SweepKernel};
+use shadowreal::BigFloat;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Counts executed floating-point operations (the denominator of every
-/// ops/sec figure below; identical across configurations because the
-/// analysis follows the client's control flow).
-#[derive(Default)]
-struct OpCounter {
-    computes: u64,
-}
-
-impl Tracer for OpCounter {
-    fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
-        self.computes += 1;
-    }
-}
 
 /// One measured configuration.
 struct Row {
@@ -67,68 +53,45 @@ impl Row {
     }
 }
 
-/// Best-of-`reps` ns per analyzed op for one full sweep over `prepared`.
-fn measure<F: FnMut()>(total_ops: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let ns = start.elapsed().as_nanos() as f64 / total_ops as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-/// One kernel of the sweep: a compiled program plus its input set.
-struct SweepKernel {
-    /// Used by the differential agreement check, which is feature-gated.
-    #[cfg_attr(not(feature = "reference-analysis"), allow(dead_code))]
-    name: &'static str,
-    program: Program,
-    inputs: Vec<Vec<f64>>,
-}
-
-fn kernel(name: &'static str, src: &str, inputs: Vec<Vec<f64>>) -> SweepKernel {
-    let core = fpcore::parse_core(src).expect("kernel parses");
-    let program = fpvm::compile_core(&core, Default::default()).expect("kernel compiles");
-    SweepKernel {
-        name,
-        program,
-        inputs,
-    }
-}
-
-fn sweep_kernels(smoke: bool) -> Vec<SweepKernel> {
+/// The kernels of the sweep, each with the name the (feature-gated)
+/// agreement check reports.
+fn sweep_kernels(smoke: bool) -> Vec<(&'static str, SweepKernel)> {
     let n = if smoke { 4 } else { 200 };
     let loop_n = if smoke { 2 } else { 20 };
     vec![
         // The §3 complex-plotter kernel: straight-line hardware arithmetic
         // with a genuine cancellation (erroneous records and influences).
-        kernel(
+        (
             "plotter",
+            kernel(
             "(FPCore (x y) (- (sqrt (+ (* x x) (* y y))) x))",
             (1..=n).map(|i| vec![0.25 / i as f64, 1e-9 / i as f64]).collect(),
+            ),
         ),
         // Horner-form polynomial: the add/mul-dominated steady state.
-        kernel(
+        (
             "poly",
+            kernel(
             "(FPCore (x) (+ (* x (+ (* x (+ (* x (+ (* x (+ (* x (+ (* x 1.0) 2.0)) 3.0)) 4.0)) 5.0)) 6.0)) 7.0))",
             (1..=n).map(|i| vec![i as f64 * 0.017]).collect(),
+            ),
         ),
         // Loop-carried accumulation: deep traces, the truncation-heavy case.
-        kernel(
+        (
             "harmonic_loop",
+            kernel(
             "(FPCore (n) (while (< i n) ((s 0 (+ s (/ 1 i))) (i 1 (+ i 1))) s))",
             (1..=loop_n).map(|i| vec![(i * 20) as f64]).collect(),
+            ),
         ),
         // One libm kernel for coverage (identical shadow-evaluation cost on
         // both paths; see `shadow_ops` for the per-call numbers).
-        kernel(
+        (
             "sine",
+            kernel(
             "(FPCore (x) (sin x))",
             (1..=loop_n).map(|i| vec![i as f64 * 0.17]).collect(),
+            ),
         ),
     ]
 }
@@ -140,27 +103,23 @@ fn main() {
 
     // The per-op denominator: every configuration executes the same client
     // operations on the same inputs.
-    let mut total_ops = 0u64;
-    for p in &prepared {
-        let machine = Machine::new(&p.program);
-        for input in &p.inputs {
-            let mut counter = OpCounter::default();
-            machine
-                .run_traced(input, &mut counter)
-                .expect("benchmark runs");
-            total_ops += counter.computes;
-        }
-    }
+    let total_ops: u64 = prepared
+        .iter()
+        .map(|(_, p)| analyzed_ops(&p.program, &p.inputs))
+        .sum();
 
     let mut rows: Vec<Row> = Vec::new();
 
     // --- Native baseline (uninstrumented interpretation) ------------------
     // Reuses the machine-memory buffer across runs, exactly as the analysis
     // paths do, so the overhead factor compares like against like.
-    let machines: Vec<Machine<'_>> = prepared.iter().map(|p| Machine::new(&p.program)).collect();
+    let machines: Vec<Machine<'_>> = prepared
+        .iter()
+        .map(|(_, p)| Machine::new(&p.program))
+        .collect();
     let mut memory = Vec::new();
     let native_ns = measure(total_ops, reps, || {
-        for (p, machine) in prepared.iter().zip(&machines) {
+        for ((_, p), machine) in prepared.iter().zip(&machines) {
             for input in &p.inputs {
                 black_box(
                     machine
@@ -186,7 +145,7 @@ fn main() {
             ..AnalysisConfig::default().with_threads(1)
         };
         let flat_ns = measure(total_ops, reps, || {
-            for p in &prepared {
+            for (_, p) in &prepared {
                 black_box(
                     analyze_with_shadow::<BigFloat>(&p.program, &p.inputs, &config)
                         .expect("flat analysis"),
@@ -202,7 +161,7 @@ fn main() {
         #[cfg(feature = "reference-analysis")]
         {
             let reference_ns = measure(total_ops, reps, || {
-                for p in &prepared {
+                for (_, p) in &prepared {
                     black_box(
                         analyze_with_shadow_reference::<BigFloat>(&p.program, &p.inputs, &config)
                             .expect("reference analysis"),
@@ -220,7 +179,7 @@ fn main() {
 
     // The two paths must agree bit for bit even while being timed.
     #[cfg(feature = "reference-analysis")]
-    for p in &prepared {
+    for (name, p) in &prepared {
         let config = AnalysisConfig::default().with_threads(1);
         let flat = analyze_with_shadow::<BigFloat>(&p.program, &p.inputs, &config).unwrap();
         let reference =
@@ -228,8 +187,7 @@ fn main() {
         assert_eq!(
             format!("{flat:?}"),
             format!("{reference:?}"),
-            "flat and reference reports diverged on {}",
-            p.name
+            "flat and reference reports diverged on {name}"
         );
     }
 

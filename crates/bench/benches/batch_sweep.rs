@@ -29,27 +29,13 @@
 //! committed `BENCH_batch_sweep.json` baseline is produced that way), and
 //! `BENCH_SMOKE=1` switches to one short iteration per measurement for CI.
 
-use fpvm::{Addr, Machine, Program, Tracer};
+use fpvm::Program;
 use herbgrind::{
     analyze_batched_with_shadow, analyze_with_shadow, probe_local_error, AnalysisConfig,
 };
-use shadowreal::{DoubleDouble, RealOp};
+use herbgrind_bench::{analyzed_ops, kernel, measure, SweepKernel};
+use shadowreal::DoubleDouble;
 use std::hint::black_box;
-use std::time::Instant;
-
-/// Counts executed floating-point operations (the denominator of every
-/// ops/sec figure; identical across configurations because the analysis
-/// follows the client's control flow).
-#[derive(Default)]
-struct OpCounter {
-    computes: u64,
-}
-
-impl Tracer for OpCounter {
-    fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
-        self.computes += 1;
-    }
-}
 
 struct Row {
     mode: &'static str,
@@ -63,31 +49,6 @@ impl Row {
     fn ops_per_sec(&self) -> f64 {
         1e9 / self.ns_per_op
     }
-}
-
-/// Best-of-`reps` ns per analyzed op for one full sweep.
-fn measure<F: FnMut()>(total_ops: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let ns = start.elapsed().as_nanos() as f64 / total_ops as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
-}
-
-struct SweepKernel {
-    program: Program,
-    inputs: Vec<Vec<f64>>,
-}
-
-fn kernel(src: &str, inputs: Vec<Vec<f64>>) -> SweepKernel {
-    let core = fpcore::parse_core(src).expect("kernel parses");
-    let program = fpvm::compile_core(&core, Default::default()).expect("kernel compiles");
-    SweepKernel { program, inputs }
 }
 
 /// The `analysis_sweep` kernel mix, split by lane-coherence: straight-line
@@ -144,17 +105,10 @@ fn main() {
     let prepared = sweep_kernels(smoke);
     let widths = [1usize, 4, 8];
 
-    let mut total_ops = 0u64;
-    for p in &prepared {
-        let machine = Machine::new(&p.program);
-        for input in &p.inputs {
-            let mut counter = OpCounter::default();
-            machine
-                .run_traced(input, &mut counter)
-                .expect("benchmark runs");
-            total_ops += counter.computes;
-        }
-    }
+    let total_ops: u64 = prepared
+        .iter()
+        .map(|p| analyzed_ops(&p.program, &p.inputs))
+        .sum();
 
     let mut rows: Vec<Row> = Vec::new();
 

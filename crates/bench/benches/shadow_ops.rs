@@ -24,6 +24,7 @@
 //! iteration per measurement for CI smoke coverage.
 
 use herbgrind::{AnalysisConfig, Herbgrind};
+use herbgrind_bench::measure;
 use shadowreal::{BigFloat, DoubleDouble, Real, RealOp};
 use std::hint::black_box;
 use std::time::Instant;
@@ -348,21 +349,6 @@ impl Row {
     fn ops_per_sec(&self) -> f64 {
         1e9 / self.ns_per_op
     }
-}
-
-/// Best-of-`reps` ns per operation: each rep times one call of `f`, which
-/// performs `ops_per_pass` operations.
-fn measure<F: FnMut()>(ops_per_pass: u64, reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        let ns = start.elapsed().as_nanos() as f64 / ops_per_pass as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    best
 }
 
 /// Best-of-`reps` ns per operation for each of `count` passes, measured

@@ -29,26 +29,11 @@
 //! baseline is produced that way), and `BENCH_SMOKE=1` switches to a few
 //! samples and one round for CI.
 
-use fpvm::{Addr, Machine, Program, Tracer};
+use fpvm::Program;
 use herbgrind::staticerr::{analyze_program, StaticParams, StaticVerdict};
 use herbgrind::{analyze_tiered, AnalysisConfig, SweepCapture, TelemetryMode};
-use herbgrind_bench::{quartiles, ratio_quartiles, round_robin};
-use shadowreal::RealOp;
+use herbgrind_bench::{analyzed_ops, quartiles, ratio_quartiles, round_robin};
 use std::hint::black_box;
-
-/// Counts executed floating-point operations (the denominator of every
-/// ops/sec figure; identical across modes because the analysis follows the
-/// client's control flow).
-#[derive(Default)]
-struct OpCounter {
-    computes: u64,
-}
-
-impl Tracer for OpCounter {
-    fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
-        self.computes += 1;
-    }
-}
 
 struct PreparedSweep {
     program: Program,
@@ -89,14 +74,7 @@ fn main() {
     let mut total_ops = 0u64;
     let mut total_inputs = 0usize;
     for p in &prepared {
-        let machine = Machine::new(&p.program);
-        for input in &p.inputs {
-            let mut counter = OpCounter::default();
-            machine
-                .run_traced(input, &mut counter)
-                .expect("benchmark runs");
-            total_ops += counter.computes;
-        }
+        total_ops += analyzed_ops(&p.program, &p.inputs);
         total_inputs += p.inputs.len();
     }
 

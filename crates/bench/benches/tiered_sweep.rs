@@ -18,9 +18,9 @@
 //!
 //! * `full-report` — `herbgrind::analyze`: the complete analysis on the
 //!   `BigFloat` shadow for every input (what the tiered driver replaces).
-//! * `tiered` — `herbgrind::analyze_tiered`: batched certify probe, then
-//!   the full analysis on `DoubleDouble` for certified inputs and on
-//!   `BigFloat` for the escalated remainder.
+//! * `tiered` — `herbgrind::analyze_tiered`: the certify probe, one serial
+//!   run per input, then the full analysis on `DoubleDouble` for certified
+//!   inputs and on `BigFloat` for the escalated remainder.
 //! * `dd-full` — `analyze_with_shadow::<DoubleDouble>`: the (uncertified)
 //!   all-dd analysis, as context for how much of the remaining gap is
 //!   probe overhead vs. shadow arithmetic.
@@ -37,38 +37,12 @@
 //! baseline is produced that way), and `BENCH_SMOKE=1` switches to one
 //! short round for CI.
 
-use fpvm::{Addr, Machine, Program, Tracer};
 use herbgrind::{
     analyze, analyze_tiered, analyze_tiered_with_stats, analyze_with_shadow, AnalysisConfig,
 };
-use herbgrind_bench::{quartiles, ratio_quartiles, round_robin};
-use shadowreal::{DoubleDouble, RealOp};
+use herbgrind_bench::{analyzed_ops, kernel, quartiles, ratio_quartiles, round_robin, SweepKernel};
+use shadowreal::DoubleDouble;
 use std::hint::black_box;
-
-/// Counts executed floating-point operations (the denominator of every
-/// ops/sec figure; identical across modes because the analysis follows the
-/// client's control flow).
-#[derive(Default)]
-struct OpCounter {
-    computes: u64,
-}
-
-impl Tracer for OpCounter {
-    fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
-        self.computes += 1;
-    }
-}
-
-struct SweepKernel {
-    program: Program,
-    inputs: Vec<Vec<f64>>,
-}
-
-fn kernel(src: &str, inputs: Vec<Vec<f64>>) -> SweepKernel {
-    let core = fpcore::parse_core(src).expect("kernel parses");
-    let program = fpvm::compile_core(&core, Default::default()).expect("kernel compiles");
-    SweepKernel { program, inputs }
-}
 
 /// Transcendental-heavy kernels whose inputs stay inside the certificate
 /// domains (arguments well within the trig reduction range, `exp` inputs
@@ -115,17 +89,10 @@ fn main() {
     // One analysis thread throughout: this bench measures the tiering.
     let config = AnalysisConfig::default().with_threads(1);
 
-    let mut total_ops = 0u64;
-    for p in &prepared {
-        let machine = Machine::new(&p.program);
-        for input in &p.inputs {
-            let mut counter = OpCounter::default();
-            machine
-                .run_traced(input, &mut counter)
-                .expect("benchmark runs");
-            total_ops += counter.computes;
-        }
-    }
+    let total_ops: u64 = prepared
+        .iter()
+        .map(|p| analyzed_ops(&p.program, &p.inputs))
+        .sum();
 
     // The speedup claim rests on two in-run facts: the tiered report is
     // bit-identical to the full BigFloat report, and the probe actually

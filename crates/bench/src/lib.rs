@@ -12,6 +12,8 @@
 
 use fpbench::PreparedBenchmark;
 use fpcore::FPCore;
+use fpvm::{Addr, Machine, Program, Tracer};
+use shadowreal::RealOp;
 use std::time::Instant;
 
 /// The benchmarks used by the timing-oriented benches: a slice of the suite
@@ -44,6 +46,61 @@ pub fn prepared_timing_benchmarks(samples: usize) -> Vec<PreparedBenchmark> {
         .iter()
         .filter_map(|core| fpbench::prepare(core, samples, 2024).ok())
         .collect()
+}
+
+/// A compiled bench kernel and the inputs it is swept over.
+pub struct SweepKernel {
+    /// The compiled program.
+    pub program: Program,
+    /// One input per run.
+    pub inputs: Vec<Vec<f64>>,
+}
+
+/// Compiles the FPCore `src` into a kernel swept over `inputs`.
+///
+/// # Panics
+///
+/// Panics if `src` does not parse or compile.
+pub fn kernel(src: &str, inputs: Vec<Vec<f64>>) -> SweepKernel {
+    let core = fpcore::parse_core(src).expect("kernel parses");
+    let program = fpvm::compile_core(&core, Default::default()).expect("kernel compiles");
+    SweepKernel { program, inputs }
+}
+
+/// The floating-point operations one sweep of `inputs` through `program`
+/// executes: the denominator of every ops/s figure, identical across
+/// engines because the analysis follows the client's control flow.
+///
+/// # Panics
+///
+/// Panics if a run fails.
+pub fn analyzed_ops(program: &Program, inputs: &[Vec<f64>]) -> u64 {
+    struct OpCounter(u64);
+    impl Tracer for OpCounter {
+        fn on_compute(&mut self, _: usize, _: RealOp, _: Addr, _: &[Addr], _: &[f64], _: f64) {
+            self.0 += 1;
+        }
+    }
+    let machine = Machine::new(program);
+    let mut counter = OpCounter(0);
+    for input in inputs {
+        machine
+            .run_traced(input, &mut counter)
+            .expect("benchmark runs");
+    }
+    counter.0
+}
+
+/// The best of `reps` runs of `f`, in ns per op of the `total_ops` ops one
+/// run executes.
+pub fn measure(total_ops: u64, reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_nanos() as f64 / total_ops as f64);
+    }
+    best
 }
 
 /// Times `modes` round-robin: each of `rounds` rounds runs every mode once,
@@ -105,6 +162,15 @@ mod tests {
             ratio_quartiles(&[2.0, 6.0, 3.0], &[1.0, 2.0, 3.0]),
             [2.0, 2.0, 3.0]
         );
+    }
+
+    #[test]
+    fn kernels_count_their_analyzed_ops() {
+        let p = kernel("(FPCore (x) (+ (* x x) 1))", vec![vec![1.0], vec![2.0]]);
+        assert_eq!(analyzed_ops(&p.program, &p.inputs), 4);
+        let mut runs = 0;
+        assert!(measure(4, 3, || runs += 1) >= 0.0);
+        assert_eq!(runs, 3);
     }
 
     #[test]

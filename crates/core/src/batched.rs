@@ -104,7 +104,7 @@ pub(crate) use with_lane_width;
 /// front to back, so chunk lengths differ by at most one (a sweep of at
 /// least `W` inputs keeps every lane busy) and lane order is input order —
 /// folding lane shards in lane order is the in-input-order merge.
-pub(crate) fn lane_passes<const W: usize>(len: usize) -> impl Iterator<Item = [Option<usize>; W]> {
+fn lane_passes<const W: usize>(len: usize) -> impl Iterator<Item = [Option<usize>; W]> {
     let lanes = W.min(len).max(1);
     let (base, extra) = (len / lanes, len % lanes);
     (0..base + usize::from(extra > 0)).map(move |position| {
@@ -519,10 +519,10 @@ pub struct LocalErrorRow {
 }
 
 /// The analysis's local-error decision (`bits_error(float, exact) > T`,
-/// Figure 4) made in integer ulps on `DoubleDouble` lanes: the test the
-/// local-error probe counts with, and the one the certify probe builds a
-/// tiered sweep's demand set from. `tests/probe_agreement.rs` pins it to the
-/// analysis's bits test on every execution.
+/// Figure 4) made in integer ulps on `DoubleDouble` shadows: the test the
+/// lane local-error probe counts with, and the one the serial certify probe
+/// builds a tiered sweep's demand set from. `tests/probe_agreement.rs` pins
+/// it to the analysis's bits test on every execution.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UlpsThreshold {
     threshold_ulps: u64,
@@ -597,7 +597,7 @@ impl UlpsThreshold {
 /// rounded operands (the hi planes) against the rounded exact result
 /// (`exact.hi`), exactly as [`shadowreal::ulps_between`] measures it.
 #[inline]
-pub(crate) fn local_error_ulps<const W: usize>(
+fn local_error_ulps<const W: usize>(
     op: RealOp,
     operands: &[DdLanes<W>],
     exact: &DdLanes<W>,

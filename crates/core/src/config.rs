@@ -56,24 +56,29 @@ pub struct AnalysisConfig {
     /// [`fpvm::MachineError::TraceBudgetExceeded`], which the fault-isolated
     /// drivers turn into a quarantine entry.
     pub trace_node_budget: usize,
-    /// Number of analysis threads used by
-    /// [`analyze_parallel`](crate::analysis::analyze_parallel): the input
-    /// sweep is split into this many contiguous shards, analyzed
-    /// independently, and merged deterministically. `0` means one thread per
-    /// available core; `1` forces the serial path. The report is bit-identical
-    /// for every setting, up to the shard-merge exception documented at
+    /// Number of analysis threads of the sharded drivers:
+    /// [`analyze_parallel`](crate::analysis::analyze_parallel),
+    /// [`analyze_batched`](crate::batched::analyze_batched) and
+    /// [`analyze_tiered`](crate::tiered::analyze_tiered), with their isolated
+    /// forms. The input sweep is split into this many contiguous shards,
+    /// analyzed independently, and merged deterministically. `0` means one
+    /// thread per available core; `1` runs one shard, so nothing merges.
+    /// [`analyze`](crate::analysis::analyze) and
+    /// [`analyze_isolated`](crate::quarantine::analyze_isolated) ignore it:
+    /// they always sweep as one chunk. The report is bit-identical for every
+    /// setting, up to the shard-merge exception documented at
     /// [`analyze_parallel`](crate::analysis::analyze_parallel).
     pub threads: usize,
-    /// Lane width used by
-    /// [`analyze_batched`](crate::batched::analyze_batched) and by the
-    /// certify pass of [`analyze_tiered`](crate::tiered::analyze_tiered):
-    /// how many inputs one batched tape pass executes in lockstep. Widths
-    /// outside the engine's supported menu fall back to the nearest smaller
-    /// supported width ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and
-    /// `1` run single-lane batches. The report is bit-identical for every
-    /// setting, up to the shard-merge exception of
-    /// [`AnalysisConfig::threads`], which the batched driver's lane shards
-    /// share.
+    /// Lane width of [`analyze_batched`](crate::batched::analyze_batched)
+    /// and [`analyze_batched_isolated`](crate::quarantine::analyze_batched_isolated):
+    /// how many inputs one batched tape pass executes in lockstep. No other
+    /// driver reads it; [`probe_local_error`](crate::batched::probe_local_error)
+    /// takes its width as a const parameter. Widths outside the engine's
+    /// supported menu fall back to the nearest smaller supported width
+    /// ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and `1` run
+    /// single-lane batches. The report is bit-identical for every setting,
+    /// up to the shard-merge exception of [`AnalysisConfig::threads`], which
+    /// the batched driver's lane shards share.
     pub batch_width: usize,
     /// Declared input region for tier 0 of the tiered analysis
     /// ([`analyze_tiered`](crate::tiered::analyze_tiered)): one `(lo, hi)`
@@ -213,8 +218,8 @@ impl AnalysisConfig {
         self
     }
 
-    /// The thread count [`analyze_parallel`](crate::analysis::analyze_parallel)
-    /// actually uses for a sweep of `input_count` inputs: the configured
+    /// The thread count the sharded drivers ([`AnalysisConfig::threads`])
+    /// actually use for a sweep of `input_count` inputs: the configured
     /// count (or the available parallelism when 0), never more than one
     /// thread per input.
     pub fn effective_threads(&self, input_count: usize) -> usize {

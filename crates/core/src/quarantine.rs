@@ -60,18 +60,19 @@
 //! plain drivers' errors — independent of the batch width the fault
 //! happened to occur at.
 //!
-//! The tiered engine runs in two sharded passes. The certify pass runs over
-//! every shard first and yields per-input verdicts and a demand set per
-//! shard; the demand sets are united, because a statement's records must be
-//! counts-only in every shard or in none. Then the escalate pass runs each
-//! shard on the serial engine with the sweep's statement mask. The serial
-//! engine picks each input's shadow and hands one record state between the
-//! two analyses, so neither tier runs as a lane pass. Only the `BigFloat`
-//! tier quarantines: the serial engine demotes an input the `DoubleDouble`
-//! tier faults on, so a fault scoped to that tier heals, and one the
-//! `BigFloat` tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
-//! A certify shard that panics or whose thread dies escalates its inputs and
-//! puts every statement in demand.
+//! The tiered engine runs in two sharded passes, both on the serial
+//! machine, so it runs no lane pass. The certify pass runs over every shard
+//! first, one run per input, and yields per-input verdicts and a demand set
+//! per shard; the demand sets are united, because a statement's records must
+//! be counts-only in every shard or in none. Then the escalate pass runs
+//! each shard on the serial engine with the sweep's statement mask. The
+//! serial engine picks each input's shadow and hands one record state
+//! between the two analyses. Only the `BigFloat` tier quarantines: the
+//! serial engine demotes an input the `DoubleDouble` tier faults on, so a
+//! fault scoped to that tier heals, and one the `BigFloat` tier also hits is
+//! quarantined at [`SweepStage::TieredBigFloat`]. A certify shard that
+//! panics or whose thread dies escalates its inputs and puts every statement
+//! in demand.
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engine catches them per input, the
@@ -398,11 +399,11 @@ fn batched_engine<R: Real>(
 /// has sweep-global index `index_base`, timed as the certify phase.
 ///
 /// The probe is already fault-tolerant (a failed or injected run is simply
-/// uncertified); a *panicking* pass fails closed by escalating every input
-/// to the `BigFloat` tier and putting every statement in demand.
+/// uncertified, and each run meets the sweep's deadline on its own); a
+/// *panicking* pass fails closed by escalating every input to the `BigFloat`
+/// tier and putting every statement in demand.
 fn certify_chunk(
     sweep: &Sweep<'_>,
-    width: usize,
     inputs: &[Vec<f64>],
     index_base: usize,
     params: &CertParams,
@@ -411,14 +412,14 @@ fn certify_chunk(
     let _ = index_base;
     let _certify_span = telemetry::span(telemetry::Phase::Certify);
     catch_unwind(AssertUnwindSafe(|| {
-        with_lane_width!(width, W => certify_inputs::<W>(
+        certify_inputs(
             &sweep.machine,
             inputs,
             params,
             &sweep.config,
             #[cfg(feature = "fault-injection")]
             sweep.armed.then_some(index_base),
-        ))
+        )
     }))
     .unwrap_or_else(|_| Certified::escalate_all(inputs.len()))
 }
@@ -617,12 +618,10 @@ pub(crate) fn tiered_family(
 ) -> (Report, TierStats) {
     let mut sweep = Sweep::new(program, config, armed);
     let prune = arm_tier0(program, &sweep.config, inputs);
-    let width = effective_batch_width(sweep.config.batch_width);
     let threads = sweep.config.effective_threads(inputs.len());
     let certified = match CertParams::new(sweep.config.shadow_precision) {
         Some(params) => {
-            let certify =
-                |start, chunk: &[Vec<f64>]| certify_chunk(&sweep, width, chunk, start, &params);
+            let certify = |start, chunk: &[Vec<f64>]| certify_chunk(&sweep, chunk, start, &params);
             let lost = |indices: Range<usize>, _| Certified::escalate_all(indices.len());
             sharded(inputs, threads, certify, lost)
                 .into_iter()

@@ -4,18 +4,18 @@
 //!
 //! [`analyze_tiered`] runs the input sweep in two passes:
 //!
-//! 1. **Certify pass.** Every input runs once under the certify probe — the
-//!    lane-parallel engine with a `DoubleDouble` shadow plane plus a
-//!    per-value certificate bound `E` with the invariant
-//!    `|value_dd − value_big| ≤ E` ([`shadowreal::cert`]). Its planes start
-//!    zeroed, like machine memory, so a location nothing wrote already
-//!    holds the leaf the analysis would lazily shadow. At every point
-//!    where the full analysis makes a *decision* from a shadow value — the
-//!    double rounding feeding local and total error, the compensation
-//!    equality test (§5.3), a branch comparison — the probe checks that the
-//!    widened bound cannot flip the decision. A lane where any check fails
-//!    is marked uncertified for that input. The pass also names the
-//!    *demand set*: the statements that can be erroneous under `BigFloat`.
+//! 1. **Certify pass.** Every input runs once on the serial machine under
+//!    the certify probe — a `DoubleDouble` shadow plus a per-value
+//!    certificate bound `E` with the invariant `|value_dd − value_big| ≤ E`
+//!    ([`shadowreal::cert`]). Its slots start zeroed every run, like
+//!    machine memory, so a location nothing wrote already holds the leaf
+//!    the analysis would lazily shadow. At every point where the full
+//!    analysis makes a *decision* from a shadow value — the double rounding
+//!    feeding local and total error, the compensation equality test (§5.3),
+//!    a branch comparison — the probe checks that the widened bound cannot
+//!    flip the decision. An input where any check fails is marked
+//!    uncertified. The pass also names the *demand set*: the statements that
+//!    can be erroneous under `BigFloat`.
 //!
 //! 2. **Escalate pass.** Every input runs the full record-keeping analysis
 //!    on the shadow its verdict picks, in input order: certified inputs on
@@ -74,10 +74,10 @@
 //! influence sets hold only erroneous statements. A statement outside the
 //! demand set is never erroneous, so its record needs only the counts that
 //! `total_operations` and the averages read. The probe puts a statement in
-//! demand when a still-certified lane's local error exceeds the threshold —
-//! on such a lane the rounded operands and result are `BigFloat`'s, so the
-//! decision is too — and whenever a lane's certificate fails at or before
-//! the statement in the same run. A machine error, a panicking pass, the
+//! demand when its local error on a still-certified run exceeds the
+//! threshold — on such a run the rounded operands and result are
+//! `BigFloat`'s, so the decision is too — and whenever the run's certificate
+//! fails at or before the statement. A machine error, a panicking pass, the
 //! precision gate or a lost shard puts every statement in demand. Compensated
 //! executions only make the set larger. When no statement is in demand, no
 //! record reads a trace, so compute results carry the interner's kept `0.0`
@@ -90,15 +90,14 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::analysis::{Observe, StatementMask};
-use crate::batched::{lane_passes, local_error_ulps, UlpsThreshold};
+use crate::batched::UlpsThreshold;
 use crate::config::AnalysisConfig;
 use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
 use fpcore::CmpOp;
-use fpvm::batch::{lane_indices, BatchMemory, BatchTracer, LaneMask};
-use fpvm::{Addr, Machine, MachineError, Program, Statement, Value, MAX_ARITY};
+use fpvm::{Addr, Machine, MachineError, Program, Statement, Tracer, Value, MAX_ARITY};
 use shadowreal::cert::{self, CertParams};
-use shadowreal::{dd_batch, DdLanes, DoubleDouble, RealOp};
+use shadowreal::{ulps_between, DoubleDouble, Real, RealOp};
 use std::sync::Arc;
 
 /// How a tiered sweep split its inputs between the shadow tiers.
@@ -117,10 +116,10 @@ impl TierStats {
     }
 }
 
-/// Which certificate check first failed a probe lane — the telemetry
+/// Which certificate check first failed a certify run — the telemetry
 /// attribution for an escalation ("escalation causes by `cert` failure
-/// kind"). Lane execution is bit-identical to serial, so the first failing
-/// check per input is deterministic across lane widths and thread counts.
+/// kind"). Each input is one run of its own, so the first failing check per
+/// input is deterministic across thread counts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum CertFailKind {
     /// [`cert::rounding_certified`] could not pin the rounded result.
@@ -129,271 +128,6 @@ enum CertFailKind {
     Compensation,
     /// A branch comparison was not certified separated-or-exact.
     Branch,
-}
-
-/// The certify-pass tracer: a lane-parallel `DoubleDouble` shadow execution
-/// that carries a certificate bound per shadow value and a sticky per-lane
-/// verdict per run.
-///
-/// Its shadow memory follows the local-error probe's rule: the planes are
-/// zeroed at the start of every pass, leaves (arguments, constants, integer
-/// stores and float→int casts) write the exact double, a copy copies the
-/// value and its bound, and a read past the table reads zero. Machine memory
-/// starts at `0.0` too and changes only through those statements and
-/// computes, so a plane nothing wrote holds exactly the double the full
-/// analysis would lazily shadow ([`Herbgrind`](crate::analysis::Herbgrind),
-/// §6), and an integer's plane holds the `i as f64` leaf the analysis makes
-/// when it reads it. Computes evaluate through the vectorized
-/// [`shadowreal::dd_batch`] kernels, which are bit-identical per lane to the
-/// scalar kernels the full `DoubleDouble` analysis uses. The certificate
-/// layer rides on top: leaves are exact (`E = 0`), computes propagate bounds
-/// through [`cert::propagate`] and certify the result's rounding, and every
-/// comparison decision the full analysis would make is certified or the
-/// lane's verdict drops.
-#[derive(Debug)]
-pub(crate) struct CertifyProbe<const W: usize> {
-    /// `DoubleDouble` shadow planes, one per address (struct-of-arrays).
-    values: Vec<DdLanes<W>>,
-    /// Certificate bound per address per lane: `|dd − big| ≤ errs[a][l]`.
-    errs: Vec<[f64; W]>,
-    /// Per-lane verdict for the current run; sticky until the next pass.
-    certified: [bool; W],
-    /// The check that first dropped each lane's verdict this run (telemetry
-    /// attribution only; never read by the verdict logic).
-    fail_kinds: [Option<CertFailKind>; W],
-    params: CertParams,
-    /// Whether the full analysis will run compensation detection (§5.3),
-    /// whose pass-through equality tests must then be certified too.
-    detect_compensation: bool,
-    /// The analysis's local-error test, made on certified lanes for the
-    /// demand set.
-    threshold: UlpsThreshold,
-    /// The demand set so far, by pc: statements that can be erroneous under
-    /// `BigFloat` on some input of this pass. Accumulates across runs.
-    demand: Vec<bool>,
-}
-
-impl<const W: usize> CertifyProbe<W> {
-    /// A probe certifying against `params`, mirroring an analysis configured
-    /// like `config`.
-    fn new(params: CertParams, config: &AnalysisConfig) -> Self {
-        CertifyProbe {
-            values: Vec::new(),
-            errs: Vec::new(),
-            certified: [true; W],
-            fail_kinds: [None; W],
-            params,
-            detect_compensation: config.detect_compensation,
-            threshold: UlpsThreshold::new(config.local_error_threshold),
-            demand: Vec::new(),
-        }
-    }
-
-    /// Whether statement `pc` is in the demand set already.
-    #[inline]
-    fn demanded(&self, pc: usize) -> bool {
-        self.demand.get(pc).copied().unwrap_or(false)
-    }
-
-    /// Puts statement `pc` in the demand set.
-    fn demand(&mut self, pc: usize) {
-        if pc >= self.demand.len() {
-            self.demand.resize(pc + 1, false);
-        }
-        self.demand[pc] = true;
-    }
-
-    /// The plane of `addr` and its bounds; past the table, the zero plane
-    /// with exact bounds, which is what a grown slot holds.
-    #[inline]
-    fn read(&self, addr: Addr) -> (DdLanes<W>, [f64; W]) {
-        match self.values.get(addr) {
-            Some(&values) => (values, self.errs[addr]),
-            None => (DdLanes::zero(), [0.0; W]),
-        }
-    }
-
-    /// Writes lane `l` of `addr`, growing the planes on the cold path like
-    /// the analysis's `put_shadow` (statements may address beyond the space
-    /// announced at `on_start`).
-    #[inline]
-    fn write(&mut self, addr: Addr, l: usize, value: DoubleDouble, err: f64) {
-        if addr >= self.values.len() {
-            self.values.resize(addr + 1, DdLanes::zero());
-            self.errs.resize(addr + 1, [0.0; W]);
-        }
-        self.values[addr].set(l, value);
-        self.errs[addr][l] = err;
-    }
-
-    /// Writes the exact leaf `value(l)` (`E = 0`) to `dest` for every lane in
-    /// `mask`: both tiers shadow the same double exactly.
-    #[inline]
-    fn write_leaves(&mut self, dest: Addr, mask: LaneMask, value: impl Fn(usize) -> f64) {
-        for l in lane_indices(mask) {
-            self.write(dest, l, DoubleDouble::from_f64(value(l)), 0.0);
-        }
-    }
-}
-
-impl<const W: usize> BatchTracer<W> for CertifyProbe<W> {
-    fn on_start(&mut self, program: &Program, lane_inputs: &[Option<&[f64]>; W], mask: LaneMask) {
-        self.values.clear();
-        self.values.resize(program.num_addrs, DdLanes::zero());
-        self.errs.clear();
-        self.errs.resize(program.num_addrs, [0.0; W]);
-        self.certified = [true; W];
-        self.fail_kinds = [None; W];
-        for l in lane_indices(mask) {
-            if let Some(args) = lane_inputs[l] {
-                for (&addr, &value) in program.arg_addrs.iter().zip(args) {
-                    self.write(addr, l, DoubleDouble::from_f64(value), 0.0);
-                }
-            }
-        }
-    }
-
-    fn on_compute(
-        &mut self,
-        pc: usize,
-        op: RealOp,
-        dest: Addr,
-        args: &[Addr],
-        _arg_values: &[[f64; W]],
-        _results: &[f64; W],
-        mask: LaneMask,
-    ) {
-        let n = args.len();
-        // One vectorized exact evaluation for the group: `dd_batch` is
-        // pinned bit-identical, lane by lane, to the scalar kernels the full
-        // DoubleDouble tier runs.
-        let mut operands = [DdLanes::zero(); MAX_ARITY];
-        let mut operand_errs = [[0.0f64; W]; MAX_ARITY];
-        for (i, &addr) in args.iter().enumerate() {
-            (operands[i], operand_errs[i]) = self.read(addr);
-        }
-        let exact = dd_batch::apply(op, &operands[..n]);
-        // The demand set. On a lane whose checks all pass, the rounded
-        // operands and result are `BigFloat`'s, so the local-error test on
-        // them is `BigFloat`'s decision. A lane whose certificate fails here
-        // or failed earlier in the run decides nothing, so it puts the
-        // statement in demand. A statement in demand already needs no test.
-        let mut demanded = self.demanded(pc);
-        let ulps = if demanded {
-            [0; W]
-        } else {
-            local_error_ulps(op, &operands[..n], &exact)
-        };
-        let mut result_errs = [f64::INFINITY; W];
-        for l in lane_indices(mask) {
-            if !self.certified[l] {
-                demanded = true;
-                continue;
-            }
-            let lane_args: [DoubleDouble; MAX_ARITY] = std::array::from_fn(|i| operands[i].get(l));
-            let mut pairs: [(&DoubleDouble, f64); MAX_ARITY] = [(&lane_args[0], 0.0); MAX_ARITY];
-            for (pair, (arg, errs)) in pairs.iter_mut().zip(lane_args.iter().zip(&operand_errs)) {
-                *pair = (arg, errs[l]);
-            }
-            let result = exact.get(l);
-            let e = cert::propagate(op, &pairs[..n], &result, &self.params);
-            // The rounded result feeds the local error of this very
-            // operation (and, downstream, total error and casts), so an
-            // uncertifiable rounding fails the lane immediately.
-            let mut ok = cert::rounding_certified(&result, e);
-            let mut fail_kind = CertFailKind::Rounding;
-            if ok && self.detect_compensation && matches!(op, RealOp::Add | RealOp::Sub) {
-                // §5.3 pass-through tests: `exact_result.eq_value(arg)` for
-                // every candidate argument (subtraction never passes its
-                // second argument through). The subsequent error comparison
-                // only consumes certified roundings, so certifying the
-                // equality decisions certifies the whole detection.
-                for (i, (arg, errs)) in lane_args[..n].iter().zip(&operand_errs).enumerate() {
-                    if op == RealOp::Sub && i == 1 {
-                        continue;
-                    }
-                    if !cert::compare_certified(&result, e, arg, errs[l]) {
-                        ok = false;
-                        fail_kind = CertFailKind::Compensation;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                result_errs[l] = e;
-                demanded |= self.threshold.exceeded_by(ulps[l]);
-            } else {
-                self.certified[l] = false;
-                self.fail_kinds[l].get_or_insert(fail_kind);
-                demanded = true;
-            }
-        }
-        if demanded {
-            self.demand(pc);
-        }
-        for l in lane_indices(mask) {
-            self.write(dest, l, exact.get(l), result_errs[l]);
-        }
-    }
-
-    fn on_const_f(&mut self, _pc: usize, dest: Addr, value: f64, mask: LaneMask) {
-        self.write_leaves(dest, mask, |_| value);
-    }
-
-    fn on_const_i(&mut self, _pc: usize, dest: Addr, value: i64, mask: LaneMask) {
-        self.write_leaves(dest, mask, |_| value as f64);
-    }
-
-    fn on_copy(&mut self, _pc: usize, dest: Addr, src: Addr, _values: &[Value; W], mask: LaneMask) {
-        let (values, errs) = self.read(src);
-        for l in lane_indices(mask) {
-            self.write(dest, l, values.get(l), errs[l]);
-        }
-    }
-
-    fn on_cast_to_int(
-        &mut self,
-        _pc: usize,
-        dest: Addr,
-        _src: Addr,
-        _values: &[f64; W],
-        results: &[i64; W],
-        mask: LaneMask,
-    ) {
-        // The divergence decision truncates `shadow.to_f64()`, whose
-        // rounding was certified where the shadow was defined (leaves are
-        // exact); nothing further to check.
-        self.write_leaves(dest, mask, |l| results[l] as f64);
-    }
-
-    fn on_branch(
-        &mut self,
-        _pc: usize,
-        _cmp: CmpOp,
-        lhs: Addr,
-        rhs: Addr,
-        _lhs_values: &[Value; W],
-        _rhs_values: &[Value; W],
-        _taken: LaneMask,
-        mask: LaneMask,
-    ) {
-        let (lhs_values, lhs_errs) = self.read(lhs);
-        let (rhs_values, rhs_errs) = self.read(rhs);
-        for l in lane_indices(mask) {
-            if !self.certified[l] {
-                continue;
-            }
-            // The analysis compares the shadows with full `Real::compare`
-            // semantics to detect divergence; certified separation (or joint
-            // exactness) makes the `Ordering` agree across tiers for every
-            // comparison operator.
-            let (lv, rv) = (lhs_values.get(l), rhs_values.get(l));
-            if !cert::compare_certified(&lv, lhs_errs[l], &rv, rhs_errs[l]) {
-                self.certified[l] = false;
-                self.fail_kinds[l].get_or_insert(CertFailKind::Branch);
-            }
-        }
-    }
 }
 
 /// The demand set D of a tiered sweep: the compute statements whose local
@@ -470,71 +204,280 @@ impl Certified {
     }
 }
 
-/// Runs the certify pass at compile-time width `W` and returns the per-input
-/// verdicts, in input order, with the inputs' demand set.
+/// The certify-pass tracer: a `DoubleDouble` shadow execution of one input
+/// at a time that carries a certificate bound per shadow value and a sticky
+/// verdict per run.
+///
+/// Its shadow memory follows the local-error probe's rule: the slots are
+/// zeroed at the start of every run, leaves (arguments, constants, integer
+/// stores and float→int casts) write the exact double, a copy copies the
+/// value and its bound, and a read past the table reads an exact zero.
+/// Machine memory starts at `0.0` too and changes only through those
+/// statements and computes, so a slot nothing wrote holds exactly the double
+/// the full analysis would lazily shadow
+/// ([`Herbgrind`](crate::analysis::Herbgrind), §6), and an integer's slot
+/// holds the `i as f64` leaf the analysis makes when it reads it. Computes
+/// evaluate [`DoubleDouble::apply_ref`], the scalar kernel the full
+/// `DoubleDouble` analysis runs. The certificate layer rides on top: leaves
+/// are exact (`E = 0`), computes propagate bounds through
+/// [`cert::propagate`] and certify the result's rounding, and every
+/// comparison decision the full analysis would make is certified or the
+/// run's verdict drops.
+#[derive(Debug)]
+pub(crate) struct CertifyProbe {
+    /// The `DoubleDouble` shadow of each address with its certificate bound
+    /// `E`: `|dd − big| ≤ E`.
+    slots: Vec<(DoubleDouble, f64)>,
+    /// The check that dropped the current run's verdict; `None` while the
+    /// run is certified. Sticky until the next run.
+    failed: Option<CertFailKind>,
+    params: CertParams,
+    /// Whether the full analysis will run compensation detection (§5.3),
+    /// whose pass-through equality tests must then be certified too.
+    detect_compensation: bool,
+    /// The analysis's local-error test, made on certified runs for the
+    /// demand set.
+    threshold: UlpsThreshold,
+    /// The demand set so far, by pc: statements that can be erroneous under
+    /// `BigFloat` on some input of this pass. Accumulates across runs.
+    demand: Vec<bool>,
+}
+
+impl CertifyProbe {
+    /// A probe certifying against `params`, mirroring an analysis configured
+    /// like `config`.
+    fn new(params: CertParams, config: &AnalysisConfig) -> Self {
+        CertifyProbe {
+            slots: Vec::new(),
+            failed: None,
+            params,
+            detect_compensation: config.detect_compensation,
+            threshold: UlpsThreshold::new(config.local_error_threshold),
+            demand: Vec::new(),
+        }
+    }
+
+    /// Whether statement `pc` is in the demand set already.
+    #[inline]
+    fn demanded(&self, pc: usize) -> bool {
+        self.demand.get(pc).copied().unwrap_or(false)
+    }
+
+    /// Puts statement `pc` in the demand set.
+    fn demand(&mut self, pc: usize) {
+        if pc >= self.demand.len() {
+            self.demand.resize(pc + 1, false);
+        }
+        self.demand[pc] = true;
+    }
+
+    /// The shadow of `addr` and its bound; past the table, an exact zero,
+    /// which is what a grown slot holds.
+    #[inline]
+    fn read(&self, addr: Addr) -> (DoubleDouble, f64) {
+        self.slots
+            .get(addr)
+            .copied()
+            .unwrap_or((DoubleDouble::ZERO, 0.0))
+    }
+
+    /// Writes `addr`, growing the slots on the cold path like the analysis's
+    /// `put_shadow` (statements may address beyond the space announced at
+    /// `on_start`).
+    #[inline]
+    fn write(&mut self, addr: Addr, value: DoubleDouble, err: f64) {
+        if addr >= self.slots.len() {
+            self.slots.resize(addr + 1, (DoubleDouble::ZERO, 0.0));
+        }
+        self.slots[addr] = (value, err);
+    }
+
+    /// Writes the exact leaf `value` (`E = 0`) to `dest`: both tiers shadow
+    /// the same double exactly.
+    #[inline]
+    fn write_leaf(&mut self, dest: Addr, value: f64) {
+        self.write(dest, DoubleDouble::from_f64(value), 0.0);
+    }
+}
+
+impl Tracer for CertifyProbe {
+    fn on_start(&mut self, program: &Program, args: &[f64]) {
+        self.slots.clear();
+        self.slots
+            .resize(program.num_addrs, (DoubleDouble::ZERO, 0.0));
+        self.failed = None;
+        for (&addr, &value) in program.arg_addrs.iter().zip(args) {
+            self.write_leaf(addr, value);
+        }
+    }
+
+    fn on_compute(
+        &mut self,
+        pc: usize,
+        op: RealOp,
+        dest: Addr,
+        args: &[Addr],
+        _arg_values: &[f64],
+        _result: f64,
+    ) {
+        // The demand set. A run whose certificate failed decides nothing
+        // after the failure, so it puts every statement it reaches in demand.
+        if self.failed.is_some() {
+            self.demand(pc);
+            return;
+        }
+        let n = args.len();
+        let mut operands = [(DoubleDouble::ZERO, 0.0); MAX_ARITY];
+        for (operand, &addr) in operands.iter_mut().zip(args) {
+            *operand = self.read(addr);
+        }
+        let mut values = [&DoubleDouble::ZERO; MAX_ARITY];
+        let mut pairs = [(&DoubleDouble::ZERO, 0.0); MAX_ARITY];
+        for (i, (value, err)) in operands[..n].iter().enumerate() {
+            values[i] = value;
+            pairs[i] = (value, *err);
+        }
+        let exact = DoubleDouble::apply_ref(op, &values[..n]);
+        let e = cert::propagate(op, &pairs[..n], &exact, &self.params);
+        // The rounded result feeds the local error of this very operation
+        // (and, downstream, total error and casts), so an uncertifiable
+        // rounding fails the run immediately.
+        if !cert::rounding_certified(&exact, e) {
+            self.failed = Some(CertFailKind::Rounding);
+        } else if self.detect_compensation && matches!(op, RealOp::Add | RealOp::Sub) {
+            // §5.3 pass-through tests: `exact_result.eq_value(arg)` for every
+            // candidate argument (subtraction never passes its second
+            // argument through). The subsequent error comparison only
+            // consumes certified roundings, so certifying the equality
+            // decisions certifies the whole detection.
+            let candidates = if op == RealOp::Sub { 1 } else { n };
+            let certified =
+                |&(arg, err): &(&DoubleDouble, f64)| cert::compare_certified(&exact, e, arg, err);
+            if !pairs[..candidates].iter().all(certified) {
+                self.failed = Some(CertFailKind::Compensation);
+            }
+        }
+        if self.failed.is_some() {
+            self.demand(pc);
+            return;
+        }
+        // On a certified run the rounded operands and result are
+        // `BigFloat`'s, so the local-error test on them is `BigFloat`'s
+        // decision. A statement in demand already needs no test.
+        if !self.demanded(pc) {
+            let rounded: [f64; MAX_ARITY] = std::array::from_fn(|i| values[i].hi());
+            let float = f64::apply(op, &rounded[..n]);
+            if self.threshold.exceeded_by(ulps_between(float, exact.hi())) {
+                self.demand(pc);
+            }
+        }
+        self.write(dest, exact, e);
+    }
+
+    fn on_const_f(&mut self, _pc: usize, dest: Addr, value: f64) {
+        self.write_leaf(dest, value);
+    }
+
+    fn on_const_i(&mut self, _pc: usize, dest: Addr, value: i64) {
+        self.write_leaf(dest, value as f64);
+    }
+
+    fn on_copy(&mut self, _pc: usize, dest: Addr, src: Addr, _value: Value) {
+        let (value, err) = self.read(src);
+        self.write(dest, value, err);
+    }
+
+    fn on_cast_to_int(&mut self, _pc: usize, dest: Addr, _src: Addr, _value: f64, result: i64) {
+        // The divergence decision truncates `shadow.to_f64()`, whose
+        // rounding was certified where the shadow was defined (leaves are
+        // exact); nothing further to check.
+        self.write_leaf(dest, result as f64);
+    }
+
+    fn on_branch(
+        &mut self,
+        _pc: usize,
+        _cmp: CmpOp,
+        lhs: Addr,
+        rhs: Addr,
+        _lhs_value: Value,
+        _rhs_value: Value,
+        _taken: bool,
+    ) {
+        // The analysis compares the shadows with full `Real::compare`
+        // semantics to detect divergence; certified separation (or joint
+        // exactness) makes the `Ordering` agree across tiers for every
+        // comparison operator.
+        let ((lhs, lhs_err), (rhs, rhs_err)) = (self.read(lhs), self.read(rhs));
+        if self.failed.is_none() && !cert::compare_certified(&lhs, lhs_err, &rhs, rhs_err) {
+            self.failed = Some(CertFailKind::Branch);
+        }
+    }
+}
+
+/// Runs the certify pass over `inputs`, one run per input on `machine`, and
+/// returns the per-input verdicts, in input order, with the inputs' demand
+/// set.
 ///
 /// Inputs whose run fails with a [`MachineError`] are marked uncertified —
 /// the escalate pass reruns them in the `BigFloat` tier, which quarantines
 /// them with the same error a plain sweep stops at — and put every statement
 /// in demand: a deadline can stop the probe's run before the `BigFloat`
-/// run of the same input stops. The failing lane keeps consuming its chunk:
-/// unlike the analysis sweeps, the probe must classify *every* input.
+/// run of the same input stops. Unlike the analysis sweeps, the probe must
+/// classify *every* input, so a failed run does not stop the pass.
 /// `inject_base` (fault-injection builds only) arms injected certification
 /// verdicts with the sweep-global index of `inputs[0]`; unarmed sweeps pass
 /// `None`.
-pub(crate) fn certify_inputs<const W: usize>(
+pub(crate) fn certify_inputs(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     params: &CertParams,
     config: &AnalysisConfig,
     #[cfg(feature = "fault-injection")] inject_base: Option<usize>,
 ) -> Certified {
-    let batch = machine.batched::<W>();
-    let mut probe = CertifyProbe::<W>::new(*params, config);
-    let mut memory = BatchMemory::new();
-    let mut certified = vec![false; inputs.len()];
+    let mut probe = CertifyProbe::new(*params, config);
+    let mut memory = Vec::new();
     let mut machine_fault = false;
-    for lanes in lane_passes::<W>(inputs.len()) {
-        let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
-        let outcome = batch.run_batch(&lane_inputs, &mut probe, &mut memory);
-        for (l, index) in lanes.into_iter().enumerate() {
-            let Some(index) = index else { continue };
-            machine_fault |= outcome.errors[l].is_some();
-            #[allow(unused_mut)]
-            let mut verdict = probe.certified[l] && outcome.errors[l].is_none();
+    #[allow(unused_mut)]
+    let mut verdicts: Vec<bool> = inputs
+        .iter()
+        .map(|input| {
+            let faulted = machine
+                .run_traced_reusing(input, &mut probe, &mut memory)
+                .is_err();
+            machine_fault |= faulted;
+            let verdict = probe.failed.is_none() && !faulted;
             if telemetry::enabled() && !verdict {
                 // Escalation cause: the first failing certificate check, or
                 // a machine fault when every check passed.
-                if !probe.certified[l] {
-                    match probe.fail_kinds[l] {
-                        Some(CertFailKind::Rounding) => telemetry::TIERED_ESCALATE_ROUNDING.incr(),
-                        Some(CertFailKind::Compensation) => {
-                            telemetry::TIERED_ESCALATE_COMPENSATION.incr()
-                        }
-                        Some(CertFailKind::Branch) => telemetry::TIERED_ESCALATE_BRANCH.incr(),
-                        None => {}
+                match probe.failed {
+                    Some(CertFailKind::Rounding) => telemetry::TIERED_ESCALATE_ROUNDING.incr(),
+                    Some(CertFailKind::Compensation) => {
+                        telemetry::TIERED_ESCALATE_COMPENSATION.incr()
                     }
-                } else {
-                    telemetry::TIERED_ESCALATE_MACHINE_FAULT.incr();
+                    Some(CertFailKind::Branch) => telemetry::TIERED_ESCALATE_BRANCH.incr(),
+                    None => telemetry::TIERED_ESCALATE_MACHINE_FAULT.incr(),
                 }
             }
-            // An injected tier-escalation failure forces the input out of the
-            // certified tier at verdict time, so the escalation tier (where
-            // the same injection panics) is exercised. Armed only by the
-            // fault-isolated driver.
-            #[cfg(feature = "fault-injection")]
-            if let Some(base) = inject_base {
-                use crate::faultinject::{self, InjectKind, InjectStage};
-                if faultinject::query(base + index, 0, InjectStage::TieredCertify)
-                    == Some(InjectKind::TierEscalation)
-                {
-                    if verdict {
-                        telemetry::TIERED_ESCALATE_INJECTED.incr();
-                    }
-                    verdict = false;
+            verdict
+        })
+        .collect();
+    // An injected tier-escalation failure forces the input out of the
+    // certified tier at verdict time, so the escalation tier (where the same
+    // injection panics) is exercised. Armed only by the fault-isolated
+    // driver.
+    #[cfg(feature = "fault-injection")]
+    if let Some(base) = inject_base {
+        use crate::faultinject::{self, InjectKind, InjectStage};
+        for (index, verdict) in verdicts.iter_mut().enumerate() {
+            if faultinject::query(base + index, 0, InjectStage::TieredCertify)
+                == Some(InjectKind::TierEscalation)
+            {
+                if *verdict {
+                    telemetry::TIERED_ESCALATE_INJECTED.incr();
                 }
+                *verdict = false;
             }
-            certified[index] = verdict;
         }
     }
     let demand = if machine_fault {
@@ -542,10 +485,7 @@ pub(crate) fn certify_inputs<const W: usize>(
     } else {
         Demand::Marked(probe.demand)
     };
-    Certified {
-        verdicts: certified,
-        demand,
-    }
+    Certified { verdicts, demand }
 }
 
 /// Arms tier 0 for a tiered sweep: the static prune mask of the program
@@ -795,12 +735,14 @@ mod tests {
     }
 
     /// Sweeps `inputs` through serial `analyze` and one-thread tiered sweeps
-    /// at widths {1, 8}. Whatever its verdicts, a chunk runs on the serial
-    /// engine, which hands one record state between the tiers: each input is
-    /// one run on its tier's shadow, timed as one span of that tier; no
-    /// interner is shared across inputs, so the peak is the serial one; and no
-    /// chunk is re-run as a recovery. `check` adds the sweep's own assertions
-    /// on each tiered run's stats and telemetry.
+    /// at widths {1, 8}, which the tiered engine ignores. Whatever its
+    /// verdicts, a chunk runs on the serial engine, which hands one record
+    /// state between the tiers: each input is one run on its tier's shadow,
+    /// timed as one span of that tier; no interner is shared across inputs,
+    /// so the peak is the serial one; and no chunk is re-run as a recovery.
+    /// The certify pass runs on the serial machine too, so the sweep runs no
+    /// lane pass at all. `check` adds the sweep's own assertions on each
+    /// tiered run's stats and telemetry.
     fn assert_chunks_run_on_the_serial_engine(
         p: &Program,
         inputs: &[Vec<f64>],
@@ -823,6 +765,7 @@ mod tests {
             check(&stats, &snap, &context);
             assert_eq!(peak(&snap), serial_peak, "{context}");
             assert_eq!(snap.counter("quarantine.ladder_attempts"), 0, "{context}");
+            assert_eq!(snap.counter("fpvm.batch_passes"), 0, "{context}");
             let phase = |phase| snap.phase(phase).count as usize;
             let dd_runs = phase(telemetry::Phase::TierDoubleDouble);
             assert_eq!(dd_runs, stats.certified_inputs, "{context}");
@@ -1012,7 +955,7 @@ mod tests {
         let params = CertParams::new(config.shadow_precision).unwrap();
         let machine = Machine::new(&p).with_step_limit(config.step_limit);
         let certify = |inputs: &[Vec<f64>]| {
-            certify_inputs::<8>(
+            certify_inputs(
                 &machine,
                 inputs,
                 &params,

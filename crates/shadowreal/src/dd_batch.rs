@@ -1,12 +1,11 @@
 //! Lane-vectorized [`DoubleDouble`] arithmetic.
 //!
-//! The analysis's two lane probes — the local-error probe and the tiered
-//! driver's certify pass — evaluate a whole lane group's shadow operation in
-//! one call. [`DdLanes`] holds a group of double-doubles
-//! struct-of-arrays (`hi` and `lo` lane arrays), and the kernels here apply
-//! the error-free transformations elementwise over those arrays — plain
-//! contiguous loops of branch-free float arithmetic that the compiler
-//! auto-vectorizes.
+//! The analysis's lane-parallel local-error probe evaluates a whole lane
+//! group's shadow operation in one call. [`DdLanes`] holds a group of
+//! double-doubles struct-of-arrays (`hi` and `lo` lane arrays), and the
+//! kernels here apply the error-free transformations elementwise over those
+//! arrays — plain contiguous loops of branch-free float arithmetic that the
+//! compiler auto-vectorizes.
 //!
 //! **Every kernel is bit-identical, per lane, to the scalar
 //! [`DoubleDouble`] operation**: it executes exactly the same floating-point
@@ -15,7 +14,7 @@
 //! computing the branch-free main path for all lanes and then patching the
 //! special lanes with the scalar path's exact results. The agreement tests
 //! below pin this down over the full operation set, and the analysis relies
-//! on it: a probe's lane values must be exactly the ones the full
+//! on it: the probe's lane values must be exactly the ones the full
 //! `DoubleDouble` analysis computes with the scalar kernels.
 
 // The kernels below intentionally index several lane arrays with one loop
