@@ -9,7 +9,9 @@
 //!   atan) at 64,
 //!   256 (default) and 1024 bits — the inline-limb representation covers
 //!   the first two, the heap fallback the last;
-//! * `DoubleDouble` add / mul (the fast fixed-precision shadow);
+//! * `DoubleDouble` add / mul / div (the fast fixed-precision shadow) and
+//!   its table-driven elementary functions (exp / sin / log / cos / tan /
+//!   atan / pow);
 //! * a retained copy of the pre-PR `Vec<u64>`-mantissa kernels
 //!   ([`vec_baseline`]), measured in the same run, so the speedup of the
 //!   inline representation is reproducible anywhere;
@@ -462,20 +464,36 @@ fn main() {
             )
         })
         .collect();
+    // pow raises a to 64·b, as the BigFloat row does, so its exponential
+    // sees ordinary arguments.
+    let dd_pow_pairs: Vec<(DoubleDouble, DoubleDouble)> = dd_pairs
+        .iter()
+        .map(|(a, b)| (*a, b.mul(&DoubleDouble::from_f64(64.0))))
+        .collect();
     for (op, realop) in [
         ("add", RealOp::Add),
         ("mul", RealOp::Mul),
         ("div", RealOp::Div),
         ("exp", RealOp::Exp),
         ("sin", RealOp::Sin),
+        ("log", RealOp::Log),
+        ("cos", RealOp::Cos),
+        ("tan", RealOp::Tan),
+        ("atan", RealOp::Atan),
+        ("pow", RealOp::Pow),
     ] {
         let unary = realop.arity() == 1;
+        let pairs = if realop == RealOp::Pow {
+            &dd_pow_pairs
+        } else {
+            &dd_pairs
+        };
         rows.push(Row {
             group: "doubledouble",
             op,
             bits: 106,
-            ns_per_op: measure(dd_pairs.len() as u64, reps, || {
-                for (a, b) in &dd_pairs {
+            ns_per_op: measure(pairs.len() as u64, reps, || {
+                for (a, b) in pairs {
                     if unary {
                         black_box(DoubleDouble::apply(realop, &[black_box(*a)]));
                     } else {

@@ -77,7 +77,7 @@
 //! demand when its local error on a still-certified run exceeds the
 //! threshold — on such a run the rounded operands and result are
 //! `BigFloat`'s, so the decision is too — and whenever the run's certificate
-//! fails at or before the statement. A machine error, a panicking pass, the
+//! fails at or before the statement. A deadline fault, a panicking pass, the
 //! precision gate or a lost shard puts every statement in demand. Compensated
 //! executions only make the set larger. When no statement is in demand, no
 //! record reads a trace, so compute results carry the interner's kept `0.0`
@@ -137,7 +137,8 @@ enum CertFailKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Demand {
     /// Every statement: the certify pass could not bound what `BigFloat`
-    /// decides (a machine error, a panic, the precision gate, a lost shard).
+    /// decides (a deadline fault, a panic, the precision gate, a lost
+    /// shard).
     Every,
     /// The marked statements, by pc; statements past the end are unmarked.
     Marked(Vec<bool>),
@@ -419,11 +420,15 @@ impl Tracer for CertifyProbe {
 /// returns the per-input verdicts, in input order, with the inputs' demand
 /// set.
 ///
-/// Inputs whose run fails with a [`MachineError`] are marked uncertified —
-/// the escalate pass reruns them in the `BigFloat` tier, which quarantines
-/// them with the same error a plain sweep stops at — and put every statement
-/// in demand: a deadline can stop the probe's run before the `BigFloat`
-/// run of the same input stops. Unlike the analysis sweeps, the probe must
+/// Inputs whose run fails with a [`MachineError`] are marked uncertified:
+/// the escalate pass reruns them in the `BigFloat` tier. A deadline fault
+/// also puts every statement in demand, because a deadline depends on load
+/// and can stop the probe's run before the `BigFloat` run of the same input
+/// stops. Every other machine error depends only on the program, the input
+/// and the config, so the `BigFloat` run of that input faults at the same
+/// step or earlier and is quarantined (or becomes a fail-fast driver's
+/// error), and none of its records reach a report; the demand set keeps
+/// what the probe marked. Unlike the analysis sweeps, the probe must
 /// classify *every* input, so a failed run does not stop the pass.
 /// `inject_base` (fault-injection builds only) arms injected certification
 /// verdicts with the sweep-global index of `inputs[0]`; unarmed sweeps pass
@@ -437,16 +442,14 @@ pub(crate) fn certify_inputs(
 ) -> Certified {
     let mut probe = CertifyProbe::new(*params, config);
     let mut memory = Vec::new();
-    let mut machine_fault = false;
+    let mut deadline_fault = false;
     #[allow(unused_mut)]
     let mut verdicts: Vec<bool> = inputs
         .iter()
         .map(|input| {
-            let faulted = machine
-                .run_traced_reusing(input, &mut probe, &mut memory)
-                .is_err();
-            machine_fault |= faulted;
-            let verdict = probe.failed.is_none() && !faulted;
+            let run = machine.run_traced_reusing(input, &mut probe, &mut memory);
+            deadline_fault |= matches!(run, Err(MachineError::DeadlineExceeded { .. }));
+            let verdict = probe.failed.is_none() && run.is_ok();
             if telemetry::enabled() && !verdict {
                 // Escalation cause: the first failing certificate check, or
                 // a machine fault when every check passed.
@@ -480,7 +483,7 @@ pub(crate) fn certify_inputs(
             }
         }
     }
-    let demand = if machine_fault {
+    let demand = if deadline_fault {
         Demand::Every
     } else {
         Demand::Marked(probe.demand)
@@ -620,7 +623,10 @@ mod tests {
 
     use super::*;
     use crate::analysis::analyze;
-    use crate::quarantine::analyze_tiered_isolated;
+    use crate::quarantine::{
+        analyze_isolated, analyze_tiered_isolated, analyze_tiered_isolated_with_stats, SweepFault,
+        SweepStage,
+    };
     use fpcore::parse_core;
     use fpvm::compile_core;
 
@@ -941,34 +947,48 @@ mod tests {
         assert!(tiered.has_significant_error());
     }
 
+    /// The certify pass of `config`'s sweep over `inputs`, on its own
+    /// machine.
+    fn certify_with(p: &Program, inputs: &[Vec<f64>], config: &AnalysisConfig) -> Certified {
+        let params = CertParams::new(config.shadow_precision).unwrap();
+        let machine = Machine::new(p)
+            .with_step_limit(config.step_limit)
+            .with_deadline_millis(config.deadline_millis);
+        certify_inputs(
+            &machine,
+            inputs,
+            &params,
+            config,
+            #[cfg(feature = "fault-injection")]
+            None,
+        )
+    }
+
+    /// A loop of `n` iterations whose statements are never erroneous: its
+    /// accumulators stay exact.
+    const EXACT_LOOP: &str = "(FPCore (n) (while (< t n) ((t 0 (+ t 0.125)) (c 0 (+ c 1))) c))";
+
     #[test]
     fn faulted_certify_runs_demand_every_statement() {
-        // A run the certify pass cannot finish decides nothing about the
-        // statements after its fault, so the whole sweep keeps full records.
-        let p = program("(FPCore (n) (while (< t n) ((t 0 (+ t 0.125)) (c 0 (+ c 1))) c))");
-        let inputs: Vec<Vec<f64>> = vec![vec![1.0], vec![800.0]];
+        // A deadline depends on load, so a run the certify pass cannot
+        // finish in time decides nothing about what the `BigFloat` run of
+        // the same input does after the fault: the whole sweep keeps full
+        // records. The second input runs 8·10⁹ iterations, far past the
+        // 1 ms deadline and far below the step limit; the first runs fewer
+        // steps than the machine's deadline check interval.
+        let p = program(EXACT_LOOP);
+        let inputs: Vec<Vec<f64>> = vec![vec![1.0], vec![1e9]];
         let config = AnalysisConfig {
-            step_limit: 100,
+            step_limit: 1 << 40,
+            deadline_millis: 1,
             ..AnalysisConfig::default()
         }
         .normalize();
-        let params = CertParams::new(config.shadow_precision).unwrap();
-        let machine = Machine::new(&p).with_step_limit(config.step_limit);
-        let certify = |inputs: &[Vec<f64>]| {
-            certify_inputs(
-                &machine,
-                inputs,
-                &params,
-                &config,
-                #[cfg(feature = "fault-injection")]
-                None,
-            )
-        };
-        let certified = certify(&inputs);
+        let certified = certify_with(&p, &inputs, &config);
         assert_eq!(certified.verdicts, [true, false]);
         assert_eq!(certified.demand, Demand::Every);
         assert!(statement_mask(&p, None, &certified.demand, &config).is_none());
-        let clean = certify(&inputs[..1]);
+        let clean = certify_with(&p, &inputs[..1], &config);
         assert_eq!(clean.demand.computes(&p), 0);
         let mask = statement_mask(&p, None, &clean.demand, &config).unwrap();
         assert!(!mask.traces());
@@ -977,6 +997,71 @@ mod tests {
         assert!(statement_mask(&p, None, &clean.demand, &budgeted)
             .unwrap()
             .traces());
+    }
+
+    #[test]
+    fn deterministic_certify_faults_keep_the_marked_demand() {
+        // The step limit depends only on the program, the input and the
+        // config: the `BigFloat` run of the faulted input stops at the same
+        // step and is quarantined, so none of its records reach a report,
+        // and the demand set stays what the probe marked.
+        let p = program(EXACT_LOOP);
+        let inputs: Vec<Vec<f64>> = vec![vec![1.0], vec![800.0]];
+        let config = AnalysisConfig {
+            step_limit: 100,
+            ..AnalysisConfig::default()
+        }
+        .normalize();
+        let certified = certify_with(&p, &inputs, &config);
+        assert_eq!(certified.verdicts, [true, false]);
+        assert!(matches!(certified.demand, Demand::Marked(_)));
+        assert_eq!(certified.demand.computes(&p), 0);
+        let mask = statement_mask(&p, None, &certified.demand, &config).unwrap();
+        assert!(!mask.traces());
+    }
+
+    #[test]
+    fn a_runaway_input_keeps_the_sweeps_counts_only_records() {
+        // One runaway input of the harmonic loop exhausts the step limit in
+        // the certify pass and again in the `BigFloat` tier, which
+        // quarantines it; the other inputs keep the demand set, the
+        // counts-only records and the report they have without it.
+        let p = program("(FPCore (n) (while (< i n) ((s 0 (+ s (/ 1 i))) (i 1 (+ i 1))) s))");
+        let mut inputs: Vec<Vec<f64>> = (1..=23).map(|i| vec![f64::from(i * 3)]).collect();
+        let config = AnalysisConfig::default()
+            .with_threads(1)
+            .with_step_limit(2000);
+        let demand_and_updates = |inputs: &[Vec<f64>]| {
+            let capture = telemetry::SweepCapture::begin(telemetry::TelemetryMode::On);
+            let (report, _) = analyze_tiered_isolated_with_stats(&p, inputs, &config);
+            let snap = capture.finish();
+            let counts = (
+                snap.counter("tiered.demand_statements"),
+                snap.counter("analysis.counts_only_updates"),
+            );
+            (report, counts)
+        };
+        let (_, (clean_demand, _)) = demand_and_updates(&inputs);
+        inputs.push(vec![1e9]);
+        let (report, (demand, counts_only)) = demand_and_updates(&inputs);
+        assert_eq!(report.quarantined.len(), 1, "{:?}", report.quarantined);
+        let runaway = &report.quarantined[0];
+        assert_eq!(runaway.input_index, inputs.len() - 1);
+        assert_eq!(runaway.stage, SweepStage::TieredBigFloat);
+        assert!(matches!(
+            runaway.error,
+            SweepFault::Machine(MachineError::StepBudgetExceeded { .. })
+        ));
+        assert_eq!(demand, clean_demand);
+        assert_eq!(demand, 0);
+        assert!(counts_only > 0);
+        // The serial driver quarantines at its own stage.
+        let mut isolated = analyze_isolated(&p, &inputs, &config);
+        for quarantined in &mut isolated.quarantined {
+            assert_eq!(quarantined.stage, SweepStage::Serial);
+            quarantined.stage = SweepStage::TieredBigFloat;
+        }
+        assert_eq!(format!("{isolated:?}"), format!("{report:?}"));
     }
 
     #[test]

@@ -44,8 +44,11 @@ pub const MIN_TIER_PRECISION: u32 = 212;
 pub const WIDENING: f64 = 4.0;
 
 /// Relative error claim of the accurate [`crate::dd_math`] kernels inside
-/// their certificate domains (they typically achieve ~2^-95; the gap is
-/// additional margin).
+/// their certificate domains. Their tests pin each kernel, on single-double
+/// and on wide operands, below 2^-102 (`exp`, `exp2`, `log`, `sin`, `cos`,
+/// `atan`), 2^-101 (`expm1`, `tan`, `asin`, `acos`, `atan2`, `cbrt`) and
+/// 2^-98 (`pow`), and `log1p`, which rounds `1 + a` before its `log`, below
+/// 2^-92; the gap is additional margin.
 pub const TRANS_EPS: f64 = 2.5849394142282115e-26; // 2^-85
 
 /// Absolute floor added to every propagated bound; swallows subnormal
@@ -490,10 +493,18 @@ mod tests {
     /// Applies one op on dd and Big in lockstep and checks the propagated
     /// bound actually covers the observed deviation (with a margin).
     fn check_bound(op: RealOp, args: &[f64]) -> f64 {
+        check_bound_dd(op, &args.iter().map(|&a| dd(a)).collect::<Vec<_>>())
+    }
+
+    /// [`check_bound`] on double-double operands, which the BigFloat side
+    /// holds exactly as `hi + lo`.
+    fn check_bound_dd(op: RealOp, dd_args: &[Dd]) -> f64 {
         let p = params();
-        let dd_args: Vec<Dd> = args.iter().map(|&a| dd(a)).collect();
-        let big_args: Vec<BigFloat> = args.iter().map(|&a| BigFloat::from_f64(a)).collect();
-        let r = Dd::apply(op, &dd_args);
+        let big_args: Vec<BigFloat> = dd_args
+            .iter()
+            .map(|a| BigFloat::from_f64(a.hi()).add(&BigFloat::from_f64(a.lo())))
+            .collect();
+        let r = Dd::apply(op, dd_args);
         let b = BigFloat::apply(op, &big_args);
         let pairs: Vec<(&Dd, f64)> = dd_args.iter().map(|a| (a, 0.0)).collect();
         let e = propagate(op, &pairs, &r, &p);
@@ -502,7 +513,7 @@ mod tests {
             let dev = got.sub(&b).abs().to_f64();
             assert!(
                 dev <= e,
-                "{op} on {args:?}: observed |dd - big| = {dev:e} > bound {e:e}"
+                "{op} on {dd_args:?}: observed |dd - big| = {dev:e} > bound {e:e}"
             );
         }
         e
@@ -612,28 +623,54 @@ mod tests {
 
     #[test]
     fn library_bounds_cover_observed_deviation() {
-        for op in [
-            RealOp::Exp,
-            RealOp::Expm1,
-            RealOp::Log,
-            RealOp::Log2,
-            RealOp::Log10,
-            RealOp::Log1p,
-            RealOp::Sin,
-            RealOp::Cos,
-            RealOp::Tan,
-            RealOp::Atan,
-            RealOp::Cbrt,
-        ] {
-            for x in [0.5, 1.0, 2.5, 10.0, 100.5] {
-                let e = check_bound(op, &[x]);
-                assert!(e.is_finite(), "{op}({x}) unexpectedly failed");
+        // Seeded points across each kernel's certificate domain, on
+        // single-double operands and on wide ones (a nonzero low word): the
+        // bound must certify every point and cover its deviation.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        type Domain = fn(f64, f64) -> (f64, f64);
+        let log_domain: Domain = |a, _| (10f64.powf(600.0 * a - 300.0), 0.0);
+        let cases: [(RealOp, Domain); 22] = [
+            (RealOp::Exp, |a, _| (1300.0 * a - 650.0, 0.0)),
+            (RealOp::Exp, |a, _| (4.0 * a - 2.0, 0.0)),
+            (RealOp::Exp2, |a, _| (80.0 * a - 40.0, 0.0)),
+            (RealOp::Expm1, |a, _| (a - 0.5, 0.0)),
+            (RealOp::Expm1, |a, _| (100.0 * a - 50.0, 0.0)),
+            (RealOp::Log, log_domain),
+            (RealOp::Log, |a, _| (0.5 + a, 0.0)),
+            (RealOp::Log2, log_domain),
+            (RealOp::Log10, log_domain),
+            (RealOp::Log1p, |a, _| (a - 0.5, 0.0)),
+            (RealOp::Log1p, |a, _| (10f64.powf(20.0 * a - 10.0), 0.0)),
+            (RealOp::Sin, |a, _| (200.0 * a - 100.0, 0.0)),
+            (RealOp::Cos, |a, _| (200.0 * a - 100.0, 0.0)),
+            (RealOp::Tan, |a, _| (3.0 * a - 1.5, 0.0)),
+            (RealOp::Atan, |a, _| (10f64.powf(20.0 * a - 10.0), 0.0)),
+            (RealOp::Atan, |a, _| (4.0 * a - 2.0, 0.0)),
+            (RealOp::Asin, |a, _| (1.998 * a - 0.999, 0.0)),
+            (RealOp::Acos, |a, _| (1.998 * a - 0.999, 0.0)),
+            (RealOp::Atan2, |a, b| (10.0 * b - 5.0, 0.01 + 10.0 * a)),
+            (RealOp::Cbrt, log_domain),
+            (RealOp::Pow, |a, b| (0.1 + 10.0 * a, 20.0 * b - 10.0)),
+            (RealOp::Pow, |a, b| (0.5 + a, 1000.0 * b - 500.0)),
+        ];
+        let wide = |x: f64, u: f64| Dd::from_parts(x, x * 2f64.powi(-54) * (u - 0.5));
+        for (op, domain) in cases {
+            for _ in 0..100 {
+                let (x, y) = domain(next(), next());
+                let (u, v) = (next(), next());
+                for args in [[dd(x), dd(y)], [wide(x, u), wide(y, v)]] {
+                    let args = &args[..op.arity()];
+                    let e = check_bound_dd(op, args);
+                    assert!(e.is_finite(), "{op}{args:?} unexpectedly failed");
+                }
             }
         }
-        assert!(check_bound(RealOp::Pow, &[2.5, 3.5]).is_finite());
-        assert!(check_bound(RealOp::Atan2, &[1.5, 2.5]).is_finite());
-        assert!(check_bound(RealOp::Asin, &[0.5]).is_finite());
-        assert!(check_bound(RealOp::Acos, &[-0.5]).is_finite());
     }
 
     #[test]

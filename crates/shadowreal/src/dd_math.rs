@@ -5,12 +5,25 @@
 //! too coarse for the tiered analysis, whose ulp-certificates must prove
 //! that a double-double result rounds to the *same* double as the 256-bit
 //! [`crate::BigFloat`] result. This module provides double-double-accurate
-//! kernels (target relative error well below `2^-85`, typically `2^-95` or
-//! better inside the certificate domains) for the transcendental operations
-//! the certificates cover, following the classic QD recipes: argument
-//! reduction with exact-product constant chunks, Taylor series whose terms
-//! are formed with double-double divisions, and Newton refinement of an
-//! `f64` seed.
+//! kernels (relative error within a few units of `2^-106` inside the
+//! certificate domains; the unit tests pin each kernel's bound) for the
+//! transcendental operations the certificates cover.
+//!
+//! The kernels are table-driven in the style of Tang (ACM TOMS 15(2), 1989)
+//! and follow the QD recipes of Hida, Li and Bailey (ARITH 2001):
+//!
+//! - `exp` and `exp2` reduce to `2^(k/64) · e^r`, `|r| ≤ ln2/128`, with a
+//!   Cody–Waite split of `ln2/64` and a 64-entry `2^(j/64)` table;
+//! - `log` reduces to `e·ln2 + ln c + 2·atanh((m − c)/(m + c))` around the
+//!   nearest `c = j/128`, with a table of `ln c`;
+//! - `sin` and `cos` reduce by chunks of `π/2` and sum only the one series
+//!   the quadrant needs.
+//!
+//! Every series is a Horner evaluation over reciprocal constants (`1/n!`,
+//! `1/(2n + 1)`), double-double for the leading terms and plain doubles for
+//! the terms below `2^-53` of the sum; no series divides. The tables and
+//! constants are derived once from the `BigFloat` oracle at 400 bits, each
+//! entry the nearest-double split of its value.
 //!
 //! Operations without an accurate kernel here (`fmod`, the rounding family,
 //! hyperbolics, …) keep the historical libm-on-`hi` fallback; the tiered
@@ -21,8 +34,10 @@
 //! [`crate::dd_batch`] fallback calls the same kernel per lane, so scalar
 //! and batched evaluation stay bit-identical by construction.
 
-use crate::dd::{quick_two_sum, two_sum, DoubleDouble};
+use crate::dd::{quick_two_sum, two_prod, two_sum, DoubleDouble};
 use crate::real::{apply_f64, RealOp};
+use crate::BigFloat;
+use std::sync::OnceLock;
 
 type Dd = DoubleDouble;
 
@@ -36,11 +51,21 @@ pub const LN_2: Dd = Dd::const_parts(std::f64::consts::LN_2, 2.3190468138462996e
 /// ln 10 as a double-double.
 pub const LN_10: Dd = Dd::const_parts(std::f64::consts::LN_10, -2.1707562233822494e-16);
 
+/// Precision of the `BigFloat` evaluations the tables are derived from.
+const ORACLE_BITS: u32 = 400;
+
 /// Exact scaling by a power of two (no rounding while both components stay
 /// in range, which the kernels' domain guards ensure).
 #[inline]
 fn mul_pwr2(a: &Dd, p: f64) -> Dd {
     Dd::raw(a.hi() * p, a.lo() * p)
+}
+
+/// `2^m` for `m ∈ [−1022, 1023]`, assembled from its exponent bits.
+#[inline]
+fn pow2(m: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&m));
+    f64::from_bits(((m + 1023) as u64) << 52)
 }
 
 #[inline]
@@ -60,66 +85,168 @@ fn add_accurate(a: &Dd, b: &Dd) -> Dd {
     Dd::raw(hi, lo)
 }
 
+/// Runs a one-time `BigFloat` derivation without recording telemetry: the
+/// first kernel call may land inside any sweep's capture, and the oracle's
+/// own operations are not that sweep's work.
+fn derive<T>(work: impl FnOnce() -> T) -> T {
+    telemetry::shard(false, work).0
+}
+
+/// The nearest-double split `(hi, lo)` of `v`: `hi = RN(v)`,
+/// `lo = RN(v − hi)`.
+fn split(v: &BigFloat) -> Dd {
+    let hi = v.to_f64();
+    Dd::raw(hi, v.sub(&BigFloat::from_f64(hi)).to_f64())
+}
+
+/// `x` with its significand cut to its leading 36 bits, so that a product
+/// with any integer below `2^17` is exact.
+fn leading_36_bits(x: f64) -> f64 {
+    f64::from_bits(x.to_bits() & !((1u64 << 17) - 1))
+}
+
+/// The first `j` of the `ln(j/128)` table: `m ∈ [√½, √2)` rounds to
+/// `j = round(128·m) ∈ [91, 181]`.
+const LN_FIRST: usize = 91;
+/// Entries of the `ln(j/128)` table.
+const LN_ENTRIES: usize = 181 - LN_FIRST + 1;
+
+/// The reduction tables and series coefficients, each entry the
+/// nearest-double split of its [`ORACLE_BITS`]-bit value.
+struct Tables {
+    /// `2^(j/64)`, `j = 0..64`.
+    exp2_64: [Dd; 64],
+    /// `ln(j/128)`, `j = LN_FIRST..LN_FIRST + LN_ENTRIES`.
+    ln_128: [Dd; LN_ENTRIES],
+    /// `1/n!`, `n = 0..=28`.
+    inv_fact: [Dd; 29],
+    /// `1/(2n + 1)`, `n = 0..=8`.
+    inv_odd: [Dd; 9],
+    /// `ln2/64 = c1 + c2 + c3` (Cody–Waite): `c1` and `c2` keep 36
+    /// significant bits, so `k·c1` and `k·c2` are exact for `|k| < 2^17`;
+    /// `c3` is the nearest double to the rest.
+    ln2_64: [f64; 3],
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        derive(|| {
+            let big = |x: f64| BigFloat::from_f64_prec(x, ORACLE_BITS);
+            let one = big(1.0);
+            let mut fact = big(1.0);
+            let inv_fact = std::array::from_fn(|n| {
+                if n > 0 {
+                    fact = fact.mul(&big(n as f64));
+                }
+                split(&one.div(&fact))
+            });
+            let ln2_64 = big(2.0).ln().mul(&big(1.0 / 64.0));
+            let c1 = leading_36_bits(ln2_64.to_f64());
+            let rest = ln2_64.sub(&big(c1));
+            let c2 = leading_36_bits(rest.to_f64());
+            let c3 = rest.sub(&big(c2)).to_f64();
+            Tables {
+                exp2_64: std::array::from_fn(|j| split(&big(j as f64 / 64.0).exp2())),
+                ln_128: std::array::from_fn(|i| split(&big((LN_FIRST + i) as f64 / 128.0).ln())),
+                inv_fact,
+                inv_odd: std::array::from_fn(|n| split(&one.div(&big((2 * n + 1) as f64)))),
+                ln2_64: [c1, c2, c3],
+            }
+        })
+    })
+}
+
 /// π/2 as five non-overlapping doubles (successive nearest-double roundings
 /// of the 384-bit value, ~265 significant bits in total). The trig argument
 /// reduction subtracts `k · chunk` products, each exact as a double-double
 /// via `two_prod`, so the reduced argument keeps double-double accuracy for
 /// quotients as large as the reduction limit allows.
 fn pi_2_chunks() -> &'static [f64; 5] {
-    static CHUNKS: std::sync::OnceLock<[f64; 5]> = std::sync::OnceLock::new();
+    static CHUNKS: OnceLock<[f64; 5]> = OnceLock::new();
     CHUNKS.get_or_init(|| {
-        // π/2 = 2·atan(1), derived from the BigFloat oracle rather than
-        // hand-transcribed digits.
-        let mut v = crate::BigFloat::from_f64_prec(1.0, 384)
-            .atan()
-            .mul(&crate::BigFloat::from_f64_prec(2.0, 384));
-        std::array::from_fn(|_| {
-            let c = v.to_f64();
-            v = v.sub(&crate::BigFloat::from_f64(c));
-            c
+        derive(|| {
+            // π/2 = 2·atan(1), derived from the BigFloat oracle rather than
+            // hand-transcribed digits.
+            let mut v = BigFloat::from_f64_prec(1.0, 384)
+                .atan()
+                .mul(&BigFloat::from_f64_prec(2.0, 384));
+            std::array::from_fn(|_| {
+                let c = v.to_f64();
+                v = v.sub(&BigFloat::from_f64(c));
+                c
+            })
         })
     })
 }
 
-/// `exp` with ~`2^-95` relative error for `hi ∈ (-708, 709)`; libm fallback
-/// outside (overflow, deep underflow, non-finite). Below ~`-670` the scaled
-/// low word goes subnormal and accuracy degrades gradually toward plain
-/// double; the certificate domain stops well above that.
+/// `Σ_{n < len} (±1)^n · c(n) · u^n` by Horner's rule, with `−` on the odd
+/// terms when `alternate`. The terms from `split` on, each below `2^-53` of
+/// the sum, run in plain doubles on `u.hi()`; the leading ones run in
+/// double-double on the full `u`.
+#[inline]
+fn series(u: &Dd, c: impl Fn(usize) -> Dd, alternate: bool, split: usize, len: usize) -> Dd {
+    let term = |n: usize| {
+        if alternate && n % 2 == 1 {
+            c(n).neg()
+        } else {
+            c(n)
+        }
+    };
+    let mut tail = 0.0;
+    for n in (split..len).rev() {
+        tail = tail * u.hi() + term(n).hi();
+    }
+    let mut sum = dd(tail);
+    for n in (0..split).rev() {
+        sum = sum.mul(u).add(&term(n));
+    }
+    sum
+}
+
+/// `2^(k/64) · e^r` for `|r| ≤ ln2/128 (1 + 2^-30)` and `k/64` inside the
+/// normal exponent range: `T[k mod 64] · (1 + expm1(r))` scaled by
+/// `2^⌊k/64⌋`.
+fn exp_core(k: i32, r: &Dd) -> Dd {
+    let t = tables();
+    // expm1(r) = r·Σ r^n/(n+1)!: the terms from r⁶/6! on are below 2^-54.
+    let expm1 = r.mul(&series(r, |n| t.inv_fact[n + 1], false, 5, 11));
+    let table = &t.exp2_64[(k & 63) as usize];
+    let result = table.add(&table.mul(&expm1));
+    mul_pwr2(&result, pow2(k >> 6))
+}
+
+/// `exp`, accurate to a few units of `2^-106` for `hi ∈ [−708, 709]`; libm
+/// fallback outside (overflow, deep underflow, non-finite). Below ~`−670`
+/// the scaled low word goes subnormal and accuracy degrades gradually toward
+/// plain double; the certificate domain stops well above that.
 pub fn exp(a: &Dd) -> Dd {
+    const INV_LN2_64: f64 = 64.0 / std::f64::consts::LN_2;
     let x = a.hi();
     if !x.is_finite() || !(-708.0..=709.0).contains(&x) {
         return dd(x.exp());
     }
-    // exp(x) = 2^m · (e^r)^512 with r = (x - m·ln2)/512, |r| ≤ ln2/1024.
-    let m = (x / std::f64::consts::LN_2).round();
-    let r = mul_pwr2(&a.sub(&LN_2.mul(&dd(m))), 1.0 / 512.0);
-    // expm1(r) by Taylor; divisions keep every term accurate to ~2^-104.
-    let mut term = mul_pwr2(&r.mul(&r), 0.5);
-    let mut sum = r.add(&term);
-    for k in 3..=12 {
-        term = term.mul(&r).div(&dd(k as f64));
-        sum = sum.add(&term);
-        if term.hi().abs() < 1e-40 * sum.hi().abs() {
-            break;
-        }
-    }
-    // Undo the /512 scaling: (1+s)^2 = 1 + (2s + s²), nine times.
-    for _ in 0..9 {
-        sum = mul_pwr2(&sum, 2.0).add(&sum.mul(&sum));
-    }
-    let result = sum.add(&Dd::ONE);
-    let scale = 2f64.powi(m as i32);
-    Dd::raw(result.hi() * scale, result.lo() * scale)
+    // r = a − k·ln2/64 with |k| < 2^17: k·c1 and k·c2 are exact, and
+    // x − k·c1 is exact because it cancels (Sterbenz).
+    let k = (x * INV_LN2_64).round();
+    let [c1, c2, c3] = tables().ln2_64;
+    let (s, e) = two_sum(x - k * c1, -k * c2);
+    let (p, pe) = two_prod(-k, c3);
+    let r = Dd::raw(s, e).add(&dd(a.lo())).add(&Dd::raw(p, pe));
+    exp_core(k as i32, &r)
 }
 
-/// `exp2(x) = exp(x·ln2)`; exact on integer arguments in the accurate
-/// domain because the reduction cancels exactly.
+/// `exp2`, on the same core as [`exp`]; exact on integer arguments, whose
+/// reduced argument is exactly zero.
 pub fn exp2(a: &Dd) -> Dd {
     let x = a.hi();
     if !x.is_finite() || !(-1021.0..=1022.0).contains(&x) {
         return dd(x.exp2());
     }
-    exp(&a.mul(&LN_2))
+    // a = k/64 + (x − k/64) + lo, where x − k/64 is exact.
+    let k = (x * 64.0).round();
+    let (s, e) = two_sum(x - k / 64.0, a.lo());
+    exp_core(k as i32, &Dd::raw(s, e).mul(&LN_2))
 }
 
 /// `expm1`, cancellation-free for small arguments.
@@ -136,28 +263,28 @@ pub fn expm1(a: &Dd) -> Dd {
         // No cancellation once |e^x − 1| is comparable to max(e^x, 1).
         return exp(a).sub(&Dd::ONE);
     }
-    let mut term = *a;
-    let mut sum = *a;
-    for k in 2..=30 {
-        term = term.mul(a).div(&dd(k as f64));
-        sum = sum.add(&term);
-        if term.hi().abs() < 1e-40 * sum.hi().abs() {
-            break;
-        }
-    }
-    sum
+    // a·Σ a^n/(n+1)!: the terms from a¹³/14! on are below 2^-56 of the sum.
+    let t = tables();
+    a.mul(&series(a, |n| t.inv_fact[n + 1], false, 13, 23))
 }
 
-/// `ln`, via an `atanh`-style series near 1 and a Newton step on the libm
-/// seed elsewhere: `ln a ≈ y₀ + (a·e^(−y₀) − 1)`.
+/// `2·atanh(t) = ln((1 + t)/(1 − t))` for `|t| ≤ 2^-8.5`: the terms from
+/// `t⁷/7` on are below `2^-53` of the sum.
+fn atanh_twice(t: &Dd) -> Dd {
+    let odd = &tables().inv_odd;
+    mul_pwr2(&t.mul(&series(&t.mul(t), |n| odd[n], false, 3, 7)), 2.0)
+}
+
+/// `ln`, as `e·ln2 + ln c + 2·atanh((m − c)/(m + c))` for `a = 2^e·m`,
+/// `m ∈ [√½, √2)`, and `c = j/128` the nearest table point to `m`.
 pub fn log(a: &Dd) -> Dd {
     let x = a.hi();
     if !x.is_finite() || x <= 0.0 {
         return dd(x.ln());
     }
     if !(1e-290..1e290).contains(&x) {
-        // Rescale by an exact power of two so the Newton step's exp stays
-        // comfortably inside its accurate domain.
+        // Rescale by an exact power of two so the reduction's scale factor
+        // and the low word stay normal.
         let half_scale = dd(512.0).mul(&LN_2);
         return if x >= 1e290 {
             log(&mul_pwr2(a, 2f64.powi(-512))).add(&half_scale)
@@ -165,27 +292,28 @@ pub fn log(a: &Dd) -> Dd {
             log(&mul_pwr2(a, 2f64.powi(512))).sub(&half_scale)
         };
     }
-    if (1.0 - 2f64.powi(-10)..=1.0 + 2f64.powi(-10)).contains(&x) {
-        // a − 1 is error-free here (Sterbenz), so the series sees the exact
-        // reduced argument and stays relatively accurate as log(a) → 0.
-        return log1p_series(&a.sub(&Dd::ONE));
+    let bits = x.to_bits();
+    let mut e = ((bits >> 52) & 0x7ff) as i32 - 1023;
+    let mut m = f64::from_bits((bits & ((1u64 << 52) - 1)) | (1023u64 << 52));
+    if m >= std::f64::consts::SQRT_2 {
+        m *= 0.5;
+        e += 1;
     }
-    let y0 = x.ln();
-    let e = a.mul(&exp(&dd(-y0)));
-    dd(y0).add(&e.sub(&Dd::ONE))
-}
-
-/// `log1p(z)` for `|z| ≤ ~2^-9` via `2·atanh(z/(2+z))`.
-fn log1p_series(z: &Dd) -> Dd {
-    let r = z.div(&dd(2.0).add(z));
-    let rsq = r.mul(&r);
-    let mut term = r;
-    let mut sum = r;
-    for k in [3.0f64, 5.0, 7.0, 9.0, 11.0] {
-        term = term.mul(&rsq);
-        sum = sum.add(&term.div(&dd(k)));
+    let m_lo = a.lo() * pow2(-e);
+    let j = (m * 128.0).round();
+    let c = j / 128.0;
+    // m − c is exact (Sterbenz), so t carries the low word in full.
+    let (d, d_lo) = two_sum(m - c, m_lo);
+    let (s, s_lo) = two_sum(m, c);
+    let t = Dd::raw(d, d_lo).div(&Dd::from_parts(s, s_lo + m_lo));
+    let mut sum = atanh_twice(&t);
+    if j != 128.0 {
+        sum = tables().ln_128[j as usize - LN_FIRST].add(&sum);
     }
-    mul_pwr2(&sum, 2.0)
+    if e != 0 {
+        sum = LN_2.mul(&dd(e as f64)).add(&sum);
+    }
+    sum
 }
 
 /// `log1p`, relatively accurate down to tiny arguments.
@@ -198,7 +326,8 @@ pub fn log1p(a: &Dd) -> Dd {
         return Dd::raw(x, 0.0);
     }
     if x.abs() < 2f64.powi(-10) {
-        return log1p_series(a);
+        // ln(1 + a) = 2·atanh(a/(2 + a)).
+        return atanh_twice(&a.div(&dd(2.0).add(a)));
     }
     log(&Dd::ONE.add(a))
 }
@@ -241,37 +370,10 @@ pub fn pow(a: &Dd, b: &Dd) -> Dd {
 /// `round(x/(π/2))` stays an exact small integer below it.
 const TRIG_REDUCE_LIMIT: f64 = 1.073741824e9; // 2^30
 
-/// sin and cos of the reduced argument `|t| ≤ π/4 + ε` by Taylor series.
-fn sin_cos_taylor(t: &Dd) -> (Dd, Dd) {
-    let tsq = t.mul(t);
-    // sin t = t − t³/3! + …
-    let mut term = *t;
-    let mut sin = *t;
-    for k in 1..=15 {
-        let denom = (2 * k) as f64 * (2 * k + 1) as f64;
-        term = term.mul(&tsq).div(&dd(-denom));
-        sin = sin.add(&term);
-        if term.hi().abs() < 1e-40 {
-            break;
-        }
-    }
-    // cos t = 1 − t²/2! + …
-    let mut term = Dd::ONE;
-    let mut cos = Dd::ONE;
-    for k in 1..=15 {
-        let denom = (2 * k - 1) as f64 * (2 * k) as f64;
-        term = term.mul(&tsq).div(&dd(-denom));
-        cos = cos.add(&term);
-        if term.hi().abs() < 1e-40 {
-            break;
-        }
-    }
-    (sin, cos)
-}
-
-/// (sin x, cos x) with chunked π/2 argument reduction; `None` when the
-/// argument is outside the reduction range (callers fall back to libm).
-fn sin_cos(a: &Dd) -> Option<(Dd, Dd)> {
+/// The chunked `π/2` reduction: `(t, q)` with `a = t + k·π/2`,
+/// `|t| ≤ π/4 + ε` and `q = k mod 4`; `None` when the argument is outside
+/// the reduction range (callers fall back to libm).
+fn reduce_half_pi(a: &Dd) -> Option<(Dd, u8)> {
     let x = a.hi();
     if !x.is_finite() || x.abs() > TRIG_REDUCE_LIMIT {
         return None;
@@ -287,8 +389,27 @@ fn sin_cos(a: &Dd) -> Option<(Dd, Dd)> {
             t = add_accurate(&t, &dd(chunk).mul(&neg_k));
         }
     }
-    let (s, c) = sin_cos_taylor(&t);
-    let q = (k as i64).rem_euclid(4);
+    Some((t, (k as i64).rem_euclid(4) as u8))
+}
+
+/// `sin t` for `|t| ≤ π/4 + ε`: `t·Σ (−1)^n t^(2n)/(2n+1)!` to `n = 13`,
+/// the terms from `t¹⁷/17!` on below `2^-53` of the sum.
+fn sin_reduced(t: &Dd) -> Dd {
+    let f = &tables().inv_fact;
+    t.mul(&series(&t.mul(t), |n| f[2 * n + 1], true, 8, 14))
+}
+
+/// `cos t` for `|t| ≤ π/4 + ε`: `Σ (−1)^n t^(2n)/(2n)!` to `n = 14`, the
+/// terms from `t¹⁸/18!` on below `2^-53` of the sum.
+fn cos_reduced(t: &Dd) -> Dd {
+    let f = &tables().inv_fact;
+    series(&t.mul(t), |n| f[2 * n], true, 9, 15)
+}
+
+/// (sin x, cos x) from one reduction, for the kernels that need both.
+fn sin_cos(a: &Dd) -> Option<(Dd, Dd)> {
+    let (t, q) = reduce_half_pi(a)?;
+    let (s, c) = (sin_reduced(&t), cos_reduced(&t));
     Some(match q {
         0 => (s, c),
         1 => (c, s.neg()),
@@ -297,18 +418,24 @@ fn sin_cos(a: &Dd) -> Option<(Dd, Dd)> {
     })
 }
 
-/// `sin`.
+/// `sin`, summing only the series its quadrant needs.
 pub fn sin(a: &Dd) -> Dd {
-    match sin_cos(a) {
-        Some((s, _)) => s,
+    match reduce_half_pi(a) {
+        Some((t, 0)) => sin_reduced(&t),
+        Some((t, 1)) => cos_reduced(&t),
+        Some((t, 2)) => sin_reduced(&t).neg(),
+        Some((t, _)) => cos_reduced(&t).neg(),
         None => dd(a.hi().sin()),
     }
 }
 
-/// `cos`.
+/// `cos`, summing only the series its quadrant needs.
 pub fn cos(a: &Dd) -> Dd {
-    match sin_cos(a) {
-        Some((_, c)) => c,
+    match reduce_half_pi(a) {
+        Some((t, 0)) => cos_reduced(&t),
+        Some((t, 1)) => sin_reduced(&t).neg(),
+        Some((t, 2)) => cos_reduced(&t).neg(),
+        Some((t, _)) => sin_reduced(&t),
         None => dd(a.hi().cos()),
     }
 }
@@ -339,18 +466,10 @@ pub fn atan(a: &Dd) -> Dd {
         };
     }
     if x.abs() < 0.015625 {
-        // atan a = a − a³/3 + a⁵/5 − …, relatively accurate for small a.
-        let asq = a.mul(a);
-        let mut term = *a;
-        let mut sum = *a;
-        for k in 1..=10 {
-            term = term.mul(&asq).neg();
-            sum = sum.add(&term.div(&dd((2 * k + 1) as f64)));
-            if term.hi().abs() < 1e-40 * sum.hi().abs() {
-                break;
-            }
-        }
-        return sum;
+        // atan a = a·Σ (−1)^n a^(2n)/(2n+1), relatively accurate for small
+        // a: the terms from a¹⁰/11 on are below 2^-63 of the sum.
+        let odd = &tables().inv_odd;
+        return a.mul(&series(&a.mul(a), |n| odd[n], true, 5, 9));
     }
     let z0 = x.atan();
     let (s, c) = sin_cos(&dd(z0)).expect("atan seed is finite and small");
@@ -464,7 +583,7 @@ pub fn apply_library(op: RealOp, args: &[&Dd]) -> Dd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BigFloat, Real};
+    use crate::Real;
 
     /// Relative error of a dd value against the 256-bit BigFloat oracle.
     fn rel_err_vs_big(got: &Dd, op: RealOp, args: &[f64]) -> f64 {
@@ -482,6 +601,13 @@ mod tests {
         diff.div(&want.abs()).to_f64()
     }
 
+    /// Asserts that `c` is the nearest-double split of `v`.
+    fn assert_nearest_split(c: &Dd, v: &BigFloat, what: &str) {
+        let hi = v.to_f64();
+        let lo = v.sub(&BigFloat::from_f64(hi)).to_f64();
+        assert_eq!((c.hi(), c.lo()), (hi, lo), "{what}");
+    }
+
     #[test]
     fn constants_match_bigfloat() {
         let pi = BigFloat::from_f64(1.0).atan().mul(&BigFloat::from_f64(4.0));
@@ -496,6 +622,42 @@ mod tests {
             let err = got.sub(&big).abs().div(&big.abs()).to_f64();
             assert!(err < 2f64.powi(-104), "constant off by {err:e}");
         }
+        // Every table entry, against its value derived along another route
+        // at the oracle's precision.
+        let big = |x: f64| BigFloat::from_f64_prec(x, ORACLE_BITS);
+        let t = tables();
+        let ln2 = big(2.0).ln();
+        for (j, c) in t.exp2_64.iter().enumerate() {
+            let v = big(j as f64).mul(&ln2).div(&big(64.0)).exp();
+            assert_nearest_split(c, &v, &format!("2^({j}/64)"));
+        }
+        for (i, c) in t.ln_128.iter().enumerate() {
+            let j = LN_FIRST + i;
+            let v = big(j as f64).ln().sub(&big(7.0).mul(&ln2));
+            assert_nearest_split(c, &v, &format!("ln({j}/128)"));
+        }
+        let mut inv_fact = big(1.0);
+        for (n, c) in t.inv_fact.iter().enumerate() {
+            if n > 0 {
+                inv_fact = inv_fact.div(&big(n as f64));
+            }
+            assert_nearest_split(c, &inv_fact, &format!("1/{n}!"));
+        }
+        for (n, c) in t.inv_odd.iter().enumerate() {
+            let v = big(1.0).div(&big((2 * n + 1) as f64));
+            assert_nearest_split(c, &v, &format!("1/{}", 2 * n + 1));
+        }
+        // Cody–Waite: c1 and c2 keep at most 36 significant bits, so k·c1
+        // and k·c2 are exact for |k| < 2^17; each part lies below the
+        // previous one's last bit, and c3 is the nearest double to the rest.
+        let [c1, c2, c3] = t.ln2_64;
+        for c in [c1, c2] {
+            assert_eq!(c.to_bits() & ((1 << 17) - 1), 0, "{c:e} has over 36 bits");
+        }
+        assert!(c2.abs() < c1.abs() * 2f64.powi(-35), "{c1:e} {c2:e}");
+        assert!(c3.abs() < c2.abs() * 2f64.powi(-35), "{c2:e} {c3:e}");
+        let rest = ln2.div(&big(64.0)).sub(&big(c1)).sub(&big(c2));
+        assert_eq!(c3, rest.to_f64(), "ln2/64 − c1 − c2");
     }
 
     #[test]
@@ -617,14 +779,22 @@ mod tests {
     #[test]
     fn kernels_preserve_low_order_operand_bits() {
         // The point of the accurate kernels: a perturbation far below f64
-        // precision must move the result, which the old libm-on-hi fallback
-        // lost entirely.
-        let a = dd(1.0).add(&dd(1e-25));
-        let diff = exp(&a).sub(&exp(&dd(1.0)));
-        assert!(
-            (diff.to_f64() - std::f64::consts::E * 1e-25).abs() < 1e-28,
-            "exp ignored the low word: {diff:?}"
-        );
+        // precision must move the result by its first-order change, which
+        // the old libm-on-hi fallback lost entirely.
+        type Kernel = fn(&Dd) -> Dd;
+        let cases: [(&str, Kernel, f64, f64); 3] = [
+            ("exp", exp, 1.0, std::f64::consts::E),
+            ("log", log, 2.0, 0.5),
+            ("sin", sin, 1.0, 1f64.cos()),
+        ];
+        for (name, kernel, x, slope) in cases {
+            let a = dd(x).add(&dd(1e-25));
+            let diff = kernel(&a).sub(&kernel(&dd(x)));
+            assert!(
+                (diff.to_f64() - slope * 1e-25).abs() < 1e-28,
+                "{name} ignored the low word: {diff:?}"
+            );
+        }
     }
 
     #[test]
