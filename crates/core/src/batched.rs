@@ -29,14 +29,12 @@
 //! the engine's throughput with all record bookkeeping stripped to
 //! FpDebug-style per-statement error counters.
 //!
-//! Threads compose with lanes: `config.threads` shards the sweep exactly as
-//! the parallel engine does, every shard runs the batched engine on the one
-//! decoded tape, and shard merges happen in input order. The sweep runs on
-//! the batched fault-isolating engine in [`crate::quarantine`]: one lane
-//! sweep per shard, whose state is the shard's outcome when no lane faults.
-//! A faulted lane or a panicking pass sends the whole shard back through the
-//! serial engine, whose per-input verdicts decide the quarantine.
-//! [`analyze_batched`] is the engine's fail-fast view.
+//! The sweep runs on the batched fault-isolating engine in
+//! [`crate::quarantine`] as one chunk: one lane sweep of every input, whose
+//! state is the sweep's outcome when no lane faults. A faulted lane or a
+//! panicking pass sends every input back through the serial engine, whose
+//! per-input verdicts decide the quarantine. [`AnalysisConfig::threads`] does
+//! not reach the engine. [`analyze_batched`] is the engine's fail-fast view.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
@@ -45,6 +43,7 @@
 
 use crate::analysis::{build_compute_trace, intern_depth_bound, AnalysisState, Herbgrind};
 use crate::config::AnalysisConfig;
+use crate::localerr::{bits_of_ulps, UlpsThreshold};
 use crate::quarantine::{batched_family, fail_fast};
 use crate::report::Report;
 use crate::trace::{ConcreteExpr, ExprInterner};
@@ -178,8 +177,7 @@ impl<R: Real, const W: usize> BatchHerbgrind<R, W> {
 
     /// Folds the lane shards in lane order — with contiguous-chunk lane
     /// assignment this is the in-input-order merge whose result is
-    /// bit-identical to one serial sweep. The merged analysis can be merged
-    /// further (thread shards) before reporting.
+    /// bit-identical to one serial sweep.
     fn into_merged(self) -> Herbgrind<R> {
         let mut lanes = self.lanes.into_iter();
         let mut merged = lanes.next().expect("at least one lane");
@@ -405,23 +403,23 @@ impl<R: Real, const W: usize> BatchTracer<W> for BatchHerbgrind<R, W> {
 /// unusable, and the isolating engine re-runs the chunk serially. Panics
 /// unwind to the caller.
 ///
-/// `inject` (fault-injection builds only) arms the lanes with the
-/// sweep-global index of `inputs[0]` and the pipeline stage, or is `None`
-/// for unarmed sweeps.
+/// `inject` (fault-injection builds only) arms the lanes at that pipeline
+/// stage, or is `None` for unarmed sweeps; `inputs` is the whole sweep, so
+/// an input's index is its sweep-global one.
 pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     config: &AnalysisConfig,
-    #[cfg(feature = "fault-injection")] inject: Option<(usize, crate::faultinject::InjectStage)>,
+    #[cfg(feature = "fault-injection")] inject: Option<crate::faultinject::InjectStage>,
 ) -> Option<AnalysisState> {
     let batch = machine.batched::<W>();
     let mut tracer = BatchHerbgrind::<R, W>::new(config);
     let mut memory = BatchMemory::new();
     for lanes in lane_passes::<W>(inputs.len()) {
         #[cfg(feature = "fault-injection")]
-        if let Some((index_base, stage)) = inject {
+        if let Some(stage) = inject {
             for (shard, ix) in tracer.lanes.iter_mut().zip(lanes) {
-                shard.arm_injection(ix.map(|ix| (index_base + ix, stage)));
+                shard.arm_injection(ix.map(|ix| (ix, stage)));
             }
         }
         let lane_inputs = lanes.map(|ix| ix.map(|ix| inputs[ix].as_slice()));
@@ -438,11 +436,12 @@ pub(crate) fn batched_sweep_collect<R: Real, const W: usize>(
 ///
 /// Interchangeable with [`analyze`](crate::analysis::analyze) and
 /// [`analyze_parallel`](crate::analysis::analyze_parallel): the report is
-/// bit-identical for every batch width and thread count, enforced by the
-/// batch-equivalence test suite — except that, as for the parallel driver,
-/// lane or thread shards holding loop runs shorter than
+/// bit-identical for every batch width, enforced by the batch-equivalence
+/// test suite — except that, as for the thread shards of `analyze_parallel`,
+/// lane shards holding loop runs shorter than
 /// [`AnalysisConfig::max_expression_depth`] can lose input-range
-/// contributions in the merge (DESIGN.md, "Parallel engine").
+/// contributions in the merge (DESIGN.md, "Parallel engine"). The sweep
+/// runs as one chunk, so [`AnalysisConfig::threads`] does not reach it.
 ///
 /// # Errors
 ///
@@ -518,80 +517,6 @@ pub struct LocalErrorRow {
     pub max_error_bits: f64,
 }
 
-/// The analysis's local-error decision (`bits_error(float, exact) > T`,
-/// Figure 4) made in integer ulps on `DoubleDouble` shadows: the test the
-/// lane local-error probe counts with, and the one the serial certify probe
-/// builds a tiered sweep's demand set from. `tests/probe_agreement.rs` pins
-/// it to the analysis's bits test on every execution.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct UlpsThreshold {
-    threshold_ulps: u64,
-    /// True for negative thresholds, which every execution exceeds — `ulps >
-    /// threshold_ulps` cannot express "including zero ulps" in a `u64`.
-    flag_all: bool,
-}
-
-impl UlpsThreshold {
-    /// The test for local error above `threshold_bits` — by the *same
-    /// decision* the full analysis makes (`bits_error(float, exact) > T`),
-    /// converted to an integer ulps bound.
-    ///
-    /// In exact arithmetic `bits > T ⟺ ulps > 2^T − 1`, but the analysis
-    /// computes bits as the **rounded** `log2(ulps + 1)`, so the naive
-    /// conversion misclassifies ulps counts near the boundary (for example
-    /// `ulps = 2^60` at `T = 60`: `log2` rounds to exactly `60.0`, which
-    /// does not exceed the threshold, while `2^60 > 2^60 − 1` does). The
-    /// bound is therefore taken directly from the analysis's own formula:
-    /// the largest ulps count whose rounded bits do not exceed the
-    /// threshold, located by binary search over the monotone `log2` (with a
-    /// local fix-up so faithful-but-not-correct rounding cannot shift the
-    /// boundary). Thresholds at or above [`shadowreal::MAX_ERROR_BITS`] (or
-    /// NaN) flag nothing, exactly like the analysis, whose bits are clamped
-    /// to that maximum; negative thresholds flag every execution.
-    pub(crate) fn new(threshold_bits: f64) -> Self {
-        let exceeds = |ulps: u64| bits_of_ulps(ulps) > threshold_bits;
-        let threshold_ulps =
-            if threshold_bits.is_nan() || threshold_bits >= shadowreal::MAX_ERROR_BITS {
-                // T >= 64 bits, or NaN: bits are clamped to 64, so nothing can
-                // exceed the threshold — not even the saturated NaN distance.
-                u64::MAX
-            } else if threshold_bits < 0.0 {
-                // Every execution exceeds a negative threshold; `ulps >= 0 > -1`
-                // has no u64 encoding, so flag through the zero-included path.
-                0
-            } else {
-                // Largest `u` with bits(u) <= T; erroneous ⟺ ulps > u.
-                let (mut lo, mut hi) = (0u64, u64::MAX - 1);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2 + 1;
-                    if exceeds(mid) {
-                        hi = mid - 1;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                while lo < u64::MAX - 1 && !exceeds(lo + 1) {
-                    lo += 1;
-                }
-                while lo > 0 && exceeds(lo) {
-                    lo -= 1;
-                }
-                lo
-            };
-        UlpsThreshold {
-            threshold_ulps,
-            flag_all: threshold_bits < 0.0,
-        }
-    }
-
-    /// True when `ulps` of local error exceed the threshold: the analysis
-    /// would count the execution as erroneous.
-    #[inline]
-    pub(crate) fn exceeded_by(&self, ulps: u64) -> bool {
-        self.flag_all || ulps > self.threshold_ulps
-    }
-}
-
 /// The local error of `op` per lane, in ulps, from the `DoubleDouble`
 /// operand planes and the exact result plane: the float re-evaluation on the
 /// rounded operands (the hi planes) against the rounded exact result
@@ -647,16 +572,6 @@ pub(crate) struct DdErrorProbe<const W: usize> {
     max_ulps: Vec<u64>,
     threshold: UlpsThreshold,
     total_ops: u64,
-}
-
-/// The bits-of-error the analysis computes for a ulps distance: exactly
-/// [`shadowreal::bits_error`]'s arithmetic, expressed over the integer
-/// distance the probe counts in.
-fn bits_of_ulps(ulps: u64) -> f64 {
-    if ulps == u64::MAX {
-        return shadowreal::MAX_ERROR_BITS;
-    }
-    (((ulps as f64) + 1.0).log2()).min(shadowreal::MAX_ERROR_BITS)
 }
 
 impl<const W: usize> DdErrorProbe<W> {
@@ -977,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_threads_compose_with_lanes() {
+    fn batched_reports_ignore_the_thread_count() {
         let p = program("(FPCore (x y) (- (sqrt (+ (* x x) (* y y))) x))");
         let inputs: Vec<Vec<f64>> = (1..40)
             .map(|i| vec![0.25 / i as f64, 1e-9 / i as f64])
@@ -1142,41 +1057,6 @@ mod tests {
             .expect("out-of-range pc counted");
         assert_eq!(row.executions, 2);
         assert_eq!(row.erroneous, 0, "an exact add has no local error");
-    }
-
-    #[test]
-    fn probe_threshold_matches_the_analysis_decision_boundary() {
-        // The probe's integer ulps bound must sit exactly where the
-        // analysis's rounded `log2(ulps + 1) > T` decision flips — including
-        // thresholds where the naive `2^T - 1` conversion misclassifies
-        // (T = 60: log2(2^60 + 1) rounds to exactly 60.0).
-        for threshold in [0.0f64, 0.3, 0.5, 1.0, 4.5, 5.0, 20.0, 32.3, 60.0, 63.9] {
-            let test = UlpsThreshold::new(threshold);
-            let t = test.threshold_ulps;
-            assert!(!test.flag_all);
-            assert!(
-                bits_of_ulps(t) <= threshold,
-                "T={threshold}: bits({t}) must not exceed the threshold"
-            );
-            assert!(
-                bits_of_ulps(t + 1) > threshold,
-                "T={threshold}: bits({}) must exceed the threshold",
-                t + 1
-            );
-        }
-        // T = 60 regression: 2^60 ulps is *not* erroneous (its rounded bits
-        // are exactly 60.0), though the naive conversion flags it.
-        assert!(UlpsThreshold::new(60.0).threshold_ulps >= 1u64 << 60);
-        // At or above the maximum (or NaN), nothing is flagged — not even
-        // the saturated NaN distance, whose bits are clamped to the maximum.
-        for threshold in [shadowreal::MAX_ERROR_BITS, 100.0, f64::NAN] {
-            let test = UlpsThreshold::new(threshold);
-            assert_eq!(test.threshold_ulps, u64::MAX, "T={threshold}");
-            assert!(!test.flag_all);
-        }
-        // Negative thresholds flag everything, zero ulps included.
-        let test = UlpsThreshold::new(-1.0);
-        assert!(test.flag_all && test.exceeded_by(0));
     }
 
     #[test]

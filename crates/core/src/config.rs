@@ -56,18 +56,17 @@ pub struct AnalysisConfig {
     /// [`fpvm::MachineError::TraceBudgetExceeded`], which the fault-isolated
     /// drivers turn into a quarantine entry.
     pub trace_node_budget: usize,
-    /// Number of analysis threads of the sharded drivers:
-    /// [`analyze_parallel`](crate::analysis::analyze_parallel),
-    /// [`analyze_batched`](crate::batched::analyze_batched) and
-    /// [`analyze_tiered`](crate::tiered::analyze_tiered), with their isolated
-    /// forms. The input sweep is split into this many contiguous shards,
-    /// analyzed independently, and merged deterministically. `0` means one
-    /// thread per available core; `1` runs one shard, so nothing merges.
-    /// [`analyze`](crate::analysis::analyze) and
-    /// [`analyze_isolated`](crate::quarantine::analyze_isolated) ignore it:
-    /// they always sweep as one chunk. The report is bit-identical for every
-    /// setting, up to the shard-merge exception documented at
-    /// [`analyze_parallel`](crate::analysis::analyze_parallel).
+    /// Number of analysis threads of
+    /// [`analyze_parallel`](crate::analysis::analyze_parallel), its
+    /// `_with_shadow` form and
+    /// [`analyze_parallel_isolated`](crate::quarantine::analyze_parallel_isolated):
+    /// the input sweep is split into this many contiguous shards, analyzed
+    /// independently, and merged deterministically. `0` means one thread per
+    /// available core; `1` runs one shard, so nothing merges. The report is
+    /// bit-identical for every setting, up to the shard-merge exception
+    /// documented at [`analyze_parallel`](crate::analysis::analyze_parallel).
+    /// Every other entry point (serial, batched, tiered) ignores it: it
+    /// sweeps every input as one chunk.
     pub threads: usize,
     /// Lane width of [`analyze_batched`](crate::batched::analyze_batched)
     /// and [`analyze_batched_isolated`](crate::quarantine::analyze_batched_isolated):
@@ -77,8 +76,8 @@ pub struct AnalysisConfig {
     /// supported menu fall back to the nearest smaller supported width
     /// ([`crate::batched::SUPPORTED_BATCH_WIDTHS`]); `0` and `1` run
     /// single-lane batches. The report is bit-identical for every setting,
-    /// up to the shard-merge exception of [`AnalysisConfig::threads`], which
-    /// the batched driver's lane shards share.
+    /// up to the lane-merge exception documented at
+    /// [`analyze_batched`](crate::batched::analyze_batched).
     pub batch_width: usize,
     /// Declared input region for tier 0 of the tiered analysis
     /// ([`analyze_tiered`](crate::tiered::analyze_tiered)): one `(lo, hi)`
@@ -218,10 +217,11 @@ impl AnalysisConfig {
         self
     }
 
-    /// The thread count the sharded drivers ([`AnalysisConfig::threads`])
-    /// actually use for a sweep of `input_count` inputs: the configured
-    /// count (or the available parallelism when 0), never more than one
-    /// thread per input.
+    /// The thread count
+    /// [`analyze_parallel`](crate::analysis::analyze_parallel) and its forms
+    /// ([`AnalysisConfig::threads`]) actually use for a sweep of
+    /// `input_count` inputs: the configured count (or the available
+    /// parallelism when 0), never more than one thread per input.
     pub fn effective_threads(&self, input_count: usize) -> usize {
         let configured = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())

@@ -79,6 +79,90 @@ pub fn total_error<R: Real>(client: f64, shadow: &R) -> f64 {
     bits_error(client, shadow.to_f64())
 }
 
+/// The analysis's local-error decision (`bits_error(float, exact) > T`,
+/// Figure 4) made in integer ulps on `DoubleDouble` shadows: the test the
+/// lane local-error probe counts with, and the one the serial certify probe
+/// builds a tiered sweep's demand set from. `tests/probe_agreement.rs` pins
+/// it to the analysis's bits test on every execution.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct UlpsThreshold {
+    threshold_ulps: u64,
+    /// True for negative thresholds, which every execution exceeds — `ulps >
+    /// threshold_ulps` cannot express "including zero ulps" in a `u64`.
+    flag_all: bool,
+}
+
+impl UlpsThreshold {
+    /// The test for local error above `threshold_bits` — by the *same
+    /// decision* the full analysis makes (`bits_error(float, exact) > T`),
+    /// converted to an integer ulps bound.
+    ///
+    /// In exact arithmetic `bits > T ⟺ ulps > 2^T − 1`, but the analysis
+    /// computes bits as the **rounded** `log2(ulps + 1)`, so the naive
+    /// conversion misclassifies ulps counts near the boundary (for example
+    /// `ulps = 2^60` at `T = 60`: `log2` rounds to exactly `60.0`, which
+    /// does not exceed the threshold, while `2^60 > 2^60 − 1` does). The
+    /// bound is therefore taken directly from the analysis's own formula:
+    /// the largest ulps count whose rounded bits do not exceed the
+    /// threshold, located by binary search over the monotone `log2` (with a
+    /// local fix-up so faithful-but-not-correct rounding cannot shift the
+    /// boundary). Thresholds at or above [`shadowreal::MAX_ERROR_BITS`] (or
+    /// NaN) flag nothing, exactly like the analysis, whose bits are clamped
+    /// to that maximum; negative thresholds flag every execution.
+    pub(crate) fn new(threshold_bits: f64) -> Self {
+        let exceeds = |ulps: u64| bits_of_ulps(ulps) > threshold_bits;
+        let threshold_ulps =
+            if threshold_bits.is_nan() || threshold_bits >= shadowreal::MAX_ERROR_BITS {
+                // T >= 64 bits, or NaN: bits are clamped to 64, so nothing can
+                // exceed the threshold — not even the saturated NaN distance.
+                u64::MAX
+            } else if threshold_bits < 0.0 {
+                // Every execution exceeds a negative threshold; `ulps >= 0 > -1`
+                // has no u64 encoding, so flag through the zero-included path.
+                0
+            } else {
+                // Largest `u` with bits(u) <= T; erroneous ⟺ ulps > u.
+                let (mut lo, mut hi) = (0u64, u64::MAX - 1);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2 + 1;
+                    if exceeds(mid) {
+                        hi = mid - 1;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                while lo < u64::MAX - 1 && !exceeds(lo + 1) {
+                    lo += 1;
+                }
+                while lo > 0 && exceeds(lo) {
+                    lo -= 1;
+                }
+                lo
+            };
+        UlpsThreshold {
+            threshold_ulps,
+            flag_all: threshold_bits < 0.0,
+        }
+    }
+
+    /// True when `ulps` of local error exceed the threshold: the analysis
+    /// would count the execution as erroneous.
+    #[inline]
+    pub(crate) fn exceeded_by(&self, ulps: u64) -> bool {
+        self.flag_all || ulps > self.threshold_ulps
+    }
+}
+
+/// The bits-of-error the analysis computes for a ulps distance: exactly
+/// [`shadowreal::bits_error`]'s arithmetic, expressed over the integer
+/// distance [`UlpsThreshold`] counts in.
+pub(crate) fn bits_of_ulps(ulps: u64) -> f64 {
+    if ulps == u64::MAX {
+        return shadowreal::MAX_ERROR_BITS;
+    }
+    (((ulps as f64) + 1.0).log2()).min(shadowreal::MAX_ERROR_BITS)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,5 +250,40 @@ mod tests {
         assert!(err <= 2.0, "got {err}");
         let (err, _) = local_error(RealOp::Atan2, &big(&[1.0, -2.0]));
         assert!(err <= 2.0, "got {err}");
+    }
+
+    #[test]
+    fn probe_threshold_matches_the_analysis_decision_boundary() {
+        // The probe's integer ulps bound must sit exactly where the
+        // analysis's rounded `log2(ulps + 1) > T` decision flips — including
+        // thresholds where the naive `2^T - 1` conversion misclassifies
+        // (T = 60: log2(2^60 + 1) rounds to exactly 60.0).
+        for threshold in [0.0f64, 0.3, 0.5, 1.0, 4.5, 5.0, 20.0, 32.3, 60.0, 63.9] {
+            let test = UlpsThreshold::new(threshold);
+            let t = test.threshold_ulps;
+            assert!(!test.flag_all);
+            assert!(
+                bits_of_ulps(t) <= threshold,
+                "T={threshold}: bits({t}) must not exceed the threshold"
+            );
+            assert!(
+                bits_of_ulps(t + 1) > threshold,
+                "T={threshold}: bits({}) must exceed the threshold",
+                t + 1
+            );
+        }
+        // T = 60 regression: 2^60 ulps is *not* erroneous (its rounded bits
+        // are exactly 60.0), though the naive conversion flags it.
+        assert!(UlpsThreshold::new(60.0).threshold_ulps >= 1u64 << 60);
+        // At or above the maximum (or NaN), nothing is flagged — not even
+        // the saturated NaN distance, whose bits are clamped to the maximum.
+        for threshold in [shadowreal::MAX_ERROR_BITS, 100.0, f64::NAN] {
+            let test = UlpsThreshold::new(threshold);
+            assert_eq!(test.threshold_ulps, u64::MAX, "T={threshold}");
+            assert!(!test.flag_all);
+        }
+        // Negative thresholds flag everything, zero ulps included.
+        let test = UlpsThreshold::new(-1.0);
+        assert!(test.flag_all && test.exceeded_by(0));
     }
 }

@@ -35,10 +35,11 @@
 //!
 //! # How isolation works
 //!
-//! One private helper splits a sweep into balanced contiguous chunks, runs
-//! each on its own thread, and returns the chunk outcomes in input order;
-//! it is the only place any driver spawns threads. The analysis engines'
-//! outcomes fold in that order; the certify pass's verdicts concatenate.
+//! Only the serial family's parallel form shards a sweep: one private helper
+//! splits it into balanced contiguous chunks, runs each on its own thread,
+//! and folds the chunk outcomes in input order; it is the only place a
+//! sweep spawns threads. The batched and tiered engines sweep all their
+//! inputs as one chunk, so [`AnalysisConfig::threads`] does not reach them.
 //!
 //! Machine faults are *per-input deterministic* here: the serial analysis
 //! clears its expression interner per run, so step budgets, trace budgets
@@ -50,35 +51,33 @@
 //! is exactly one plain sweep plus a per-run `catch_unwind` frame.
 //!
 //! The batched engine recovers through the serial engine. It runs one lane
-//! sweep of its chunk; when no lane faults, that state is the chunk's
+//! sweep of its inputs; when no lane faults, that state is the sweep's
 //! outcome. A lane group cannot be trusted to name a culprit — it shares one
 //! expression interner, so a trace-budget fault is attributed to *all*
 //! active lanes, and a panic anywhere in a group callback belongs to no lane
-//! — so any fault discards the lane sweep and re-runs the chunk on the
+//! — so any fault discards the lane sweep and re-runs the inputs on the
 //! serial engine at the same stage. Its per-input-deterministic verdicts
 //! decide the quarantine, which is what makes quarantine lists — and the
 //! plain drivers' errors — independent of the batch width the fault
 //! happened to occur at.
 //!
-//! The tiered engine runs in two sharded passes, both on the serial
-//! machine, so it runs no lane pass. The certify pass runs over every shard
-//! first, one run per input, and yields per-input verdicts and a demand set
-//! per shard; the demand sets are united, because a statement's records must
-//! be counts-only in every shard or in none. Then the escalate pass runs
-//! each shard on the serial engine with the sweep's statement mask. The
-//! serial engine picks each input's shadow and hands one record state
-//! between the two analyses. Only the `BigFloat` tier quarantines: the
-//! serial engine demotes an input the `DoubleDouble` tier faults on, so a
-//! fault scoped to that tier heals, and one the `BigFloat` tier also hits is
-//! quarantined at [`SweepStage::TieredBigFloat`]. A certify shard that
-//! panics or whose thread dies escalates its inputs and puts every statement
+//! The tiered engine runs in two passes over all its inputs, both on the
+//! serial machine, so it runs no lane pass. The certify pass runs first, one
+//! run per input, and yields per-input verdicts and the sweep's demand set.
+//! Then the escalate pass runs the inputs on the serial engine with the
+//! sweep's statement mask. The serial engine picks each input's shadow and
+//! hands one record state between the two analyses. Only the `BigFloat`
+//! tier quarantines: the serial engine demotes an input the `DoubleDouble`
+//! tier faults on, so a fault scoped to that tier heals, and one the
+//! `BigFloat` tier also hits is quarantined at [`SweepStage::TieredBigFloat`].
+//! A certify pass that panics escalates every input and puts every statement
 //! in demand.
 //!
 //! Panics unwind out of the *analysis observer* (the machine itself never
 //! panics on user input): the serial engine catches them per input, the
-//! batched engine per pass, re-running the pass's chunk serially. Either
-//! way only the offending input is quarantined — the shard or lane group is
-//! rebuilt without it.
+//! batched engine per pass, re-running its inputs serially. Either way only
+//! the offending input is quarantined — the sweep or shard is rebuilt
+//! without it.
 
 // Quarantine semantics depend on faults being *typed*: a stray `.unwrap()`
 // in driver code turns a recoverable per-input fault into a sweep-wide
@@ -86,7 +85,6 @@
 #![deny(clippy::unwrap_used)]
 
 use std::any::Any;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -211,8 +209,8 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 }
 
 /// What every engine of one sweep reads: the machine, decoded once and
-/// shared by every shard, the normalized configuration, the statement mask,
-/// and whether runs consult the installed fault plan.
+/// shared by every shard of a parallel sweep, the normalized configuration,
+/// the statement mask, and whether runs consult the installed fault plan.
 struct Sweep<'p> {
     machine: Machine<'p>,
     config: AnalysisConfig,
@@ -291,10 +289,11 @@ impl ChunkOutcome {
 }
 
 /// Runs the serial isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`: a `certified` input on
-/// the `DoubleDouble` shadow at [`SweepStage::TieredDoubleDouble`], borrowing
-/// the chunk's one record state for the run (an O(1) swap), every other
-/// input on the `R` shadow at `stage`.
+/// first input has sweep-global index `index_base` (0 unless the chunk is a
+/// shard of a parallel sweep): a `certified` input on the `DoubleDouble`
+/// shadow at [`SweepStage::TieredDoubleDouble`], borrowing the chunk's one
+/// record state for the run (an O(1) swap), every other input on the `R`
+/// shadow at `stage`.
 ///
 /// Optimistic collect: one accumulating pass over the live inputs records
 /// every machine fault as a final verdict (faults are per-input
@@ -358,23 +357,17 @@ fn serial_engine<R: Real>(
     }
 }
 
-/// Runs the batched isolating engine over one contiguous input chunk whose
-/// first input has sweep-global index `index_base`: one lane pass on the `R`
-/// shadow at [`SweepStage::BatchedLane`].
+/// Runs the batched isolating engine over all of a sweep's `inputs`: one
+/// lane pass on the `R` shadow at [`SweepStage::BatchedLane`].
 ///
-/// When no lane faults, the pass's state is the chunk's outcome. A faulted
+/// When no lane faults, the pass's state is the sweep's outcome. A faulted
 /// pass cannot be trusted to name its culprit — the pass's trace interner is
 /// shared by every lane, so a trace-budget fault is collective, and a panic
 /// belongs to no lane — so the engine discards the pass and the serial
-/// engine re-runs the chunk and decides it. Serial verdicts are per-input
+/// engine re-runs the inputs and decides them. Serial verdicts are per-input
 /// deterministic, which keeps quarantine lists (and the plain drivers'
 /// errors) independent of the batch width the fault surfaced at.
-fn batched_engine<R: Real>(
-    sweep: &Sweep<'_>,
-    width: usize,
-    inputs: &[Vec<f64>],
-    index_base: usize,
-) -> ChunkOutcome {
+fn batched_engine<R: Real>(sweep: &Sweep<'_>, width: usize, inputs: &[Vec<f64>]) -> ChunkOutcome {
     let stage = SweepStage::BatchedLane;
     let swept = catch_unwind(AssertUnwindSafe(|| {
         with_lane_width!(width, W => batched_sweep_collect::<R, W>(
@@ -382,34 +375,27 @@ fn batched_engine<R: Real>(
             inputs,
             &sweep.config,
             #[cfg(feature = "fault-injection")]
-            sweep.inject(stage).map(|inject| (index_base, inject)),
+            sweep.inject(stage),
         ))
     }));
     if let Ok(Some(state)) = swept {
         return ChunkOutcome::new(state, Vec::new());
     }
     let _ladder_span = telemetry::span(telemetry::Phase::Ladder);
-    let outcome = serial_engine::<R>(sweep, inputs, index_base, stage, vec![false; inputs.len()]);
+    let outcome = serial_engine::<R>(sweep, inputs, 0, stage, vec![false; inputs.len()]);
     telemetry::QUARANTINE_LADDER_ATTEMPTS.add(inputs.len() as u64);
     telemetry::QUARANTINE_LADDER_HEALS.add((inputs.len() - outcome.quarantined.len()) as u64);
     outcome
 }
 
-/// Runs the certify pass over one contiguous input chunk whose first input
-/// has sweep-global index `index_base`, timed as the certify phase.
+/// Runs the certify pass over all of a sweep's `inputs`, timed as the
+/// certify phase.
 ///
 /// The probe is already fault-tolerant (a failed or injected run is simply
 /// uncertified, and each run meets the sweep's deadline on its own); a
 /// *panicking* pass fails closed by escalating every input to the `BigFloat`
 /// tier and putting every statement in demand.
-fn certify_chunk(
-    sweep: &Sweep<'_>,
-    inputs: &[Vec<f64>],
-    index_base: usize,
-    params: &CertParams,
-) -> Certified {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = index_base;
+fn certify_chunk(sweep: &Sweep<'_>, inputs: &[Vec<f64>], params: &CertParams) -> Certified {
     let _certify_span = telemetry::span(telemetry::Phase::Certify);
     catch_unwind(AssertUnwindSafe(|| {
         certify_inputs(
@@ -418,29 +404,33 @@ fn certify_chunk(
             params,
             &sweep.config,
             #[cfg(feature = "fault-injection")]
-            sweep.armed.then_some(index_base),
+            sweep.armed,
         )
     }))
     .unwrap_or_else(|_| Certified::escalate_all(inputs.len()))
 }
 
-/// Runs `engine` over at most `threads` balanced contiguous chunks of
-/// `inputs`, one thread per chunk, and returns the chunk outcomes in input
-/// order. This is the only place a sweep spawns threads; each shard thread
-/// records telemetry exactly when the calling thread does, into a tally
-/// folded into the calling thread's at join. The engines catch panics, so a
-/// shard thread dying is out of model (a panic while panicking, say); its
-/// outcome is `lost` of the chunk's sweep-global indices and the panic
-/// message, and its tally is lost.
-fn sharded<T: Send>(
+/// Runs the serial engine at `stage` over at most `threads` balanced
+/// contiguous chunks of `inputs`, one thread per chunk, and folds the chunk
+/// outcomes in input order — by the merge laws, the outcome of one
+/// continuous sweep. This is the only place a sweep spawns threads; each
+/// shard thread records telemetry exactly when the calling thread does, into
+/// a tally folded into the calling thread's at join. The engine catches
+/// panics, so a shard thread dying is out of model (a panic while panicking,
+/// say); it fails closed by quarantining its whole chunk at `stage`, and its
+/// tally is lost.
+fn sharded_analysis<R: Real>(
+    sweep: &Sweep<'_>,
     inputs: &[Vec<f64>],
     threads: usize,
-    engine: impl Fn(usize, &[Vec<f64>]) -> T + Sync,
-    lost: impl Fn(Range<usize>, String) -> T,
-) -> Vec<T> {
+    stage: SweepStage,
+) -> ChunkOutcome {
+    let engine = |start, chunk: &[Vec<f64>]| {
+        serial_engine::<R>(sweep, chunk, start, stage, vec![false; chunk.len()])
+    };
     let chunks = balanced_chunks(inputs, threads);
     if chunks.len() == 1 {
-        return vec![engine(0, inputs)];
+        return engine(0, inputs);
     }
     let recording = telemetry::enabled();
     let engine = &engine;
@@ -463,39 +453,24 @@ fn sharded<T: Send>(
                     telemetry::absorb(&tally);
                     outcome
                 }
-                Err(payload) => lost(indices, panic_message(payload)),
+                Err(payload) => {
+                    let message = panic_message(payload);
+                    let lost = indices
+                        .map(|input_index| QuarantinedInput {
+                            input_index,
+                            stage,
+                            error: SweepFault::Panic(message.clone()),
+                        })
+                        .collect();
+                    ChunkOutcome::new(AnalysisState::empty(sweep.config.clone()), lost)
+                }
             })
-            .collect()
+            .reduce(|mut folded, next| {
+                folded.absorb(next);
+                folded
+            })
+            .expect("at least one chunk")
     })
-}
-
-/// [`sharded`] for the analysis engines: the chunk outcomes folded in input
-/// order — by the merge laws, the outcome of one continuous sweep. A lost
-/// shard thread fails closed by quarantining its whole chunk at `stage`.
-fn sharded_analysis(
-    inputs: &[Vec<f64>],
-    threads: usize,
-    config: &AnalysisConfig,
-    stage: SweepStage,
-    engine: impl Fn(usize, &[Vec<f64>]) -> ChunkOutcome + Sync,
-) -> ChunkOutcome {
-    let lost = |indices: Range<usize>, message: String| {
-        let lost = indices
-            .map(|input_index| QuarantinedInput {
-                input_index,
-                stage,
-                error: SweepFault::Panic(message.clone()),
-            })
-            .collect();
-        ChunkOutcome::new(AnalysisState::empty(config.clone()), lost)
-    };
-    sharded(inputs, threads, engine, lost)
-        .into_iter()
-        .reduce(|mut folded, next| {
-            folded.absorb(next);
-            folded
-        })
-        .expect("at least one chunk")
 }
 
 /// The telemetry fault-table cell for one quarantine record: the final
@@ -572,17 +547,11 @@ pub(crate) fn serial_family<R: Real>(
         SweepStage::ParallelShard => sweep.config.effective_threads(inputs.len()),
         _ => 1,
     };
-    assemble(sharded_analysis(
-        inputs,
-        threads,
-        &sweep.config,
-        stage,
-        |start, chunk| serial_engine::<R>(&sweep, chunk, start, stage, vec![false; chunk.len()]),
-    ))
+    assemble(sharded_analysis::<R>(&sweep, inputs, threads, stage))
 }
 
-/// The batched family's sweep on the `R` shadow, threads composed with
-/// lanes.
+/// The batched family's sweep on the `R` shadow: one lane sweep of every
+/// input at [`AnalysisConfig::batch_width`].
 pub(crate) fn batched_family<R: Real>(
     program: &Program,
     inputs: &[Vec<f64>],
@@ -591,24 +560,16 @@ pub(crate) fn batched_family<R: Real>(
 ) -> Report {
     let sweep = Sweep::new(program, config, armed);
     let width = effective_batch_width(sweep.config.batch_width);
-    let threads = sweep.config.effective_threads(inputs.len());
-    assemble(sharded_analysis(
-        inputs,
-        threads,
-        &sweep.config,
-        SweepStage::BatchedLane,
-        |start, chunk| batched_engine::<R>(&sweep, width, chunk, start),
-    ))
+    assemble(batched_engine::<R>(&sweep, width, inputs))
 }
 
 /// The tiered family's sweep: tier 0 once per sweep (when
 /// [`AnalysisConfig::input_ranges`] is declared and covers every input),
-/// then the certify pass over every thread shard, then the escalate pass
-/// over the same shards on the serial engine.
+/// then the certify pass over every input, then the escalate pass over every
+/// input on the serial engine.
 ///
 /// The escalate pass waits for the whole certify pass because its
-/// statement mask holds the union of every shard's demand set
-/// ([`statement_mask`]); each escalate shard reads its own inputs' verdicts.
+/// statement mask holds the sweep's demand set ([`statement_mask`]).
 /// [`TierStats`] counts the verdicts.
 pub(crate) fn tiered_family(
     program: &Program,
@@ -618,19 +579,8 @@ pub(crate) fn tiered_family(
 ) -> (Report, TierStats) {
     let mut sweep = Sweep::new(program, config, armed);
     let prune = arm_tier0(program, &sweep.config, inputs);
-    let threads = sweep.config.effective_threads(inputs.len());
     let certified = match CertParams::new(sweep.config.shadow_precision) {
-        Some(params) => {
-            let certify = |start, chunk: &[Vec<f64>]| certify_chunk(&sweep, chunk, start, &params);
-            let lost = |indices: Range<usize>, _| Certified::escalate_all(indices.len());
-            sharded(inputs, threads, certify, lost)
-                .into_iter()
-                .reduce(|mut certified, next| {
-                    certified.absorb(next);
-                    certified
-                })
-                .expect("at least one chunk")
-        }
+        Some(params) => certify_chunk(&sweep, inputs, &params),
         // Precision gate: below the tier threshold everything escalates.
         None => {
             telemetry::TIERED_ESCALATE_PRECISION_GATE.add(inputs.len() as u64);
@@ -648,10 +598,7 @@ pub(crate) fn tiered_family(
     }
     sweep.mask = statement_mask(program, prune.as_ref(), &certified.demand, &sweep.config);
     let stage = SweepStage::TieredBigFloat;
-    let outcome = sharded_analysis(inputs, threads, &sweep.config, stage, |start, chunk| {
-        let verdicts = certified.verdicts[start..start + chunk.len()].to_vec();
-        serial_engine::<BigFloat>(&sweep, chunk, start, stage, verdicts)
-    });
+    let outcome = serial_engine::<BigFloat>(&sweep, inputs, 0, stage, certified.verdicts);
     (assemble(outcome), tiers)
 }
 
@@ -690,10 +637,10 @@ pub fn analyze_parallel_isolated(
 }
 
 /// Fault-isolated batched sweep: the isolating counterpart of
-/// [`analyze_batched`](crate::batched::analyze_batched). A shard whose lane
-/// sweep faults or panics is re-run on the serial engine, whose
+/// [`analyze_batched`](crate::batched::analyze_batched). A lane sweep that
+/// faults or panics is re-run on the serial engine, whose
 /// per-input-deterministic verdicts decide the quarantine — which is what
-/// keeps quarantine lists identical across batch widths and thread counts.
+/// keeps quarantine lists identical across batch widths.
 pub fn analyze_batched_isolated(
     program: &Program,
     inputs: &[Vec<f64>],

@@ -27,10 +27,10 @@
 //!    their records' counts, and a sweep whose demand set is empty builds no
 //!    traces.
 //!
-//! The certify pass runs over every thread shard first, and its demand sets
-//! are united; then the escalate pass runs over the same shards. Both run
-//! on the tiered fault-isolating engine in [`crate::quarantine`];
-//! [`analyze_tiered`] is its fail-fast view.
+//! Both passes sweep every input as one chunk, on the tiered fault-isolating
+//! engine in [`crate::quarantine`]; [`analyze_tiered`] is its fail-fast
+//! view. [`AnalysisConfig::threads`] and [`AnalysisConfig::batch_width`] do
+//! not reach them, so nothing merges and the report never depends on either.
 //!
 //! # Why the report is bit-identical to the all-`BigFloat` analysis
 //!
@@ -77,8 +77,8 @@
 //! demand when its local error on a still-certified run exceeds the
 //! threshold — on such a run the rounded operands and result are
 //! `BigFloat`'s, so the decision is too — and whenever the run's certificate
-//! fails at or before the statement. A deadline fault, a panicking pass, the
-//! precision gate or a lost shard puts every statement in demand. Compensated
+//! fails at or before the statement. A deadline fault, a panicking pass or
+//! the precision gate puts every statement in demand. Compensated
 //! executions only make the set larger. When no statement is in demand, no
 //! record reads a trace, so compute results carry the interner's kept `0.0`
 //! leaf; a trace budget is defined over the full traces, so a budgeted sweep
@@ -90,8 +90,8 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::analysis::{Observe, StatementMask};
-use crate::batched::UlpsThreshold;
 use crate::config::AnalysisConfig;
+use crate::localerr::UlpsThreshold;
 use crate::quarantine::{fail_fast, tiered_family};
 use crate::report::Report;
 use fpcore::CmpOp;
@@ -137,30 +137,13 @@ enum CertFailKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Demand {
     /// Every statement: the certify pass could not bound what `BigFloat`
-    /// decides (a deadline fault, a panic, the precision gate, a lost
-    /// shard).
+    /// decides (a deadline fault, a panic, the precision gate).
     Every,
     /// The marked statements, by pc; statements past the end are unmarked.
     Marked(Vec<bool>),
 }
 
 impl Demand {
-    /// Adds the statements of `other`.
-    fn union(&mut self, other: Demand) {
-        match (&mut *self, other) {
-            (Demand::Every, _) => {}
-            (_, Demand::Every) => *self = Demand::Every,
-            (Demand::Marked(mine), Demand::Marked(theirs)) => {
-                if mine.len() < theirs.len() {
-                    mine.resize(theirs.len(), false);
-                }
-                for (mine, theirs) in mine.iter_mut().zip(theirs) {
-                    *mine |= theirs;
-                }
-            }
-        }
-    }
-
     /// Whether statement `pc` is in the set.
     pub(crate) fn contains(&self, pc: usize) -> bool {
         match self {
@@ -180,8 +163,8 @@ impl Demand {
     }
 }
 
-/// What the certify pass decided for a contiguous run of inputs: the
-/// per-input verdicts, in input order, and the demand set of those inputs.
+/// What the certify pass decided for a sweep: the per-input verdicts, in
+/// input order, and the sweep's demand set.
 #[derive(Debug)]
 pub(crate) struct Certified {
     pub(crate) verdicts: Vec<bool>,
@@ -196,12 +179,6 @@ impl Certified {
             verdicts: vec![false; len],
             demand: Demand::Every,
         }
-    }
-
-    /// Appends the outcome of the next inputs, in input order.
-    pub(crate) fn absorb(&mut self, next: Certified) {
-        self.verdicts.extend(next.verdicts);
-        self.demand.union(next.demand);
     }
 }
 
@@ -240,7 +217,7 @@ pub(crate) struct CertifyProbe {
     /// demand set.
     threshold: UlpsThreshold,
     /// The demand set so far, by pc: statements that can be erroneous under
-    /// `BigFloat` on some input of this pass. Accumulates across runs.
+    /// `BigFloat` on some input of the sweep. Accumulates across runs.
     demand: Vec<bool>,
 }
 
@@ -430,15 +407,15 @@ impl Tracer for CertifyProbe {
 /// error), and none of its records reach a report; the demand set keeps
 /// what the probe marked. Unlike the analysis sweeps, the probe must
 /// classify *every* input, so a failed run does not stop the pass.
-/// `inject_base` (fault-injection builds only) arms injected certification
-/// verdicts with the sweep-global index of `inputs[0]`; unarmed sweeps pass
-/// `None`.
+/// `armed` (fault-injection builds only) applies the installed plan's
+/// injected certification verdicts; `inputs` is the whole sweep, so an
+/// input's index is its sweep-global one.
 pub(crate) fn certify_inputs(
     machine: &Machine<'_>,
     inputs: &[Vec<f64>],
     params: &CertParams,
     config: &AnalysisConfig,
-    #[cfg(feature = "fault-injection")] inject_base: Option<usize>,
+    #[cfg(feature = "fault-injection")] armed: bool,
 ) -> Certified {
     let mut probe = CertifyProbe::new(*params, config);
     let mut memory = Vec::new();
@@ -470,10 +447,10 @@ pub(crate) fn certify_inputs(
     // injection panics) is exercised. Armed only by the fault-isolated
     // driver.
     #[cfg(feature = "fault-injection")]
-    if let Some(base) = inject_base {
+    if armed {
         use crate::faultinject::{self, InjectKind, InjectStage};
         for (index, verdict) in verdicts.iter_mut().enumerate() {
-            if faultinject::query(base + index, 0, InjectStage::TieredCertify)
+            if faultinject::query(index, 0, InjectStage::TieredCertify)
                 == Some(InjectKind::TierEscalation)
             {
                 if *verdict {
@@ -548,10 +525,6 @@ pub(crate) fn arm_tier0(
 /// statements ([`arm_tier0`]), the statements outside the sweep's demand
 /// set, and whether compute results need traces. `None` when it would
 /// change nothing: no statement is pruned and every statement is in demand.
-///
-/// The demand set must be the whole sweep's. A thread shard's records merge
-/// with the other shards' record by record, and a counts-only record merged
-/// with a full one would drop that shard's observations.
 pub(crate) fn statement_mask(
     program: &Program,
     prune: Option<&staticerr::PruneMask>,
@@ -579,15 +552,14 @@ pub(crate) fn statement_mask(
 /// Runs the tiered adaptive-precision analysis and returns the report
 /// together with the tier split.
 ///
-/// Interchangeable with [`analyze`](crate::analysis::analyze) and the other
-/// drivers: the report is bit-identical for every batch width and thread
-/// count — certified inputs merely run in the cheaper `DoubleDouble` tier —
-/// with the shard-merge exception of its thread shards (DESIGN.md,
-/// "Parallel engine"); a one-thread sweep merges nothing. With
+/// Interchangeable with [`analyze`](crate::analysis::analyze): the report
+/// is bit-identical — certified inputs merely run in the cheaper
+/// `DoubleDouble` tier. Both passes sweep every input as one chunk, so
+/// nothing merges, and [`AnalysisConfig::threads`] and
+/// [`AnalysisConfig::batch_width`] do not change the report. With
 /// [`AnalysisConfig::input_ranges`] set and every input inside the declared
 /// region, tier 0 runs first and the sweep skips shadowing for statically
-/// certified statements. This is
-/// the fail-fast view of
+/// certified statements. This is the fail-fast view of
 /// [`analyze_tiered_isolated_with_stats`](crate::quarantine::analyze_tiered_isolated_with_stats),
 /// run without fault injection.
 ///
@@ -708,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_and_widths_compose() {
+    fn threads_and_widths_do_not_change_the_report() {
         let p = program("(FPCore (n) (while (< i n) ((s 0 (+ s (/ 1 i))) (i 1 (+ i 1))) s))");
         let inputs: Vec<Vec<f64>> = (1..23).map(|i| vec![f64::from(i * 3)]).collect();
         let serial = analyze(&p, &inputs, &AnalysisConfig::default().with_threads(1)).unwrap();
@@ -960,7 +932,7 @@ mod tests {
             &params,
             config,
             #[cfg(feature = "fault-injection")]
-            None,
+            false,
         )
     }
 

@@ -45,10 +45,9 @@ pub const WIDENING: f64 = 4.0;
 
 /// Relative error claim of the accurate [`crate::dd_math`] kernels inside
 /// their certificate domains. Their tests pin each kernel, on single-double
-/// and on wide operands, below 2^-102 (`exp`, `exp2`, `log`, `sin`, `cos`,
-/// `atan`), 2^-101 (`expm1`, `tan`, `asin`, `acos`, `atan2`, `cbrt`) and
-/// 2^-98 (`pow`), and `log1p`, which rounds `1 + a` before its `log`, below
-/// 2^-92; the gap is additional margin.
+/// and on wide operands, below 2^-102 (`exp`, `exp2`, `log`, `log1p`, `sin`,
+/// `cos`, `atan`), 2^-101 (`expm1`, `tan`, `asin`, `acos`, `atan2`, `cbrt`)
+/// and 2^-98 (`pow`); the gap is additional margin.
 pub const TRANS_EPS: f64 = 2.5849394142282115e-26; // 2^-85
 
 /// Absolute floor added to every propagated bound; swallows subnormal

@@ -329,7 +329,11 @@ pub fn log1p(a: &Dd) -> Dd {
         // ln(1 + a) = 2·atanh(a/(2 + a)).
         return atanh_twice(&a.div(&dd(2.0).add(a)));
     }
-    log(&Dd::ONE.add(a))
+    // ln(1 + a) = ln(u) + ln(1 + r/u) with u = 1 + a rounded to a
+    // double-double and r = a − (u − 1) the low part of a the sum cut off;
+    // |r/u| is below 2^-104, so ln(1 + r/u) is r/u to the kernel's precision.
+    let u = Dd::ONE.add(a);
+    log(&u).add(&dd(a.sub(&u.sub(&Dd::ONE)).hi() / u.hi()))
 }
 
 /// `log2 = ln(x)/ln 2`.

@@ -46,8 +46,8 @@ fn run(driver: &str, golden: &Sweep, mixed: &Sweep, config: &AnalysisConfig) -> 
         "tiered" => analyze_tiered(program, inputs, config),
         "tiered_isolated" => return analyze_tiered_isolated(program, inputs, config),
         "serial_mixed" => analyze(mixed_program, mixed_inputs, config),
-        // Two thread shards, each of which mixes verdicts whatever the core
-        // count.
+        // The tiered engine ignores the thread count and sweeps every input
+        // as one chunk; CI checks that it runs one certify pass here.
         "tiered_mixed" => {
             analyze_tiered(mixed_program, mixed_inputs, &config.clone().with_threads(2))
         }

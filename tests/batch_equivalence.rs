@@ -225,8 +225,8 @@ fn batched_matches_serial_on_the_benchmark_suite() {
 
 #[test]
 fn all_three_drivers_are_interchangeable() {
-    // analyze / analyze_parallel / analyze_batched on the same sweep, with
-    // threads and lanes composed, all bit-identical.
+    // analyze / analyze_parallel / analyze_batched on the same sweep, all
+    // bit-identical; `analyze_batched` ignores the thread count.
     let program = compile("(FPCore (x y) (- (sqrt (+ (* x x) (* y y))) x))");
     let inputs: Vec<Vec<f64>> = (1..50)
         .map(|i| vec![0.25 / i as f64, 1e-9 / i as f64])
@@ -256,6 +256,37 @@ fn all_three_drivers_are_interchangeable() {
 }
 
 #[test]
+fn batched_lane_passes_do_not_depend_on_the_thread_count() {
+    // `analyze_batched` sweeps every input as one chunk: 32 inputs at width
+    // 8 are 4 lane passes at any thread count, where thread shards of 11,
+    // 11 and 10 inputs would take 2 passes each.
+    let core = fpbench::by_name("NMSE example 3.1").expect("benchmark present");
+    let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");
+    let serial = analyze(
+        &prepared.program,
+        &prepared.inputs,
+        &AnalysisConfig::default(),
+    )
+    .unwrap();
+    let passes = |threads: usize| {
+        let config = AnalysisConfig::default()
+            .with_threads(threads)
+            .with_batch_width(8);
+        let capture = herbgrind::SweepCapture::begin(herbgrind::TelemetryMode::On);
+        let batched = analyze_batched(&prepared.program, &prepared.inputs, &config).unwrap();
+        let telemetry = capture.finish();
+        assert_eq!(
+            format!("{serial:?}"),
+            format!("{batched:?}"),
+            "threads={threads}"
+        );
+        telemetry.counter("fpvm.batch_passes")
+    };
+    assert_eq!(passes(1), 4);
+    assert_eq!(passes(3), 4);
+}
+
+#[test]
 fn width_plus_one_sweeps_stay_bit_identical_and_fill_lanes() {
     // Chunking regression: a sweep of W+1 inputs used to ceil-chunk into
     // fewer chunks than lanes (idling some entirely); the balanced partition
@@ -274,8 +305,8 @@ fn width_plus_one_sweeps_stay_bit_identical_and_fill_lanes() {
             &format!("{} inputs at width {width}", width + 1),
         );
     }
-    // Threads hit the same partition: 9 inputs over 8 threads composed with
-    // 4-wide lanes.
+    // The thread count does not reach the lanes: 9 inputs at 8 threads run
+    // as one 4-wide lane sweep.
     let inputs: Vec<Vec<f64>> = (0..9).map(|i| vec![f64::from(i * 5 % 17)]).collect();
     let serial = analyze(
         &program,

@@ -122,9 +122,9 @@ fn tiered_stable_counters_are_batch_width_invariant() {
 
 #[test]
 fn tiered_stable_counters_are_thread_count_invariant() {
-    // Every shard's escalate pass reads the union of every shard's demand
-    // set, so the set's size and the record updates it keeps counts-only do
-    // not depend on the thread count either.
+    // The tiered engine sweeps every input as one chunk whatever the thread
+    // count, so the demand set's size and the record updates it keeps
+    // counts-only do not depend on the thread count either.
     for name in ["NMSE example 3.1", "naive variance accumulation"] {
         let core = fpbench::by_name(name).expect("benchmark present");
         let prepared = fpbench::prepare(&core, 32, 2026).expect("prepare");

@@ -7,7 +7,10 @@
 //! report divergence, not hide behind its own machinery.
 
 use herbgrind::reference::analyze_with_shadow_reference;
-use herbgrind::{analyze, analyze_tiered_with_stats, AnalysisConfig, TierStats};
+use herbgrind::{
+    analyze, analyze_tiered, analyze_tiered_isolated, analyze_tiered_with_stats, AnalysisConfig,
+    TierStats,
+};
 use shadowreal::BigFloat;
 
 fn assert_tiered_matches_oracles(
@@ -52,10 +55,9 @@ fn assert_tiered_matches_oracles(
 
 #[test]
 fn tiered_matches_the_reference_on_the_benchmark_suite() {
-    // One and two threads: the demand set is the union of every thread
-    // shard's certify pass, and a shard-local set would give a statement
-    // counts-only records in one shard and full ones in another, which
-    // breaks only where shards merge.
+    // One and two threads: the tiered engine sweeps every input as one
+    // chunk, so its certify pass names one demand set for the whole sweep
+    // whatever the thread count.
     for threads in [1, 2] {
         let config = AnalysisConfig::default().with_threads(threads);
         let mut totals = TierStats::default();
@@ -135,8 +137,9 @@ fn tier0_armed_tiered_matches_the_oracles_on_the_whole_suite() {
 
 #[test]
 fn demand_set_spans_every_thread_shard() {
-    // A statement erroneous only on the second shard's inputs: the first
-    // shard alone would keep it counts-only.
+    // A statement erroneous only on the second half of the inputs: a demand
+    // set named from the first half alone would keep it counts-only. The
+    // sweep runs as one chunk at both thread counts.
     let core = fpcore::parse_core("(FPCore (x) (- (sqrt (+ x 1)) (sqrt x)))").unwrap();
     let program = fpvm::compile_core(&core, Default::default()).unwrap();
     let inputs: Vec<Vec<f64>> = (0..12)
@@ -156,8 +159,8 @@ fn demand_set_spans_every_thread_shard() {
 fn one_thread_tiered_sweeps_are_exact_on_short_loop_runs() {
     // Short loop runs are where a shard merge can lose input-range
     // contributions (DESIGN.md, "Known exception: short loop runs"). A
-    // one-thread tiered sweep merges nothing: every input runs on the
-    // serial engine with one record state, at every batch width.
+    // tiered sweep merges nothing: every input runs on the serial engine
+    // with one record state, at every batch width.
     for name in [
         "naive variance accumulation",
         "compensation-free running sum",
@@ -176,6 +179,40 @@ fn one_thread_tiered_sweeps_are_exact_on_short_loop_runs() {
                     &config,
                     &context,
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn tiered_reports_do_not_depend_on_the_thread_count() {
+    // The two programs whose short loop runs lose input-range contributions
+    // in a thread-shard merge, at the sample size and seed of the suite
+    // digests and at DESIGN.md's repro. The tiered engine sweeps every input
+    // as one chunk, so with and without tier 0, plain and isolated, every
+    // thread count gives serial `analyze`'s report.
+    for name in [
+        "naive variance accumulation",
+        "compensation-free running sum",
+    ] {
+        let core = fpbench::by_name(name).expect("benchmark present");
+        let region = fpbench::sampling_region(&core);
+        for (samples, seed) in [(40, 2024), (48, 3)] {
+            let prepared = fpbench::prepare(&core, samples, seed).expect("prepare");
+            let (program, inputs) = (&prepared.program, &prepared.inputs);
+            let serial = analyze(program, inputs, &AnalysisConfig::default().with_threads(1))
+                .expect("serial");
+            let serial = format!("{serial:?}");
+            for threads in [1, 2, 3, 5, 6, 0] {
+                let config = AnalysisConfig::default().with_threads(threads);
+                let ranged = config.clone().with_input_ranges(region.clone());
+                let context = format!("{name}, {samples} inputs, seed {seed}, threads={threads}");
+                let tiered = analyze_tiered(program, inputs, &config).expect("tiered");
+                assert_eq!(format!("{tiered:?}"), serial, "tiered: {context}");
+                let tiered = analyze_tiered(program, inputs, &ranged).expect("tier 0");
+                assert_eq!(format!("{tiered:?}"), serial, "tier 0: {context}");
+                let isolated = analyze_tiered_isolated(program, inputs, &config);
+                assert_eq!(format!("{isolated:?}"), serial, "isolated: {context}");
             }
         }
     }
@@ -352,7 +389,7 @@ fn assert_mixed_sweep_matches_the_oracles(
 
 #[test]
 fn mixed_verdicts_match_the_oracles_at_every_split() {
-    // Every thread shard of this sweep mixes verdicts, so its records come
+    // The sweep mixes verdicts at every thread count, so its records come
     // from the serial engine handing one state between the tiers.
     let (program, inputs) = mixed_sweep();
     assert_mixed_sweep_matches_the_oracles("mixed sweep", &program, &inputs);
